@@ -24,9 +24,9 @@ def main() -> int:
     workers = sys.argv[1] if len(sys.argv) > 1 else "1"
     for argv in SWEEPS:
         label = " ".join(argv[1:])
-        t0 = time.time()
+        t0 = time.perf_counter()
         code = cli_main(argv + ["--workers", workers])
-        print(f"== {label}: {'ok' if code == 0 else f'exit {code}'} ({time.time() - t0:.1f}s)\n")
+        print(f"== {label}: {'ok' if code == 0 else f'exit {code}'} ({time.perf_counter() - t0:.1f}s)\n")
         if code != 0:
             return code
     return 0

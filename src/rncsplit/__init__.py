@@ -36,7 +36,6 @@ from .sheafmap import (
     cokernel_matrix,
     compose,
     dual,
-    full_rank_everywhere,
     h0_euler_crosscheck,
     kernel_matrix,
     section_kernel_dim,

@@ -85,9 +85,9 @@ def _emit(args, payload: dict, text: str) -> None:
 def _case_report(F, d: int, e: int, n: int) -> dict:
     delta = build_delta(F)
     psi = build_psi(F)
-    T = splitting_of_kernel(delta)
-    N = splitting_of_kernel(psi)
     K = kernel_matrix(delta)
+    T = SplittingType(tuple(sorted(K.source)))
+    N = splitting_of_kernel(psi)
     smooth = check_smooth_along_curve(F)
     pred = predicted_splitting(d, e, n)
     return {

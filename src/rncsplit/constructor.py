@@ -206,9 +206,9 @@ def _seed_cubic(e: int, field: FieldSpec) -> IdealCombination:
     return IdealCombination(ctx, coeffs, {})
 
 
-#: Exponent ladder for the quartic fivefold seed, frozen after a deterministic
-#: search over monomial psi columns (s^13, s^(13-x)t^x, s^(13-y)t^y, t^13).
-_QUARTIC_E5_LADDER: tuple[int, int] | None = (4, 8)
+#: Exponent ladder (x, y) of the quartic fivefold seed's monomial psi columns
+#: (s^13, s^(13-x)t^x, s^(13-y)t^y, t^13).
+_QUARTIC_E5_LADDER = (4, 8)
 
 
 def _seed_quartic(e: int, field: FieldSpec) -> IdealCombination:
@@ -241,74 +241,33 @@ def _seed_quartic(e: int, field: FieldSpec) -> IdealCombination:
     return _seed_quartic_family(e, field)
 
 
-_quartic_family_choice: dict = {}
-
-
 def _seed_quartic_family(e: int, field: FieldSpec) -> IdealCombination:
-    """Quartic seed for e >= 7.  Two candidate coefficients of Q_(e-2,e-1) fit
-    the family pattern; both are tried and the one whose computed splitting
-    matches the catalog prediction wins (which one verifies depends on e)."""
-    from .sheafmap import splitting_of_kernel
-
+    """Quartic seed for e >= 7.  The coefficient of Q_(e-2,e-1) is the square
+    x_(e-2)^2 when e ≡ 3 (mod 4) and the product x_(e-2)*x_(e-1) otherwise;
+    the tests certify that this gives the catalog splitting."""
     ctx = CurveContext(4, e, e, field)
-    base = {(i, i + 1): _var_poly(ctx, i - 1, 2) for i in range(1, e - 4)}
-    base[(e - 4, e - 3)] = _pair_poly(ctx, e - 5, e - 4)
-    base[(e - 3, e - 2)] = _var_poly(ctx, e - 3, 2)
-    base[(e - 1, e)] = _var_poly(ctx, e, 2)
-    candidates = {
-        "square": _var_poly(ctx, e - 2, 2),
-        "product": _pair_poly(ctx, e - 2, e - 1),
-    }
-    want = predicted_splitting(4, e, e).splitting
-    cache_key = (e, field)
-    if cache_key in _quartic_family_choice:
-        name = _quartic_family_choice[cache_key]
-        coeffs = dict(base)
-        coeffs[(e - 2, e - 1)] = candidates[name]
-        return IdealCombination(ctx, coeffs, {})
-    for name in ("square", "product"):
-        coeffs = dict(base)
-        coeffs[(e - 2, e - 1)] = candidates[name]
-        F = IdealCombination(ctx, coeffs, {})
-        if splitting_of_kernel(build_delta(F)).parts == want.parts:
-            _quartic_family_choice[cache_key] = name
-            return F
-    raise CertificationError(
-        f"no reading of the quartic family coefficient verifies for e = {e}"
-    )
+    coeffs = {(i, i + 1): _var_poly(ctx, i - 1, 2) for i in range(1, e - 4)}
+    coeffs[(e - 4, e - 3)] = _pair_poly(ctx, e - 5, e - 4)
+    coeffs[(e - 3, e - 2)] = _var_poly(ctx, e - 3, 2)
+    coeffs[(e - 1, e)] = _var_poly(ctx, e, 2)
+    if e % 4 == 3:
+        coeffs[(e - 2, e - 1)] = _var_poly(ctx, e - 2, 2)
+    else:
+        coeffs[(e - 2, e - 1)] = _pair_poly(ctx, e - 2, e - 1)
+    return IdealCombination(ctx, coeffs, {})
 
 
 def _seed_quartic_fivefold(field: FieldSpec) -> IdealCombination:
-    """The quartic e = n = 5 seed; no closed-form polynomial covers this case,
-    so a small family of monomial psi ladders is searched once and frozen."""
-    from .sheafmap import splitting_of_kernel
-
-    global _QUARTIC_E5_LADDER
-    ctx = CurveContext(4, 5, 5, field)
-    want = predicted_splitting(4, 5, 5).splitting
-
-    def build(x: int, y: int) -> IdealCombination:
-        targets = [
-            BinaryForm.monomial(field, 13, 0),
-            BinaryForm.monomial(field, 13, x),
-            BinaryForm.monomial(field, 13, y),
-            BinaryForm.monomial(field, 13, 13),
-        ]
-        return lift_psi_targets(targets, ctx)
-
-    if _QUARTIC_E5_LADDER is not None:
-        x, y = _QUARTIC_E5_LADDER
-        return build(x, y)
-    for x in range(1, 13):
-        for y in range(x + 1, 13):
-            try:
-                F = build(x, y)
-            except (PsiLiftError, CertificationError):
-                continue
-            if splitting_of_kernel(build_delta(F)).parts == want.parts:
-                _QUARTIC_E5_LADDER = (x, y)
-                return F
-    raise CertificationError("no monomial psi ladder realizes the quartic e = n = 5 case")
+    """The quartic e = n = 5 seed, lifted from monomial psi columns; no
+    closed-form polynomial covers this case."""
+    x, y = _QUARTIC_E5_LADDER
+    targets = [
+        BinaryForm.monomial(field, 13, 0),
+        BinaryForm.monomial(field, 13, x),
+        BinaryForm.monomial(field, 13, y),
+        BinaryForm.monomial(field, 13, 13),
+    ]
+    return lift_psi_targets(targets, CurveContext(4, 5, 5, field))
 
 
 def _seed_general(d: int, n: int, field: FieldSpec) -> IdealCombination:

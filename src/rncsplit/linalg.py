@@ -135,32 +135,6 @@ def solve(rows, rhs, field: FieldSpec, width: int | None = None):
     return x
 
 
-def det(rows, field: FieldSpec):
-    """Determinant of a square scalar matrix by fraction-free-enough Gaussian
-    elimination over the field."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    A = [list(r) for r in rows]
-    sign = False
-    acc = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not field.is_zero(A[i][c])), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            sign = not sign
-        acc = field.mul(acc, A[c][c])
-        inv = field.inv(A[c][c])
-        for i in range(c + 1, n):
-            if field.is_zero(A[i][c]):
-                continue
-            f = field.mul(A[i][c], inv)
-            A[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(A[i], A[c])]
-    return field.neg(acc) if sign else acc
-
-
 class RowSpace:
     """Incrementally maintained row space with exact reduction.
 

@@ -4,13 +4,12 @@ A map ⊕_j O(b_j) -> ⊕_i O(c_i) is a matrix of binary forms whose (i, j) entr
 is homogeneous of degree c_i - b_j (or strictly zero).  This module builds the
 maps attached to a hypersurface through a rational normal curve (psi, beta,
 delta = psi∘beta, df), recovers splitting types of kernels by an exact nullity
-scan over twists, extracts minimal kernel/cokernel matrices, and certifies
-full rank at every point of the line via maximal minors.
+scan over twists, and extracts minimal kernel/cokernel matrices whose full rank
+at every point of the line is read off the splitting the scan certifies.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -315,10 +314,14 @@ def _eval_matrix(M: GradedSheafMap, point) -> list[list]:
 
 
 def generic_rank(M: GradedSheafMap) -> int:
-    """Exact rank at deterministic points plus pseudorandom ones until stable."""
+    """Exact rank at deterministic points plus pseudorandom ones until stable.
+    A one-row map needs no evaluation: its rank is 1 iff it has a nonzero
+    entry (over a tiny field a nonzero form can vanish at every point)."""
     K = M.field
     if M.nrows == 0 or M.ncols == 0:
         return 0
+    if M.nrows == 1:
+        return 1 if M.entries else 0
     cap = min(M.nrows, M.ncols)
     pts = [(K.one, K.zero), (K.zero, K.one), (K.one, K.one)]
     rng = random.Random(0x5EED)
@@ -417,7 +420,12 @@ def _vector_to_forms(M: GradedSheafMap, vec, twist: int) -> dict:
 def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     """A minimal generating matrix K of ker M: compose(M, K) = 0, source twists
     equal splitting_of_kernel(M) sorted descending, and K has full rank at
-    every point of the line."""
+    every point of the line.
+
+    Full rank everywhere follows from full generic rank: K maps ⊕O(a_i) into
+    ker M, the scan has proved ker M ≅ ⊕O(a_i), and a generically injective
+    map between bundles of equal rank and degree is an isomorphism (its
+    determinant is a nonzero constant)."""
     split = splitting_of_kernel(M)
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     if split.rank:
@@ -453,8 +461,8 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     K_map = GradedSheafMap(M.field, source, M.source, entries)
     if not compose(M, K_map).is_zero_map():
         raise CertificationError("kernel matrix does not annihilate the map")
-    if not full_rank_everywhere(K_map):
-        raise CertificationError("kernel matrix drops rank at a point of the line")
+    if generic_rank(K_map) != K_map.ncols:
+        raise CertificationError("kernel matrix is not generically injective")
     return K_map
 
 
@@ -476,69 +484,13 @@ def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> 
 
 def cokernel_matrix(N: GradedSheafMap) -> GradedSheafMap:
     """Cokernel presentation of an everywhere-injective N, computed as the
-    dual of the kernel matrix of the dual."""
-    if not full_rank_everywhere(N):
+    dual of the kernel matrix of the dual.  dual(N) is onto at every point iff
+    its kernel has rank #rows - #cols and degree sum(source) - sum(target) of N;
+    a drop in rank anywhere raises the kernel's rank or degree."""
+    K = kernel_matrix(dual(N))
+    if K.ncols != N.nrows - N.ncols or sum(K.source) != sum(N.source) - sum(N.target):
         raise MapError("cokernel requires a map of full rank at every point")
-    return dual(kernel_matrix(dual(N)))
-
-
-# -- full-rank certificate -------------------------------------------------------
-
-
-def _interpolate_form(field: FieldSpec, degree: int, values: list) -> BinaryForm:
-    """Homogeneous form of the given degree from degree+1 values at (1, k)."""
-    K = field
-    npts = degree + 1
-    rows = []
-    for k in range(npts):
-        tau = K.from_int(k)
-        row = [K.one]
-        for _ in range(degree):
-            row.append(K.mul(row[-1], tau))
-        rows.append(row)
-    coeffs = linalg.solve(rows, values, K, npts)
-    if coeffs is None:
-        raise CertificationError("interpolation failed")
-    return BinaryForm(K, degree, tuple(coeffs))
-
-
-def minor_form(M: GradedSheafMap, rows: tuple, cols: tuple) -> BinaryForm:
-    """The minor det M[rows, cols] as a binary form (exact, by interpolation
-    at degree+1 points; the minor is homogeneous of degree sum c_i - sum b_j)."""
-    K = M.field
-    D = sum(M.target[i] for i in rows) - sum(M.source[j] for j in cols)
-    if D < 0:
-        return BinaryForm.zero(K)
-    if K.p is not None and D + 1 > K.p:
-        raise CertificationError(f"minor degree {D} too large for GF({K.p}) interpolation")
-    values = []
-    for k in range(D + 1):
-        P = (K.one, K.from_int(k))
-        sub = [[M.entry(i, j).eval(P) for j in cols] for i in rows]
-        values.append(linalg.det(sub, K))
-    f = _interpolate_form(K, D, values)
-    return f if not f.is_zero() else BinaryForm.zero(K)
-
-
-def full_rank_everywhere(M: GradedSheafMap) -> bool:
-    """True iff the maximal minors have no common projective zero (their gcd is
-    a nonzero constant) and the generic rank is min(#rows, #cols)."""
-    r = min(M.nrows, M.ncols)
-    if r == 0:
-        return True
-    if M.nrows >= M.ncols:
-        subsets = ((rows, tuple(range(M.ncols))) for rows in itertools.combinations(range(M.nrows), r))
-    else:
-        subsets = ((tuple(range(M.nrows)), cols) for cols in itertools.combinations(range(M.ncols), r))
-    g: BinaryForm | None = None
-    for rows, cols in subsets:
-        minor = minor_form(M, rows, cols)
-        if minor.is_zero():
-            continue
-        g = minor if g is None else bf_gcd([g, minor])
-        if g.degree == 0:
-            return True
-    return g is not None and g.degree == 0
+    return dual(K)
 
 
 # -- hypersurface-level checks -----------------------------------------------------

@@ -1,12 +1,15 @@
-"""Shared generators for the test suite."""
+"""Shared generators and oracles for the test suite."""
 
-from rncsplit.binform import BinaryForm, parse_binary_form
+import itertools
+
+from rncsplit import linalg
+from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import IdealCombination, MultiPoly
 from rncsplit.sheafmap import (
+    CertificationError,
     GradedSheafMap,
     _scan_window,
-    full_rank_everywhere,
     generic_rank,
     section_kernel_dim,
 )
@@ -88,3 +91,91 @@ def full_window_splitting(M):
         prev_count, prev_inc = count, inc
     assert prev_inc == M.ncols - generic_rank(M)
     return tuple(sorted(parts))
+
+
+# -- maximal-minor oracle for full rank at every point -----------------------------
+#
+# Independent of the nullity scan: the gcd of all maximal minors, each
+# interpolated from determinants.  Oracle for kernel_matrix / cokernel_matrix.
+
+
+def det(rows, field: FieldSpec):
+    """Determinant of a square scalar matrix by fraction-free-enough Gaussian
+    elimination over the field."""
+    n = len(rows)
+    if n == 0:
+        return field.one
+    A = [list(r) for r in rows]
+    sign = False
+    acc = field.one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not field.is_zero(A[i][c])), None)
+        if piv is None:
+            return field.zero
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = not sign
+        acc = field.mul(acc, A[c][c])
+        inv = field.inv(A[c][c])
+        for i in range(c + 1, n):
+            if field.is_zero(A[i][c]):
+                continue
+            f = field.mul(A[i][c], inv)
+            A[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(A[i], A[c])]
+    return field.neg(acc) if sign else acc
+
+
+def _interpolate_form(field: FieldSpec, degree: int, values: list) -> BinaryForm:
+    """Homogeneous form of the given degree from degree+1 values at (1, k)."""
+    K = field
+    npts = degree + 1
+    rows = []
+    for k in range(npts):
+        tau = K.from_int(k)
+        row = [K.one]
+        for _ in range(degree):
+            row.append(K.mul(row[-1], tau))
+        rows.append(row)
+    coeffs = linalg.solve(rows, values, K, npts)
+    if coeffs is None:
+        raise CertificationError("interpolation failed")
+    return BinaryForm(K, degree, tuple(coeffs))
+
+
+def minor_form(M: GradedSheafMap, rows: tuple, cols: tuple) -> BinaryForm:
+    """The minor det M[rows, cols] as a binary form (exact, by interpolation
+    at degree+1 points; the minor is homogeneous of degree sum c_i - sum b_j)."""
+    K = M.field
+    D = sum(M.target[i] for i in rows) - sum(M.source[j] for j in cols)
+    if D < 0:
+        return BinaryForm.zero(K)
+    if K.p is not None and D + 1 > K.p:
+        raise CertificationError(f"minor degree {D} too large for GF({K.p}) interpolation")
+    values = []
+    for k in range(D + 1):
+        P = (K.one, K.from_int(k))
+        sub = [[M.entry(i, j).eval(P) for j in cols] for i in rows]
+        values.append(det(sub, K))
+    f = _interpolate_form(K, D, values)
+    return f if not f.is_zero() else BinaryForm.zero(K)
+
+
+def full_rank_everywhere(M: GradedSheafMap) -> bool:
+    """True iff the maximal minors have no common projective zero (their gcd is
+    a nonzero constant) and the generic rank is min(#rows, #cols)."""
+    r = min(M.nrows, M.ncols)
+    if r == 0:
+        return True
+    if M.nrows >= M.ncols:
+        subsets = ((rows, tuple(range(M.ncols))) for rows in itertools.combinations(range(M.nrows), r))
+    else:
+        subsets = ((tuple(range(M.nrows)), cols) for cols in itertools.combinations(range(M.ncols), r))
+    g: BinaryForm | None = None
+    for rows, cols in subsets:
+        minor = minor_form(M, rows, cols)
+        if minor.is_zero():
+            continue
+        g = minor if g is None else bf_gcd([g, minor])
+        if g.degree == 0:
+            return True
+    return g is not None and g.degree == 0

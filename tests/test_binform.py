@@ -12,7 +12,7 @@ from rncsplit.binform import (
     parse_binary_form,
 )
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit import linalg
+from tests.helpers import det
 
 GF101 = FieldSpec(101)
 
@@ -116,7 +116,7 @@ def test_gcd_of_quintic_delta_is_constant():
         for k in range(n2 + 1):
             row[i + k] = f2.coeff(k)
         rows.append(row)
-    assert not RATIONALS.is_zero(linalg.det(rows, RATIONALS))
+    assert not RATIONALS.is_zero(det(rows, RATIONALS))
 
 
 def test_gcd_all_zero_rejected():

@@ -1,6 +1,12 @@
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from rncsplit import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -24,6 +30,30 @@ def test_compute_quintic_from_file(capsys, tmp_path):
     assert code == 0
     assert "T_X|_C = O(-5) + O(2)  (not balanced)" in out
     assert "N_C/X  = O(-5)" in out
+
+
+def test_readme_hsf_example(capsys, tmp_path):
+    text = README.read_text(encoding="utf-8").split("Hypersurface files (`.hsf`)", 1)[1]
+    block = re.search(r"```\n(.*?)```", text, re.S).group(1)
+    hsf = tmp_path / "readme.hsf"
+    hsf.write_text(block)
+    code, out, _ = run(capsys, "compute", "--poly", str(hsf))
+    assert code == 0
+    assert "case d=5 e=3 n=4 over rational" in out
+    assert "smooth along curve: yes" in out
+
+
+@pytest.mark.parametrize("d, e, n, p", [(3, 3, 3, 2), (2, 5, 7, 3), (4, 6, 6, 5), (4, 5, 5, 7)])
+def test_compute_over_small_prime_matches_rationals(capsys, d, e, n, p):
+    argv = ["compute", "--d", str(d), "--e", str(e), "--n", str(n), "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--field", f"prime:{p}")
+    assert code == 0
+    code, rational_out, _ = run(capsys, *argv)
+    assert code == 0
+    small, rational = json.loads(out), json.loads(rational_out)
+    assert small["params"]["field"] == f"prime:{p}"
+    for key in ("T_splitting", "N_splitting"):
+        assert small[key] == rational[key]
 
 
 def test_compute_json_matches_text(capsys, tmp_path):

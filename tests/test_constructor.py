@@ -22,11 +22,11 @@ from rncsplit.sheafmap import (
     build_psi,
     check_smooth_along_curve,
     compose,
-    full_rank_everywhere,
     kernel_matrix,
     splitting_of_kernel,
 )
 from rncsplit.splitting import SplittingType, predicted_splitting
+from tests.helpers import full_rank_everywhere
 
 GF = FieldSpec(32003)
 
@@ -289,6 +289,13 @@ def test_chain_matches_catalog_each_level():
         for step in steps:
             lvl = step.output_F.context.n
             assert step.target_splitting.parts == predicted_splitting(d, e, lvl).splitting.parts
+
+
+@pytest.mark.parametrize("field, e_max", [(GF, 23), (RATIONALS, 11)], ids=["gf32003", "rationals"])
+def test_quartic_family_seeds_match_catalog(field, e_max):
+    for e in range(7, e_max + 1):
+        F = seed_example(4, e, field)
+        assert splitting_of_kernel(build_delta(F)).parts == predicted_splitting(4, e, e).splitting.parts, e
 
 
 def test_embed_combination():
