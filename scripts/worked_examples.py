@@ -8,6 +8,7 @@ from rncsplit import (
     CurveContext,
     IdealCombination,
     RATIONALS,
+    SplittingType,
     build_chain,
     build_delta,
     build_psi,
@@ -37,8 +38,9 @@ def quintic_surface() -> None:
     psi, delta = build_psi(F), build_delta(F)
     show("psi", format_map(psi))
     show("delta = psi o beta", format_map(delta))
-    show("kernel matrix of delta", format_map(kernel_matrix(delta)))
-    T, N = splitting_of_kernel(delta), splitting_of_kernel(psi)
+    K = kernel_matrix(delta)
+    show("kernel matrix of delta", format_map(K))
+    T, N = SplittingType(tuple(sorted(K.source))), splitting_of_kernel(psi)
     print(f"T_X|_C = {format_splitting(T)}   (not balanced)")
     print(f"N_C/X  = {format_splitting(N)}   (balanced)")
     print()

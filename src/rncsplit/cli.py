@@ -66,10 +66,6 @@ USER_ERRORS = (
 )
 
 
-class VerificationMismatch(Exception):
-    pass
-
-
 def _emit(args, payload: dict, text: str) -> None:
     out = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text
     if getattr(args, "output", None):
@@ -175,9 +171,9 @@ def _verify_chain_job(job) -> list[dict]:
                 F, _ = build_chain(2, e, n, field_now)
                 out.append(_verify_case(F, 2, e, n, None))
             return out
-        F_seed = seed_example(d, e, field_now)
-        out.append(_verify_case(F_seed, d, e, e, None))
         F, steps = build_chain(d, e, n_max, field_now)
+        F_seed = steps[0].input_F if steps else F
+        out.append(_verify_case(F_seed, d, e, e, None))
         for st in steps:
             out.append(_verify_case(st.output_F, d, e, st.output_F.context.n, st.strategy))
         return out

@@ -40,10 +40,6 @@ class FieldSpec:
         if self.p is not None and not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
     def __str__(self) -> str:
         return "rational" if self.p is None else f"prime:{self.p}"
 

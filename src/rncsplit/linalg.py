@@ -85,35 +85,24 @@ def rank(rows, field: FieldSpec, width: int | None = None) -> int:
     return len(rref(rows, field, width)[1])
 
 
-def nullity(rows, field: FieldSpec, width: int | None = None) -> int:
-    if width is None:
-        width = len(rows[0]) if len(rows) else 0
-    return width - rank(rows, field, width)
-
-
 def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
     """Basis of the right kernel, one vector (length = width) per free column."""
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    if width == 0:
-        return []
-    if len(rows) == 0:
-        eye = []
-        for f in range(width):
-            v = [field.zero] * width
-            v[f] = field.one
-            eye.append(v)
-        return eye
     R, pivots = rref(rows, field, width)
     piv_set = set(pivots)
     free = [j for j in range(width) if j not in piv_set]
+    if field.p is not None:
+        B = np.zeros((len(free), width), dtype=np.int64)
+        B[range(len(free)), free] = 1
+        B[:, pivots] = -R[: len(pivots)][:, free].T % field.p
+        return B.tolist()
     basis = []
     for f in free:
         v = [field.zero] * width
         v[f] = field.one
         for row_idx, pc in enumerate(pivots):
-            entry = R[row_idx][f] if field.p is None else int(R[row_idx, f])
-            v[pc] = field.neg(entry)
+            v[pc] = field.neg(R[row_idx][f])
         basis.append(v)
     return basis
 

@@ -297,11 +297,6 @@ def _section_matrix(M: GradedSheafMap, m: int):
 def section_kernel_dim(M: GradedSheafMap, m: int) -> int:
     """dim ker of the induced linear map on global sections twisted by m."""
     A, C = _section_matrix(M, m)
-    if C == 0:
-        return 0
-    R = A.shape[0] if M.field.p is not None else len(A)
-    if R == 0:
-        return C
     return C - linalg.rank(A, M.field, C)
 
 
@@ -353,10 +348,11 @@ def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
     return -B - 1, -min(a_spec, a_safe)
 
 
-def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
-    """Splitting type of ker M, recovered from the counting identity
-    N(m) - N(m-1) = #{i : a_i >= -m}, scanning twists upward from below the
-    largest source twist.
+def _nullity_scan(M: GradedSheafMap):
+    """Nullity scan of M: one section matrix and one nullspace per twist,
+    upward from below the largest source twist.  For ker M ≅ ⊕O(a_i) the
+    nullspace sizes obey N(m) - N(m-1) = #{i : a_i >= -m}; at each twist where
+    this increment grows, yields (m, new_parts, basis, width).
 
     The scan stops at the first twist m where the increment inc = N(m) - N(m-1)
     equals expected_rank = cols - generic_rank(M).  This is sound because
@@ -364,9 +360,10 @@ def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
     a_i >= -m, and point evaluation can only undercount the rank of M.  The
     window from _scan_window is an upper limit on the scan: if the increment
     never reaches expected_rank there (generic_rank undercounted, as over tiny
-    fields), the scan runs to its top and raises CertificationError."""
+    fields), the scan runs to its top and raises CertificationError.  The
+    final checks run once the generator is exhausted."""
     if M.ncols == 0:
-        return SplittingType(())
+        return
     m_bottom, m_top = _scan_window(M)
     expected_rank = M.ncols - generic_rank(M)
     counts = {m_bottom: 0}
@@ -374,11 +371,16 @@ def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
     prev_inc = 0
     m_stop = m_top
     for m in range(m_bottom + 1, m_top + 1):
-        counts[m] = section_kernel_dim(M, m)
+        A, C = _section_matrix(M, m)
+        basis = linalg.nullspace(A, M.field, C)
+        counts[m] = len(basis)
         inc = counts[m] - counts[m - 1]
         if inc < prev_inc:
             raise CertificationError(f"section counts not monotone at twist {m}")
-        parts.extend([-m] * (inc - prev_inc))
+        if inc > prev_inc:
+            new_parts = [-m] * (inc - prev_inc)
+            parts.extend(new_parts)
+            yield m, new_parts, basis, C
         prev_inc = inc
         if inc == expected_rank:
             m_stop = m
@@ -397,7 +399,11 @@ def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
             raise CertificationError(
                 f"recovered splitting {sorted(parts)} inconsistent with count at twist {m}"
             )
-    return SplittingType(tuple(sorted(parts)))
+
+
+def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
+    """Splitting type of ker M, read off the nullity scan (_nullity_scan)."""
+    return SplittingType(tuple(sorted(a for _, new, _, _ in _nullity_scan(M) for a in new)))
 
 
 def _vector_to_forms(M: GradedSheafMap, vec, twist: int) -> dict:
@@ -422,37 +428,33 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     equal splitting_of_kernel(M) sorted descending, and K has full rank at
     every point of the line.
 
+    Columns of twist a are the scan's nullspace vectors at m = -a that are
+    independent of the shifts of the columns found before.
+
     Full rank everywhere follows from full generic rank: K maps ⊕O(a_i) into
     ker M, the scan has proved ker M ≅ ⊕O(a_i), and a generically injective
     map between bundles of equal rank and degree is an isomorphism (its
     determinant is a nonzero constant)."""
-    split = splitting_of_kernel(M)
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
-    if split.rank:
-        K = M.field
-        distinct = sorted(set(split.parts), reverse=True)
-        want = {a: split.parts.count(a) for a in distinct}
-        for a in distinct:
-            A, C = _section_matrix(M, -a)
-            basis = linalg.nullspace(A, K, C)
-            span = linalg.RowSpace(K, C)
-            for twist, forms in gens:
-                for w in range(twist - a + 1):
-                    shifted = {j: f.shift(twist - a - w, w) for j, f in forms.items()}
-                    vec = _forms_to_vector(M, shifted, a, C)
-                    span.insert(vec)
-            found = 0
-            for v in basis:
-                res = span.insert(v)
-                if res is not None:
-                    gens.append((a, _vector_to_forms(M, list(res), a)))
-                    found += 1
-                    if found == want[a]:
-                        break
-            if found != want[a]:
-                raise CertificationError(
-                    f"expected {want[a]} new kernel generators at twist {a}, found {found}"
-                )
+    for m, new_parts, basis, width in _nullity_scan(M):
+        a = -m
+        span = linalg.RowSpace(M.field, width)
+        for twist, forms in gens:
+            for w in range(twist - a + 1):
+                shifted = {j: f.shift(twist - a - w, w) for j, f in forms.items()}
+                span.insert(_forms_to_vector(M, shifted, a, width))
+        found = 0
+        for v in basis:
+            res = span.insert(v)
+            if res is not None:
+                gens.append((a, _vector_to_forms(M, list(res), a)))
+                found += 1
+                if found == len(new_parts):
+                    break
+        if found != len(new_parts):
+            raise CertificationError(
+                f"expected {len(new_parts)} new kernel generators at twist {a}, found {found}"
+            )
     source = tuple(a for a, _ in gens)
     entries = {}
     for col, (a, forms) in enumerate(gens):

@@ -150,11 +150,6 @@ class Prediction:
     splitting: SplittingType | None
     provenance: str
 
-    def describe(self) -> str:
-        if self.verdict == EXACT:
-            return f"{format_splitting(self.splitting)} [{self.provenance}]"
-        return f"{self.verdict} [{self.provenance}]"
-
 
 def _exact(parts, tag: str) -> Prediction:
     return Prediction(EXACT, SplittingType(tuple(parts)), tag)

@@ -104,3 +104,14 @@ def test_empty_matrices():
         [Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
+    # no rows, and rows of width 0, as section matrices at low twists have
+    assert linalg.rank(np.zeros((0, 3), dtype=np.int64), GF, 3) == 0
+    assert linalg.nullspace(np.zeros((0, 3), dtype=np.int64), GF, 3) == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+    assert linalg.rank(np.zeros((3, 0), dtype=np.int64), GF, 0) == 0
+    assert linalg.nullspace(np.zeros((3, 0), dtype=np.int64), GF, 0) == []
+    assert linalg.rank([[], [], []], RATIONALS, 0) == 0
+    assert linalg.nullspace([[], [], []], RATIONALS, 0) == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
@@ -317,8 +318,32 @@ def test_kernel_matrix_random_oracle():
         M = random_surjective_map(rnd, max_rank=4, spread=6)
         K = kernel_matrix(M)
         assert tuple(sorted(K.source)) == splitting_of_kernel(M).parts
+        assert tuple(sorted(K.source)) == full_window_splitting(M)
         assert compose(M, K).is_zero_map()
         assert full_rank_everywhere(K)
+
+
+def test_kernel_matrix_builds_each_twist_once(monkeypatch):
+    # kernel_matrix reads its generators from the scan's own nullspaces, so no
+    # section matrix is built twice for the same twist
+    built = []
+    section_matrix = sheafmap._section_matrix
+
+    def recording(M, m):
+        built.append(m)
+        return section_matrix(M, m)
+
+    monkeypatch.setattr(sheafmap, "_section_matrix", recording)
+    maps = [
+        build_delta(cubic_surface()),
+        random_surjective_map(random.Random(5), max_rank=4, spread=6),
+        build_delta(quintic_surface()),
+    ]
+    for M in maps:
+        built.clear()
+        K = kernel_matrix(M)
+        assert K.ncols > 0
+        assert len(built) == len(set(built)), built
 
 
 # -- cokernels -----------------------------------------------------------------------
