@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Walk through the two benchmark surfaces and one induction chain, printing
 every intermediate object: psi, delta, the kernel matrix, both splittings,
-and the extension data (J, N, the cokernel delta, and the lifted coefficient).
+and the extension data (J, N, the extended delta whose kernel N generates, and
+the lifted coefficient).
 """
 
 from rncsplit import (

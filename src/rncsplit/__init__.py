@@ -33,9 +33,7 @@ from .sheafmap import (
     build_df,
     build_psi,
     check_smooth_along_curve,
-    cokernel_matrix,
     compose,
-    dual,
     h0_euler_crosscheck,
     kernel_matrix,
     section_kernel_dim,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import FieldSpec
 
@@ -58,11 +58,6 @@ class BinaryForm:
         coeffs = [field.zero] * (degree + 1)
         coeffs[t_power] = c
         return BinaryForm(field, degree, tuple(coeffs))
-
-    @staticmethod
-    def from_coeffs(field: FieldSpec, coeffs: Iterable) -> "BinaryForm":
-        coeffs = tuple(coeffs)
-        return BinaryForm(field, len(coeffs) - 1, coeffs)
 
     # -- predicates -----------------------------------------------------------
 

@@ -4,8 +4,9 @@ splitting, and the inductive dimension-extension engine.
 Seeds exist at n = e for each constructive degree (chains of curve quadrics
 for d = 2, 3, 4; monomial psi-ladders for d >= 5 with e = n >= 2d-2).  For
 d = 3, 4 the case n > e is reached one dimension at a time: a strategy matrix
-J with K = N1·J and N2 = coker J stacks into an everywhere-injective N whose
-cokernel extends delta by one entry g, and g lifts to the new coefficient
+J with K = N1·J and N2 = coker J stacks into N, the row (delta, g) with
+(delta, g)·N = 0 extends delta by one entry g found by exact division, N is
+certified as the kernel of that row, and g lifts to the new coefficient
 G_(n+1).
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .binform import BinaryForm, DegreeError
+from .binform import BinaryForm, DegreeError, bf_gcd
 from .fields import RATIONALS, FieldSpec
 from .multipoly import (
     CurveContext,
@@ -28,7 +29,7 @@ from .sheafmap import (
     GradedSheafMap,
     build_delta,
     build_psi,
-    cokernel_matrix,
+    certify_kernel,
     compose,
     kernel_matrix,
     stack_rows,
@@ -68,14 +69,6 @@ def _embed_poly(poly: MultiPoly, ctx: CurveContext) -> MultiPoly:
         raise ValueError("cannot shrink the ambient dimension")
     return MultiPoly(
         ctx, poly.total_degree, {exp + (0,) * pad: c for exp, c in poly.terms.items()}
-    )
-
-
-def embed_combination(F: IdealCombination, ctx: CurveContext) -> IdealCombination:
-    return IdealCombination(
-        ctx,
-        {key: _embed_poly(p, ctx) for key, p in F.quadric_coeffs.items()},
-        {k: _embed_poly(p, ctx) for k, p in F.linear_coeffs.items()},
     )
 
 
@@ -516,9 +509,11 @@ def extend_dimension(
     """One inductive step n -> n+1: realize `target` as the splitting of the
     restricted tangent bundle of an extension F + G_(n+1) x_(n+1).
 
-    The strategy is selected by shape; the certified output satisfies
-    compose(delta_out, N) = 0, N of full rank everywhere, and the splitting of
-    N's source equal to the target, which pins the kernel exactly.
+    The strategy is selected by shape and stacks N = (N1; N2).  The new entry
+    g of delta_out = (delta_in, g) is read off (delta_in, g)·N = 0 by one exact
+    division; for N of corank one that row is unique up to a scalar.
+    certify_kernel then proves N generates ker delta_out (so N has full rank
+    everywhere), and the splitting of N's source equals the target.
     """
     ctx = F.context
     e, n, d = ctx.e, ctx.n, ctx.d
@@ -545,30 +540,25 @@ def extend_dimension(
     if not compose(N2, J).is_zero_map():
         raise CertificationError("N2 · J is nonzero")
     N = stack_rows(N1, N2)
-    delta_raw = cokernel_matrix(N)
-
-    # normalize the cokernel so its first n entries equal the incoming delta
-    lam = None
-    for j in range(n):
-        f_in = delta_in.entry(0, j)
-        f_raw = delta_raw.entry(0, j)
-        if not f_in.is_zero():
-            k = f_in.t_valuation()
-            if f_raw.is_zero() or field.is_zero(f_raw.coeff(k)):
-                raise CertificationError("cokernel does not extend the incoming delta")
-            lam = field.div(f_in.coeffs[k], f_raw.coeff(k))
-            break
-    if lam is None:
-        raise CertificationError("incoming delta is the zero map")
-    delta_out = delta_raw.scale(lam)
-    for j in range(n):
-        if not delta_out.entry(0, j).equals(delta_in.entry(0, j)):
-            raise CertificationError(
-                "cokernel does not agree with the incoming delta after rescaling"
-            )
-    g = delta_out.entry(0, n)
-
     ctx_out = CurveContext(d, e, n + 1, field)
+    if N.target != tangent_twists(ctx_out):
+        raise CertificationError("stacked map has unexpected target twists")
+
+    # (delta_in, g)·N = 0 pins g by one exact division in a column where N2 is nonzero
+    j = min(col for _, col in N2.entries)
+    try:
+        g = compose(delta_in, N1).entry(0, j).neg().divexact(N2.entry(0, j))
+    except DegreeError as exc:
+        raise CertificationError(f"N2 does not divide delta_in·N1 in column {j}") from exc
+    entries = dict(delta_in.entries)
+    if not g.is_zero():
+        entries[(0, n)] = g
+    delta_out = GradedSheafMap(field, N.target, delta_in.target, entries)
+    # onto at every point, so ker delta_out has rank n and degree sum(N.target) - de
+    if bf_gcd(list(entries.values())).degree != 0:
+        raise CertificationError("delta_out is not onto at every point")
+    certify_kernel(delta_out, N, n, sum(N.target) - d * e)
+
     quadric = {key: _embed_poly(p, ctx_out) for key, p in F.quadric_coeffs.items()}
     linear = {k: _embed_poly(p, ctx_out) for k, p in F.linear_coeffs.items()}
     if not g.is_zero():
@@ -576,15 +566,11 @@ def extend_dimension(
     output_F = IdealCombination(ctx_out, quadric, linear)
 
     if not build_delta(output_F).equals(delta_out):
-        raise CertificationError("extended hypersurface does not induce the cokernel map")
-    if not compose(delta_out, N).is_zero_map():
-        raise CertificationError("delta_out does not annihilate N")
+        raise CertificationError("extended hypersurface does not induce delta_out")
     if tuple(sorted(N.source)) != target.parts:
         raise CertificationError(
             f"extension produced splitting {sorted(N.source)}, wanted {list(target.parts)}"
         )
-    if N.target != tangent_twists(ctx_out):
-        raise CertificationError("stacked map has unexpected target twists")
     return ExtensionStep(
         input_F=F,
         strategy=strategy,

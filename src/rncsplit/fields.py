@@ -37,7 +37,11 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= 2**31:
+            raise FieldError(f"prime {self.p} too large: int64 row reduction needs p < 2^31")
+        if not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
 
     def __str__(self) -> str:
@@ -98,8 +102,6 @@ class FieldSpec:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            if self.p is None:
-                return Fraction(int(num), int(den))
             return self.div(self.from_int(int(num)), self.from_int(int(den)))
         return self.from_int(int(text))
 

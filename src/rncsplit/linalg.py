@@ -186,6 +186,3 @@ class RowSpace:
         self._rows.append(v)
         self._pivots.append(piv)
         return v
-
-    def contains(self, vec) -> bool:
-        return self._pivot_of(self.reduce(vec)) is None

@@ -4,8 +4,9 @@ A map ⊕_j O(b_j) -> ⊕_i O(c_i) is a matrix of binary forms whose (i, j) entr
 is homogeneous of degree c_i - b_j (or strictly zero).  This module builds the
 maps attached to a hypersurface through a rational normal curve (psi, beta,
 delta = psi∘beta, df), recovers splitting types of kernels by an exact nullity
-scan over twists, and extracts minimal kernel/cokernel matrices whose full rank
-at every point of the line is read off the splitting the scan certifies.
+scan over twists, and extracts minimal kernel matrices.  One certificate,
+certify_kernel, proves a matrix generates a kernel of known rank and degree;
+full rank at every point of the line follows from it.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ class GradedSheafMap:
         return f"GradedSheafMap({list(self.target)} <- {list(self.source)}, {len(self.entries)} entries)"
 
 
-def identity_map(field: FieldSpec, twists: TwistSum) -> GradedSheafMap:
-    one = BinaryForm.constant(field, field.one)
-    return GradedSheafMap(field, tuple(twists), tuple(twists), {(i, i): one for i in range(len(twists))})
-
-
 def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
     """Matrix product outer ∘ inner."""
     if inner.target != outer.source:
@@ -132,16 +128,6 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
                 entries[(i, j)] = prod if cur is None else cur.add(prod)
     entries = {k: f for k, f in entries.items() if not f.is_zero()}
     return GradedSheafMap(outer.field, inner.source, outer.target, entries)
-
-
-def dual(M: GradedSheafMap) -> GradedSheafMap:
-    """Transpose with negated twists: O(-c_i) -> O(-b_j)."""
-    return GradedSheafMap(
-        M.field,
-        tuple(-c for c in M.target),
-        tuple(-b for b in M.source),
-        {(j, i): f for (i, j), f in M.entries.items()},
-    )
 
 
 def stack_rows(top: GradedSheafMap, bottom: GradedSheafMap) -> GradedSheafMap:
@@ -311,18 +297,26 @@ def _eval_matrix(M: GradedSheafMap, point) -> list[list]:
 def generic_rank(M: GradedSheafMap) -> int:
     """Exact rank at deterministic points plus pseudorandom ones until stable.
     A one-row map needs no evaluation: its rank is 1 iff it has a nonzero
-    entry (over a tiny field a nonzero form can vanish at every point)."""
+    entry (over a tiny field a nonzero form can vanish at every point).
+
+    Over GF(p) with p < 64 the points are all of P^1(F_p).  If they leave the
+    rank below min(rows, cols), a nonzero minor may vanish at every point, so
+    the rank is read off the nullity counts at the top of _scan_window, where
+    the increment N(m) - N(m-1) is the rank of the kernel."""
     K = M.field
     if M.nrows == 0 or M.ncols == 0:
         return 0
     if M.nrows == 1:
         return 1 if M.entries else 0
     cap = min(M.nrows, M.ncols)
+    tiny = K.p is not None and K.p < 64
     pts = [(K.one, K.zero), (K.zero, K.one), (K.one, K.one)]
+    if tiny:
+        pts += [(K.one, K.from_int(x)) for x in range(2, K.p)]
     rng = random.Random(0x5EED)
     best = 0
     stable = 0
-    for trial in range(64):
+    for trial in range(len(pts) if tiny else 64):
         if trial < len(pts):
             P = pts[trial]
         elif K.p is not None:
@@ -335,8 +329,11 @@ def generic_rank(M: GradedSheafMap) -> int:
             stable = 0
         else:
             stable += 1
-        if best == cap or (trial >= 3 and stable >= 3):
+        if best == cap or (not tiny and trial >= 3 and stable >= 3):
             break
+    if tiny and best < cap:
+        m_top = _scan_window(M)[1]
+        return M.ncols - section_kernel_dim(M, m_top) + section_kernel_dim(M, m_top - 1)
     return best
 
 
@@ -429,14 +426,12 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     every point of the line.
 
     Columns of twist a are the scan's nullspace vectors at m = -a that are
-    independent of the shifts of the columns found before.
-
-    Full rank everywhere follows from full generic rank: K maps ⊕O(a_i) into
-    ker M, the scan has proved ker M ≅ ⊕O(a_i), and a generically injective
-    map between bundles of equal rank and degree is an isomorphism (its
-    determinant is a nonzero constant)."""
+    independent of the shifts of the columns found before.  The scan proves
+    ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
+    parts: list[int] = []
     for m, new_parts, basis, width in _nullity_scan(M):
+        parts.extend(new_parts)
         a = -m
         span = linalg.RowSpace(M.field, width)
         for twist, forms in gens:
@@ -461,11 +456,28 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
         for j, f in forms.items():
             entries[(j, col)] = f
     K_map = GradedSheafMap(M.field, source, M.source, entries)
-    if not compose(M, K_map).is_zero_map():
-        raise CertificationError("kernel matrix does not annihilate the map")
-    if generic_rank(K_map) != K_map.ncols:
-        raise CertificationError("kernel matrix is not generically injective")
+    certify_kernel(M, K_map, len(parts), sum(parts))
     return K_map
+
+
+def certify_kernel(M: GradedSheafMap, K: GradedSheafMap, rank: int, degree: int) -> None:
+    """Certify that K is a minimal generating matrix of ker M, given that
+    ker M is a bundle of this rank and degree: raises CertificationError
+    unless compose(M, K) = 0, K has `rank` columns of twist sum `degree`, and
+    K has full generic rank.
+
+    K then maps ⊕O(b_j) into ker M, and a generically injective map between
+    bundles of equal rank and degree is an isomorphism (its determinant is a
+    nonzero constant), so K has full rank at every point of the line."""
+    if not compose(M, K).is_zero_map():
+        raise CertificationError("kernel matrix does not annihilate the map")
+    if K.ncols != rank or sum(K.source) != degree:
+        raise CertificationError(
+            f"kernel matrix has rank {K.ncols} and degree {sum(K.source)}, "
+            f"the kernel has rank {rank} and degree {degree}"
+        )
+    if generic_rank(K) != K.ncols:
+        raise CertificationError("kernel matrix is not generically injective")
 
 
 def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> list:
@@ -482,17 +494,6 @@ def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> 
                 vec[off + u] = c
         off += dim
     return vec
-
-
-def cokernel_matrix(N: GradedSheafMap) -> GradedSheafMap:
-    """Cokernel presentation of an everywhere-injective N, computed as the
-    dual of the kernel matrix of the dual.  dual(N) is onto at every point iff
-    its kernel has rank #rows - #cols and degree sum(source) - sum(target) of N;
-    a drop in rank anywhere raises the kernel's rank or degree."""
-    K = kernel_matrix(dual(N))
-    if K.ncols != N.nrows - N.ncols or sum(K.source) != sum(N.source) - sum(N.target):
-        raise MapError("cokernel requires a map of full rank at every point")
-    return dual(K)
 
 
 # -- hypersurface-level checks -----------------------------------------------------

@@ -61,9 +61,9 @@ def test_ring_axioms(da, db, data):
     coeffs_a = data.draw(st.lists(st.integers(-9, 9), min_size=da + 1, max_size=da + 1))
     coeffs_b = data.draw(st.lists(st.integers(-9, 9), min_size=db + 1, max_size=db + 1))
     coeffs_c = data.draw(st.lists(st.integers(-9, 9), min_size=da + 1, max_size=da + 1))
-    a = BinaryForm.from_coeffs(field, [field.from_int(x) for x in coeffs_a])
-    b = BinaryForm.from_coeffs(field, [field.from_int(x) for x in coeffs_b])
-    c = BinaryForm.from_coeffs(field, [field.from_int(x) for x in coeffs_c])
+    a = BinaryForm(field, da, tuple(field.from_int(x) for x in coeffs_a))
+    b = BinaryForm(field, db, tuple(field.from_int(x) for x in coeffs_b))
+    c = BinaryForm(field, da, tuple(field.from_int(x) for x in coeffs_c))
     assert a.mul(b).equals(b.mul(a))
     assert a.mul(b).mul(c).equals(a.mul(b.mul(c)))
     assert a.add(c).mul(b).equals(a.mul(b).add(c.mul(b)))
@@ -199,5 +199,5 @@ def test_parse_rejects_garbage():
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=9))
 @settings(max_examples=80, deadline=None)
 def test_round_trip_random_forms(coeffs):
-    f = BinaryForm.from_coeffs(RATIONALS, [Fraction(c) for c in coeffs])
+    f = BinaryForm(RATIONALS, len(coeffs) - 1, tuple(Fraction(c) for c in coeffs))
     assert parse_binary_form(format_binary_form(f), RATIONALS, degree=f.degree if not f.is_zero() else None).equals(f)

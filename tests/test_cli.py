@@ -87,6 +87,20 @@ def test_compute_char_divides_e_exit_2(capsys):
     assert code == 2
 
 
+def test_compute_prime_too_large_exit_2(capsys):
+    code, _, err = run(capsys, "compute", "--d", "3", "--e", "3", "--n", "3", "--field", "prime:4294967291")
+    assert code == 2
+    assert "too large" in err
+
+
+def test_compute_zero_denominator_exit_2(capsys, tmp_path):
+    hsf = tmp_path / "zero.hsf"
+    hsf.write_text("d = 3\ne = 3\nn = 3\nQ 1 2 : 1/0*x0\nQ 2 3 : x3\n")
+    code, _, err = run(capsys, "compute", "--poly", str(hsf))
+    assert code == 2
+    assert "division by zero" in err
+
+
 def test_compute_out_of_range_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--d", "5", "--e", "3", "--n", "4")
     assert code == 2

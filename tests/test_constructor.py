@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.constructor import (
     PsiLiftError,
     UnsupportedCaseError,
     build_chain,
-    embed_combination,
     extend_dimension,
     extension_schedule,
     general_psi_targets,
@@ -298,12 +298,25 @@ def test_quartic_family_seeds_match_catalog(field, e_max):
         assert splitting_of_kernel(build_delta(F)).parts == predicted_splitting(4, e, e).splitting.parts, e
 
 
-def test_embed_combination():
-    F = seed_example(3, 3)
-    ctx5 = CurveContext(3, 3, 5, RATIONALS)
-    F5 = embed_combination(F, ctx5)
-    assert F5.context.n == 5
-    assert splitting_of_kernel(build_delta(F5)).parts == (1, 2, 3, 3)
+def test_extend_step_builds_no_section_matrix(monkeypatch):
+    # with the kernel passed in, a step runs no nullity scan: g comes from one
+    # exact division and N is certified by certify_kernel
+    built = []
+    section_matrix = sheafmap._section_matrix
+
+    def recording(M, m):
+        built.append(m)
+        return section_matrix(M, m)
+
+    monkeypatch.setattr(sheafmap, "_section_matrix", recording)
+    for d, e, field in ((3, 3, RATIONALS), (4, 5, GF)):
+        F = seed_example(d, e, field)
+        kernel = kernel_matrix(build_delta(F))
+        for target in extension_schedule(d, e, e + 3)[1:]:
+            built.clear()
+            step = extend_dimension(F, target, kernel=kernel)
+            assert built == [], (d, e, target)
+            F, kernel = step.output_F, step.N
 
 
 def test_kernel_served_by_chain_is_kernel_matrix():

@@ -14,6 +14,12 @@ def test_prime_validation():
         FieldSpec(91)  # 7 * 13
     with pytest.raises(FieldError):
         FieldSpec(1)
+    # int64 row reduction is exact for p < 2^31; larger p is refused before
+    # the primality test, which would take minutes by trial division
+    FieldSpec(2**31 - 1)
+    for p in (4294967291, 2**61 - 1, 2**31):
+        with pytest.raises(FieldError, match="too large"):
+            FieldSpec(p)
 
 
 def test_parse_field():
@@ -62,6 +68,8 @@ def test_scalar_text_round_trip(field):
         assert field.parse_scalar(s) == field.from_int(n)
     if field.p is None:
         assert field.parse_scalar("3/4") == Fraction(3, 4)
+    with pytest.raises(FieldError):
+        field.parse_scalar("1/0")
 
 
 def test_balanced_representative_printing():

@@ -87,8 +87,45 @@ def test_rowspace_incremental(field):
     assert rs.dim == 2
     summed = [field.one, field.one, field.one]
     assert rs.insert(summed) is None  # dependent
-    assert rs.contains(summed)
-    assert not rs.contains([field.one, field.zero, field.zero])
+    assert rs.insert([field.one, field.zero, field.zero]) is not None
+    assert rs.dim == 3
+
+
+def _rank_mod_p(rows, p):
+    """Pure-Python Gaussian elimination mod p on Python ints."""
+    A = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(A[0])):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c] * inv % p
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
+def test_numpy_rank_at_largest_allowed_prime():
+    # products of random m x k and k x n factors with full-size entries mod
+    # p = 2^31 - 1: numpy int64 elimination must match Python-int elimination
+    p = 2**31 - 1
+    K = FieldSpec(p)
+    rnd = random.Random(2**31)
+    for _ in range(40):
+        m, n, k = rnd.randrange(1, 9), rnd.randrange(1, 9), rnd.randrange(1, 6)
+        U = [[rnd.randrange(p) for _ in range(k)] for _ in range(m)]
+        V = [[rnd.randrange(p) for _ in range(n)] for _ in range(k)]
+        A = [[sum(U[i][l] * V[l][j] for l in range(k)) % p for j in range(n)] for i in range(m)]
+        r = _rank_mod_p(A, p)
+        assert linalg.rank(A, K, n) == r
+        basis = linalg.nullspace(A, K, n)
+        assert len(basis) == n - r
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
 
 
 def test_numpy_input_accepted():

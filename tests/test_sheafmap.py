@@ -7,6 +7,7 @@ from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
+    CertificationError,
     GradedSheafMap,
     MapError,
     build_beta,
@@ -14,14 +15,12 @@ from rncsplit.sheafmap import (
     build_df,
     build_psi,
     check_smooth_along_curve,
-    cokernel_matrix,
+    certify_kernel,
     compose,
-    dual,
     format_map,
     generic_rank,
     gradient_map,
     h0_euler_crosscheck,
-    identity_map,
     kernel_matrix,
     map_from_json,
     map_to_json,
@@ -177,10 +176,11 @@ def test_compose_reproduces_delta_closed_form():
 
 def test_compose_identity_and_mismatch():
     d = build_delta(cubic_surface())
-    ident = identity_map(RATIONALS, d.source)
+    one = BinaryForm.constant(RATIONALS, RATIONALS.one)
+    ident = GradedSheafMap(RATIONALS, d.source, d.source, {(i, i): one for i in range(d.ncols)})
     assert compose(d, ident).equals(d)
     with pytest.raises(MapError):
-        compose(d, identity_map(RATIONALS, (1, 2)))
+        compose(d, GradedSheafMap(RATIONALS, (1, 2), (1, 2), {(0, 0): one, (1, 1): one}))
 
 
 def test_delta_annihilates_df_random():
@@ -191,30 +191,6 @@ def test_delta_annihilates_df_random():
         ctx = CurveContext(rnd.randrange(2, 4), e, n, GF)
         F = random_combination(rnd, ctx)
         assert compose(build_delta(F), build_df(ctx)).is_zero_map()
-
-
-# -- dual ---------------------------------------------------------------------------
-
-
-def test_dual_golden():
-    M = from_rows([["s", "t"]], source=(0, 0), target=(1,))
-    Md = dual(M)
-    assert Md.source == (-1,)
-    assert Md.target == (0, 0)
-    assert Md.entry(0, 0).equals(bform("s"))
-    assert Md.entry(1, 0).equals(bform("t"))
-    assert dual(Md).equals(M)
-
-
-def test_dual_contravariance():
-    rnd = random.Random(59)
-    for _ in range(10):
-        ctx = CurveContext(3, 3, rnd.randrange(3, 6), GF)
-        F = random_combination(rnd, ctx)
-        psi, beta = build_psi(F), build_beta(ctx)
-        lhs = dual(compose(psi, beta))
-        rhs = compose(dual(beta), dual(psi))
-        assert lhs.equals(rhs)
 
 
 # -- sections and splitting ------------------------------------------------------------
@@ -272,6 +248,21 @@ def test_scan_of_one_row_map_vanishing_on_tiny_field():
         M = from_rows([[text]], source=(0,), target=(p + 1,), field=FieldSpec(p))
         assert generic_rank(M) == 1
         assert splitting_of_kernel(M).parts == ()
+
+
+@pytest.mark.parametrize("p, text", [(2, "s^2*t + s*t^2"), (3, "s^3*t - s*t^3")])
+def test_generic_rank_of_map_vanishing_on_tiny_field(p, text):
+    # the 2x2 minor vanishes at every point of P^1(F_p), so the rank is read
+    # off the nullity counts at the top of the scan window
+    K = FieldSpec(p)
+    M = from_rows([[text, "0"], ["0", "1"]], source=(0, 3), target=(p + 1, 3), field=K)
+    assert generic_rank(M) == 2
+    assert splitting_of_kernel(M).parts == ()
+    assert kernel_matrix(M).ncols == 0
+    # a map that really drops rank keeps its rank and its kernel O(-1)
+    low = from_rows([["s", "t"], ["s", "t"]], source=(0, 0), target=(1, 1), field=K)
+    assert generic_rank(low) == 1
+    assert splitting_of_kernel(low).parts == (-1,)
 
 
 # -- kernel matrices -----------------------------------------------------------------
@@ -346,11 +337,12 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
         assert len(built) == len(set(built)), built
 
 
-# -- cokernels -----------------------------------------------------------------------
+# -- the kernel certificate ------------------------------------------------------------
 
 
 def test_cokernel_worked_cubic_extension():
-    # N stacked from the worked step: rows of N1 then the coker row (t, 0, -s)
+    # the printed delta_out row is certified as the cokernel of the worked
+    # step's N: rows of N1 then the coker row (t, 0, -s)
     N = from_rows(
         [
             ["0", "s^2", "t^2"],
@@ -361,30 +353,28 @@ def test_cokernel_worked_cubic_extension():
         source=(2, 2, 2),
         target=(4, 4, 4, 3),
     )
-    delta = cokernel_matrix(N)
-    want_cols = ["s^4*t", "-s^5+t^5", "-s*t^4", "s^3*t^3"]
-    scale = None
-    for j, text in enumerate(want_cols):
-        got = delta.entry(0, j)
-        want = bform(text)
-        if scale is None:
-            k = want.t_valuation()
-            scale = RATIONALS.div(want.coeffs[k], got.coeff(k))
-        assert got.scale(scale).equals(want)
+    delta = from_rows([["s^4*t", "-s^5+t^5", "-s*t^4", "s^3*t^3"]], source=N.target, target=(9,))
+    certify_kernel(delta, N, 3, sum(N.target) - 9)
+    wrong_g = from_rows([["s^4*t", "-s^5+t^5", "-s*t^4", "2*s^3*t^3"]], source=N.target, target=(9,))
+    with pytest.raises(CertificationError):
+        certify_kernel(wrong_g, N, 3, sum(N.target) - 9)
 
 
 def test_cokernel_of_column():
     N = from_rows([["s"], ["t"]], source=(0,), target=(1, 1))
-    cok = cokernel_matrix(N)
-    assert cok.source == (1, 1)
-    assert compose(cok, N).is_zero_map()
-    assert full_rank_everywhere(cok)
+    row = from_rows([["t", "-s"]], source=(1, 1), target=(2,))
+    certify_kernel(row, N, 1, sum(N.target) - 2)
+    assert full_rank_everywhere(row)
 
 
 def test_cokernel_requires_injectivity():
+    # (t, -1) annihilates (s, s*t) and is onto everywhere, so its kernel has
+    # degree 1; the column has degree 0 and drops rank at s = 0
     bad = from_rows([["s"], ["s*t"]], source=(0,), target=(1, 2))
-    with pytest.raises(MapError):
-        cokernel_matrix(bad)
+    row = from_rows([["t", "-1"]], source=(1, 2), target=(2,))
+    with pytest.raises(CertificationError):
+        certify_kernel(row, bad, 1, sum(bad.target) - 2)
+    assert not full_rank_everywhere(bad)
 
 
 def _times_column(K, j, s_power, t_power):
@@ -394,37 +384,26 @@ def _times_column(K, j, s_power, t_power):
     return GradedSheafMap(K.field, source, K.target, entries)
 
 
-def _cokernel_accepts(N):
+def _certifies(M, K, degree):
     try:
-        cokernel_matrix(N)
-    except MapError:
+        certify_kernel(M, K, K.ncols, degree)
+    except CertificationError:
         return False
     return True
 
 
-def test_cokernel_certificate_matches_minor_oracle():
+def test_kernel_certificate_matches_minor_oracle():
     # minimal kernels are injective at every point; multiplying a column by s
     # (or t) makes them drop rank where s = 0 (or t = 0)
     rnd = random.Random(1998)
     for _ in range(120):
         M = random_surjective_map(rnd, max_rank=5, spread=6)
         K = kernel_matrix(M)
+        degree = sum(M.source) - sum(M.target)  # M is onto at every point
         j = rnd.randrange(K.ncols)
         for N, injective in ((K, True), (_times_column(K, j, 1, 0), False), (_times_column(K, j, 0, 1), False)):
-            assert _cokernel_accepts(N) == injective
+            assert _certifies(M, N, degree) == injective
             assert full_rank_everywhere(N) == injective
-
-
-def test_cokernel_of_kernel_is_column_equivalent():
-    rnd = random.Random(67)
-    for _ in range(10):
-        M = random_surjective_map(rnd, max_rank=3)
-        K = kernel_matrix(M)
-        back = cokernel_matrix(K)
-        assert back.source == M.source
-        assert compose(back, K).is_zero_map()
-        # same kernel splitting certifies column equivalence
-        assert splitting_of_kernel(back).parts == splitting_of_kernel(M).parts
 
 
 # -- full-rank certificate ---------------------------------------------------------------
