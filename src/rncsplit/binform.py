@@ -62,7 +62,7 @@ class BinaryForm:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.degree == -1 or all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+from fractions import Fraction
 
 from rncsplit import linalg
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
@@ -46,6 +47,32 @@ def random_combination(rnd, context, linear_prob=0.6):
     for k in range(context.e + 1, context.n + 1):
         if rnd.random() < linear_prob:
             linear[k] = random_poly(rnd, context, context.d - 1)
+    return IdealCombination(context, quadric, linear)
+
+
+def _monomials(nvars, degree):
+    if nvars == 1:
+        yield (degree,)
+        return
+    for a in range(degree, -1, -1):
+        for rest in _monomials(nvars - 1, degree - a):
+            yield (a,) + rest
+
+
+def dense_combination(rnd, context, bound=9):
+    """Random F with every Q_{i,j} and every linear coefficient G_k dense:
+    each monomial gets a nonzero integer coefficient in [-bound, bound]."""
+
+    def dense_poly(degree):
+        terms = {
+            exp: context.field.from_int(rnd.choice([-1, 1]) * rnd.randint(1, bound))
+            for exp in _monomials(context.nvars, degree)
+        }
+        return MultiPoly(context, degree, terms)
+
+    e, n, d = context.e, context.n, context.d
+    quadric = {(i, j): dense_poly(d - 2) for i in range(1, e + 1) for j in range(i + 1, e + 1)}
+    linear = {k: dense_poly(d - 1) for k in range(e + 1, n + 1)}
     return IdealCombination(context, quadric, linear)
 
 
@@ -179,3 +206,94 @@ def full_rank_everywhere(M: GradedSheafMap) -> bool:
         if g.degree == 0:
             return True
     return g is not None and g.degree == 0
+
+
+# -- Fraction elimination oracle for the integer rational backend ----------------
+#
+# The rational Gauss-Jordan elimination and Fraction row space that linalg
+# used before it eliminated over the integers.  Both compute the unique
+# reduced echelon form, so linalg must agree with these exactly.
+
+
+def rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    A = [list(row) for row in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def nullspace_frac(rows, width: int) -> list[list[Fraction]]:
+    R, pivots = rref_frac([[Fraction(x) for x in row] for row in rows])
+    piv_set = set(pivots)
+    free = [j for j in range(width) if j not in piv_set]
+    basis = []
+    for f in free:
+        v = [RATIONALS.zero] * width
+        v[f] = RATIONALS.one
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = RATIONALS.neg(R[row_idx][f])
+        basis.append(v)
+    return basis
+
+
+def solve_frac(rows, rhs, width: int):
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not aug:
+        return [RATIONALS.zero] * width
+    R, pivots = rref_frac([[Fraction(x) for x in row] for row in aug])
+    if width in pivots:
+        return None
+    x = [RATIONALS.zero] * width
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = R[row_idx][width]
+    return x
+
+
+class FractionRowSpace:
+    """Row space over Q with Fraction echelon rows, pivots normalized to 1."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: list = []
+        self._pivots: list[int] = []
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for piv, row in zip(self._pivots, self._rows):
+            c = v[piv]
+            if c != 0:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec):
+        """Reduce and, if independent, add; returns the residual or None."""
+        v = self.reduce(vec)
+        piv = next((i for i, x in enumerate(v) if x != 0), None)
+        if piv is None:
+            return None
+        inv = 1 / v[piv]
+        v = [inv * x for x in v]
+        for i, (pv, row) in enumerate(zip(self._pivots, self._rows)):
+            c = row[piv]
+            if c != 0:
+                self._rows[i] = [a - c * b for a, b in zip(row, v)]
+        self._rows.append(v)
+        self._pivots.append(piv)
+        return v

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import linalg
 from rncsplit.fields import FieldSpec, RATIONALS
-from tests.helpers import det
+from tests.helpers import FractionRowSpace, det, nullspace_frac, rref_frac, solve_frac
 
 GF = FieldSpec(32003)
 
@@ -82,13 +83,10 @@ def test_rowspace_incremental(field):
     rs = linalg.RowSpace(field, 3)
     v1 = [field.one, field.zero, field.one]
     v2 = [field.zero, field.one, field.zero]
-    assert rs.insert(v1) is not None
-    assert rs.insert(v2) is not None
-    assert rs.dim == 2
     summed = [field.one, field.one, field.one]
-    assert rs.insert(summed) is None  # dependent
-    assert rs.insert([field.one, field.zero, field.zero]) is not None
-    assert rs.dim == 3
+    inserted = [rs.insert(v) is not None for v in (v1, v2, summed, [field.one, field.zero, field.zero])]
+    assert inserted == [True, True, False, True]  # summed is dependent
+    assert sum(inserted) == 3
 
 
 def _rank_mod_p(rows, p):
@@ -152,3 +150,65 @@ def test_empty_matrices():
     assert linalg.nullspace(np.zeros((3, 0), dtype=np.int64), GF, 0) == []
     assert linalg.rank([[], [], []], RATIONALS, 0) == 0
     assert linalg.nullspace([[], [], []], RATIONALS, 0) == []
+
+
+# Rational entries: ints and Fractions, zeros, negatives, and huge numerators
+# and denominators.
+HUGE = Fraction(10**30, 7**20)
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from([HUGE, -HUGE, 1 / HUGE, Fraction(-(7**20), 3)]),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, width, rhs, x): up to 6 random rows of the given width, then up
+    to three repeats or multiples of earlier rows; an arbitrary right-hand
+    side (often inconsistent) and a vector x whose image A x is consistent."""
+    width = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), max_size=6))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            scale = draw(st.sampled_from([1, -1, Fraction(2, 3), HUGE]))
+            rows.append([scale * x for x in rows[i]])
+    rhs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    x = draw(st.lists(ENTRIES, min_size=width, max_size=width))
+    return rows, width, rhs, x
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(deadline=None)
+@given(rational_systems())
+@example(([], 0, [], []))
+@example(([], 3, [], [1, 2, 3]))
+@example(([[], [], []], 0, [1, 0, 2], []))
+@example(([[0, 0, 0], [0, 0, 0]], 3, [0, 1], [1, 2, 3]))
+@example(([[HUGE, -1, 2], [HUGE, -1, 2], [0, 0, 0]], 3, [1, 2, 0], [HUGE, 1, -1]))
+def test_integer_elimination_matches_fraction_oracle(system):
+    rows, width, rhs, x = system
+    R, pivots = linalg.rref(rows, RATIONALS, width)
+    assert (R, pivots) == rref_frac([[Fraction(a) for a in row] for row in rows])
+    assert _all_fractions(R)
+    assert linalg.rank(rows, RATIONALS, width) == len(pivots)
+    basis = linalg.nullspace(rows, RATIONALS, width)
+    assert basis == nullspace_frac(rows, width)
+    assert _all_fractions(basis)
+
+    image = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    for b in (rhs, image):
+        sol = linalg.solve(rows, b, RATIONALS, width)
+        assert sol == solve_frac(rows, b, width)
+        assert sol is None or _all_fractions([sol])
+    assert linalg.solve(rows, image, RATIONALS, width) is not None
+
+    span, oracle = linalg.RowSpace(RATIONALS, width), FractionRowSpace(width)
+    for v in rows + basis:
+        res = span.insert(v)
+        assert res == oracle.insert(v)
+        assert res is None or _all_fractions([res])

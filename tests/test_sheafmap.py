@@ -32,6 +32,7 @@ from rncsplit.sheafmap import (
 )
 from tests.helpers import (
     GF,
+    dense_combination,
     from_rows,
     full_rank_everywhere,
     full_window_splitting,
@@ -312,6 +313,18 @@ def test_kernel_matrix_random_oracle():
         assert tuple(sorted(K.source)) == full_window_splitting(M)
         assert compose(M, K).is_zero_map()
         assert full_rank_everywhere(K)
+
+
+def test_dense_rational_hypersurface_matches_full_window_oracle():
+    # every Q_{i,j} and G_k coefficient of F nonzero: the section matrices are
+    # dense over Q; (4, 5, 6) keeps the full-window oracle near 2 s
+    F = dense_combination(random.Random(1), CurveContext(4, 5, 6, RATIONALS))
+    assert check_smooth_along_curve(F)
+    delta, psi = build_delta(F), build_psi(F)
+    T, N = full_window_splitting(delta), full_window_splitting(psi)
+    assert splitting_of_kernel(delta).parts == T
+    assert splitting_of_kernel(psi).parts == N
+    assert tuple(sorted(kernel_matrix(delta).source)) == T
 
 
 def test_kernel_matrix_builds_each_twist_once(monkeypatch):
