@@ -12,7 +12,7 @@ import concurrent.futures
 import json
 import sys
 
-from .binform import format_binary_form
+from .binform import DegreeError, format_binary_form
 from .constructor import (
     PsiLiftError,
     UnsupportedCaseError,
@@ -30,7 +30,7 @@ from .multipoly import (
 from .sheafmap import (
     CertificationError,
     MapError,
-    build_delta,
+    _delta_from_psi,
     build_psi,
     check_smooth_along_curve,
     format_map,
@@ -52,6 +52,11 @@ from .splitting import (
     splitting_to_json,
 )
 
+
+class UsageError(ValueError):
+    """Command-line arguments that break a precondition of the command."""
+
+
 USER_ERRORS = (
     UnsupportedCaseError,
     PsiLiftError,
@@ -60,10 +65,12 @@ USER_ERRORS = (
     PolyError,
     DecompositionError,
     SplittingError,
-    MapError,
-    ValueError,
+    UsageError,
     OSError,
 )
+# raised only by a bug once the input is parsed: graded maps and binary forms
+# are built from validated input
+INTERNAL_ERRORS = (CertificationError, MapError, DegreeError)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -79,8 +86,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _case_report(F, d: int, e: int, n: int) -> dict:
-    delta = build_delta(F)
     psi = build_psi(F)
+    delta = _delta_from_psi(F.context, psi)
     K = kernel_matrix(delta)
     T = SplittingType(tuple(sorted(K.source)))
     N = splitting_of_kernel(psi)
@@ -143,11 +150,11 @@ def cmd_compute(args) -> int:
         ctx = F.context
         for name, got in (("d", args.d), ("e", args.e), ("n", args.n)):
             if got is not None and got != getattr(ctx, name):
-                raise ValueError(f"--{name} {got} disagrees with the input file ({getattr(ctx, name)})")
+                raise UsageError(f"--{name} {got} disagrees with the input file ({getattr(ctx, name)})")
         d, e, n = ctx.d, ctx.e, ctx.n
     else:
         if None in (args.d, args.e, args.n):
-            raise ValueError("compute needs --poly FILE or all of --d/--e/--n")
+            raise UsageError("compute needs --poly FILE or all of --d/--e/--n")
         d, e, n = args.d, args.e, args.n
         F, _ = build_chain(d, e, n, field)
     rep = _case_report(F, d, e, n)
@@ -214,7 +221,8 @@ def _verify_chain_job(job) -> list[dict]:
 
 def _verify_case(F, d: int, e: int, n: int, strategy) -> dict:
     pred = predicted_splitting(d, e, n)
-    T = splitting_of_kernel(build_delta(F))
+    psi = build_psi(F)
+    T = splitting_of_kernel(_delta_from_psi(F.context, psi))
     rec = {
         "d": d,
         "e": e,
@@ -228,7 +236,7 @@ def _verify_case(F, d: int, e: int, n: int, strategy) -> dict:
         rec["strategy"] = strategy
     ok = T.parts == pred.splitting.parts
     if d == 2:
-        N = splitting_of_kernel(build_psi(F))
+        N = splitting_of_kernel(psi)
         rec["N_balanced"] = N.is_balanced()
         ok = ok and N.is_balanced()
     rec["status"] = "ok" if ok else "mismatch"
@@ -248,12 +256,12 @@ def _verify_jobs(args) -> list[tuple]:
         return [("quartics", 4, e, n_max, p) for e in range(4, n_max + 1)]
     if args.theorem == "general":
         if not args.d or args.d < 5:
-            raise ValueError("verify --theorem general needs --d >= 5")
+            raise UsageError("verify --theorem general needs --d >= 5")
         lo = 2 * args.d - 2
         if lo > n_max:
-            raise ValueError(f"--max-n {n_max} below the first case e = n = {lo}")
+            raise UsageError(f"--max-n {n_max} below the first case e = n = {lo}")
         return [("general", args.d, n, n, p) for n in range(lo, n_max + 1)]
-    raise ValueError(f"unknown theorem {args.theorem!r}")
+    raise UsageError(f"unknown theorem {args.theorem!r}")
 
 
 def cmd_verify(args) -> int:
@@ -313,11 +321,11 @@ def cmd_extend(args) -> int:
             F = parse_hypersurface(fh.read(), field if args.field else None)
     else:
         if None in (args.d, args.e):
-            raise ValueError("extend needs --poly FILE or --d/--e (seed at n = e)")
+            raise UsageError("extend needs --poly FILE or --d/--e (seed at n = e)")
         F = seed_example(args.d, args.e, field)
     ctx = F.context
     if args.to_n <= ctx.n:
-        raise ValueError(f"--to-n {args.to_n} must exceed the current dimension {ctx.n}")
+        raise UsageError(f"--to-n {args.to_n} must exceed the current dimension {ctx.n}")
     from .constructor import extend_dimension
 
     steps = []
@@ -497,8 +505,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
+    except INTERNAL_ERRORS as exc:
+        what = "certification failure" if isinstance(exc, CertificationError) else "internal error"
+        print(f"{what}: {exc}", file=sys.stderr)
         return 3
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,7 +115,11 @@ def parse_field(text: str) -> FieldSpec:
     if text in ("rational", "rationals", "qq", "q"):
         return RATIONALS
     if text.startswith("prime:"):
-        return FieldSpec(p=int(text.split(":", 1)[1]))
+        try:
+            p = int(text.split(":", 1)[1])
+        except ValueError:
+            raise FieldError(f"bad prime in field {text!r}") from None
+        return FieldSpec(p=p)
     raise FieldError(f"unknown field {text!r} (expected 'rational' or 'prime:<p>')")
 
 

@@ -208,10 +208,13 @@ def build_psi(F: IdealCombination) -> GradedSheafMap:
 def build_delta(F: IdealCombination) -> GradedSheafMap:
     """delta = psi ∘ beta in closed form:
     (tC_1, -sC_1 + tC_2, ..., -sC_(e-1); G_(e+1)|_C, ..., G_n|_C)."""
-    ctx = F.context
+    return _delta_from_psi(F.context, build_psi(F))
+
+
+def _delta_from_psi(ctx: CurveContext, psi: GradedSheafMap) -> GradedSheafMap:
+    """build_delta of a hypersurface whose psi is already built."""
     K = ctx.field
     e = ctx.e
-    psi = build_psi(F)
     C = [psi.entry(0, l) for l in range(e - 1)]
     cols: list[BinaryForm] = []
     for j in range(e):
@@ -255,17 +258,15 @@ def _section_matrix(M: GradedSheafMap, m: int):
     if K.p is not None:
         A = np.zeros((R, C), dtype=np.int64)
         for (i, j), f in M.entries.items():
-            ds, dt = src_dims[j], tgt_dims[i]
-            if ds == 0 or dt == 0:
+            ds = src_dims[j]
+            if ds == 0:
                 continue
-            for u, coeff in enumerate(f.coeffs):
-                c = int(coeff) % K.p
-                if c == 0:
-                    continue
-                width = min(ds, dt - u)
-                if width > 0:
-                    idx = np.arange(width)
-                    A[row_off[i] + u + idx, col_off[j] + idx] = c
+            # f has degree c_i - b_j, so all ds columns of the block get every
+            # coefficient: coefficient u sits u rows below the diagonal
+            q = np.arange(ds)
+            rows = row_off[i] + np.arange(f.degree + 1)[:, None] + q
+            coeffs = np.array([int(c) % K.p for c in f.coeffs], dtype=np.int64)
+            A[rows, col_off[j] + q] = coeffs[:, None]
         return A, C
     A = [[K.zero] * C for _ in range(R)]
     for (i, j), f in M.entries.items():
@@ -346,49 +347,84 @@ def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
 
 
 def _nullity_scan(M: GradedSheafMap):
-    """Nullity scan of M: one section matrix and one nullspace per twist,
-    upward from below the largest source twist.  For ker M ≅ ⊕O(a_i) the
-    nullspace sizes obey N(m) - N(m-1) = #{i : a_i >= -m}; at each twist where
-    this increment grows, yields (m, new_parts, basis, width).
+    """Nullity scan of M: one section matrix and one nullspace per twist, each
+    twist built at most once.  For ker M ≅ ⊕O(a_i) the nullspace sizes obey
+    N(m) = h^0(ker M(m)) and N(m) - N(m-1) = #{i : a_i >= -m}; at each twist m
+    where this increment grows, yields (m, new_parts, sections), and
+    sections(m) gives the (basis, width) of the nullspace at m.
 
-    The scan stops at the first twist m where the increment inc = N(m) - N(m-1)
-    equals expected_rank = cols - generic_rank(M).  This is sound because
-    inc <= true rank <= expected_rank: the increment counts only parts
-    a_i >= -m, and point evaluation can only undercount the rank of M.  The
-    window from _scan_window is an upper limit on the scan: if the increment
-    never reaches expected_rank there (generic_rank undercounted, as over tiny
-    fields), the scan runs to its top and raises CertificationError.  The
-    final checks run once the generator is exhausted."""
+    Increment stop: the scan stops at the first twist m where the increment
+    inc = N(m) - N(m-1) equals expected_rank = cols - generic_rank(M).  This is
+    sound because inc <= true rank <= expected_rank: the increment counts only
+    parts a_i >= -m, and point evaluation can only undercount the rank of M.
+
+    Euler-characteristic stop, when generic_rank(M) = rows: the kernel rank
+    r = cols - rows is then exact, and since the image of M has full rank in
+    ⊕O(c_i), D = Σb_j - Σc_i <= deg ker M.  Riemann-Roch gives
+    N(m) >= χ(ker M(m)) = r(m+1) + deg ker M >= r(m+1) + D.  So at a twist m
+    with N(m) = r(m+1) + D both inequalities are equalities: deg ker M = D
+    and h^1(ker M(m)) = 0, which says every a_i >= -m-1.  The parts a_i >= -m
+    are the ones found so far; the remaining r - inc parts are -m-1, and
+    their generators are yielded at twist m+1.  Multiplication by s injects
+    the sections at m into those at m+1, so N(m) = 0 forces N = 0 below m:
+    the scan starts at m0 = floor(-D/r) - 1 (a balanced kernel of degree D
+    has no sections there), stepping down only while N(m0) > 0.  Where M is
+    not onto at some point, deg ker M > D, χ is never met and the increment
+    stop decides.
+
+    _scan_window bounds the scan: if neither stop is met inside it
+    (generic_rank undercounted, as over tiny fields), the scan runs to its top
+    and raises CertificationError.  The final checks run once the generator
+    is exhausted."""
     if M.ncols == 0:
         return
     m_bottom, m_top = _scan_window(M)
     expected_rank = M.ncols - generic_rank(M)
-    counts = {m_bottom: 0}
+    built: dict = {}
+
+    def sections(m: int):
+        if m not in built:
+            A, C = _section_matrix(M, m)
+            built[m] = linalg.nullspace(A, M.field, C), C
+        return built[m]
+
+    degree = None  # D = Σsource - Σtarget, when it bounds deg ker M below
+    start = m_bottom + 1
+    if expected_rank and M.ncols - expected_rank == M.nrows:
+        degree = sum(M.source) - sum(M.target)
+        start = max(start, min(-degree // expected_rank - 1, m_top))
+        while start > m_bottom + 1 and sections(start)[0]:
+            start -= 1
+    counts = {start - 1: 0}
     parts: list[int] = []
     prev_inc = 0
     m_stop = m_top
-    for m in range(m_bottom + 1, m_top + 1):
-        A, C = _section_matrix(M, m)
-        basis = linalg.nullspace(A, M.field, C)
-        counts[m] = len(basis)
+    chi_met = False
+    for m in range(start, m_top + 1):
+        counts[m] = len(sections(m)[0])
         inc = counts[m] - counts[m - 1]
         if inc < prev_inc:
             raise CertificationError(f"section counts not monotone at twist {m}")
         if inc > prev_inc:
             new_parts = [-m] * (inc - prev_inc)
             parts.extend(new_parts)
-            yield m, new_parts, basis, C
+            yield m, new_parts, sections
         prev_inc = inc
-        if inc == expected_rank:
+        chi_met = degree is not None and counts[m] == expected_rank * (m + 1) + degree
+        if chi_met or inc == expected_rank:
             m_stop = m
             break
-    if prev_inc != expected_rank:
+    if chi_met and inc < expected_rank:
+        rest = [-m_stop - 1] * (expected_rank - inc)
+        parts.extend(rest)
+        yield m_stop + 1, rest, sections
+    if len(parts) != expected_rank:
         raise CertificationError(
-            f"scan stabilized at rank {prev_inc}, expected {expected_rank} "
+            f"scan stabilized at rank {len(parts)}, expected {expected_rank} "
             f"(cols {M.ncols} - generic rank {M.ncols - expected_rank})"
         )
     top_inc = counts[m_stop] - counts[m_stop - 1] if m_stop > m_bottom else 0
-    if expected_rank and top_inc != expected_rank:
+    if expected_rank and not chi_met and top_inc != expected_rank:
         raise CertificationError("section counts did not stabilize inside the window")
     for m in (m_stop - 1, m_stop):
         want = sum(max(0, a + m + 1) for a in parts)
@@ -400,7 +436,7 @@ def _nullity_scan(M: GradedSheafMap):
 
 def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
     """Splitting type of ker M, read off the nullity scan (_nullity_scan)."""
-    return SplittingType(tuple(sorted(a for _, new, _, _ in _nullity_scan(M) for a in new)))
+    return SplittingType(tuple(sorted(a for _, new, _ in _nullity_scan(M) for a in new)))
 
 
 def _vector_to_forms(M: GradedSheafMap, vec, twist: int) -> dict:
@@ -430,7 +466,8 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     parts: list[int] = []
-    for m, new_parts, basis, width in _nullity_scan(M):
+    for m, new_parts, sections in _nullity_scan(M):
+        basis, width = sections(m)
         parts.extend(new_parts)
         a = -m
         span = linalg.RowSpace(M.field, width)

@@ -123,7 +123,10 @@ def parse_splitting(text: str) -> SplittingType:
     """Accept the JSON array form or the O(a)^k text form."""
     text = text.strip()
     if text.startswith("["):
-        arr = json.loads(text)
+        try:
+            arr = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SplittingError(f"bad splitting array: {text!r} ({exc})") from None
         if not isinstance(arr, list) or not all(isinstance(x, int) for x in arr):
             raise SplittingError(f"bad splitting array: {text!r}")
         return SplittingType(tuple(arr))

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from rncsplit import linalg
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
@@ -76,9 +78,27 @@ def dense_combination(rnd, context, bound=9):
     return IdealCombination(context, quadric, linear)
 
 
+def onto_everywhere(M):
+    """True iff a map with one or two rows is onto at every point: the gcd of
+    its maximal minors, multiplied out exactly, is a nonzero constant.  Needs
+    no interpolation, so it holds over every field."""
+    if M.nrows == 1:
+        minors = [M.entry(0, j) for j in range(M.ncols)]
+    else:
+        assert M.nrows == 2
+        minors = [
+            M.entry(0, j).mul(M.entry(1, k)).sub(M.entry(0, k).mul(M.entry(1, j)))
+            for j, k in itertools.combinations(range(M.ncols), 2)
+        ]
+    minors = [f for f in minors if not f.is_zero()]
+    return bool(minors) and bf_gcd(minors).degree == 0
+
+
 def random_surjective_map(rnd, field=GF, max_rank=6, spread=8):
     """Random graded map of full rank at every point (surjective onto the
-    target twist-sum), retrying the generic draw until the certificate holds."""
+    target twist-sum), retrying the generic draw until the certificate holds.
+    Coefficients are uniform mod p, or integers in [-9, 9] over Q."""
+    draw = (lambda: rnd.randrange(-9, 10)) if field.p is None else (lambda: rnd.randrange(0, field.p))
     while True:
         nrows = rnd.randrange(1, 3)
         ncols = rnd.randrange(nrows + 1, max_rank + 1)
@@ -92,12 +112,12 @@ def random_surjective_map(rnd, field=GF, max_rank=6, spread=8):
         for i in range(nrows):
             for j in range(ncols):
                 deg = target[i] - source[j]
-                coeffs = [field.from_int(rnd.randrange(0, field.p)) for _ in range(deg + 1)]
+                coeffs = [field.from_int(draw()) for _ in range(deg + 1)]
                 f = BinaryForm(field, deg, tuple(coeffs))
                 if not f.is_zero():
                     entries[(i, j)] = f
         M = GradedSheafMap(field, source, target, entries)
-        if full_rank_everywhere(M):
+        if onto_everywhere(M):
             return M
 
 
@@ -118,6 +138,35 @@ def full_window_splitting(M):
         prev_count, prev_inc = count, inc
     assert prev_inc == M.ncols - generic_rank(M)
     return tuple(sorted(parts))
+
+
+def section_matrix_loop(M, m):
+    """The GF(p) section matrix of M at twist m, one numpy assignment per
+    coefficient.  Oracle for the per-entry fancy assignment in
+    sheafmap._section_matrix."""
+    K = M.field
+    src_dims = [max(0, b + m + 1) for b in M.source]
+    tgt_dims = [max(0, c + m + 1) for c in M.target]
+    col_off = [0]
+    for d in src_dims:
+        col_off.append(col_off[-1] + d)
+    row_off = [0]
+    for d in tgt_dims:
+        row_off.append(row_off[-1] + d)
+    A = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
+    for (i, j), f in M.entries.items():
+        ds, dt = src_dims[j], tgt_dims[i]
+        if ds == 0 or dt == 0:
+            continue
+        for u, coeff in enumerate(f.coeffs):
+            c = int(coeff) % K.p
+            if c == 0:
+                continue
+            width = min(ds, dt - u)
+            if width > 0:
+                idx = np.arange(width)
+                A[row_off[i] + u + idx, col_off[j] + idx] = c
+    return A, col_off[-1]
 
 
 # -- maximal-minor oracle for full rank at every point -----------------------------

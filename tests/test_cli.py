@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from rncsplit import cli
+from rncsplit.binform import DegreeError
+from rncsplit.sheafmap import MapError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -105,6 +107,34 @@ def test_compute_out_of_range_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--d", "5", "--e", "3", "--n", "4")
     assert code == 2
     assert "error" in err
+
+
+def test_compute_bad_prime_text_exit_2(capsys):
+    code, _, err = run(capsys, "compute", "--d", "3", "--e", "3", "--n", "3", "--field", "prime:abc")
+    assert code == 2
+    assert "bad prime" in err
+
+
+@pytest.mark.parametrize("exc", [MapError, DegreeError])
+def test_internal_error_exits_3(capsys, monkeypatch, exc):
+    # graded maps are built from validated input, so a MapError or
+    # DegreeError after parsing is a bug, not a usage error
+    def broken(M):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli, "kernel_matrix", broken)
+    code, _, err = run(capsys, "compute", "--d", "3", "--e", "3", "--n", "3")
+    assert code == 3
+    assert "internal error: injected" in err
+
+
+@pytest.mark.parametrize("field", ["prime:32003", "rational"])
+def test_compute_largest_census_cell(capsys, field):
+    # d <= 8, n <= 14: the largest cell ends with the catalog splitting
+    code, out, _ = run(capsys, "compute", "--d", "8", "--e", "14", "--n", "14", "--field", field, "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["predicted"] == rep["T_splitting"] == [7] * 6 + [8] * 7
 
 
 def test_verify_small_sweep(capsys):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rncsplit import sheafmap
@@ -38,6 +39,7 @@ from tests.helpers import (
     full_window_splitting,
     random_combination,
     random_surjective_map,
+    section_matrix_loop,
 )
 
 
@@ -64,9 +66,13 @@ def cubic_surface():
 
 
 def quadric_chain(e, n, field=GF):
+    return chain_hypersurface(2, e, n, field)
+
+
+def chain_hypersurface(d, e, n, field=GF):
     from rncsplit.constructor import build_chain
 
-    return build_chain(2, e, n, field)[0]
+    return build_chain(d, e, n, field)[0]
 
 
 from tests.helpers import random_combination
@@ -348,6 +354,81 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
         K = kernel_matrix(M)
         assert K.ncols > 0
         assert len(built) == len(set(built)), built
+    # (7, 14, 14): the scan starts one twist below the slope of O(8)^5 + O(9)^8
+    # and h^0 = χ at the next twist proves the type; the full increment scan
+    # built 8 twists for either call
+    delta = build_delta(chain_hypersurface(7, 14, 14))
+    built.clear()
+    assert splitting_of_kernel(delta).parts == (8,) * 5 + (9,) * 8
+    assert built == [-10, -9]
+    built.clear()
+    assert sorted(kernel_matrix(delta).source) == [8] * 5 + [9] * 8
+    assert built == [-10, -9, -8]
+
+
+def _random_row(rnd, field):
+    """A random one-row map onto its target at every point."""
+    M = random_surjective_map(rnd, field, max_rank=4, spread=5)
+    while M.nrows != 1:
+        M = random_surjective_map(rnd, field, max_rank=4, spread=5)
+    return M
+
+
+def _times(M, h):
+    """The one-row map M times the nonzero form h."""
+    entries = {k: f.mul(h) for k, f in M.entries.items()}
+    return GradedSheafMap(M.field, M.source, (M.target[0] + h.degree,), entries)
+
+
+def _monic(rnd, field, degree):
+    coeffs = (field.one,) + tuple(field.from_int(rnd.randrange(0, 5)) for _ in range(degree))
+    return BinaryForm(field, degree, coeffs)
+
+
+@pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
+def test_chi_stop_matches_full_window_oracle(field):
+    # the h^0 = χ stop against the full increment scan: onto maps (χ decides),
+    # one-row maps with a common factor and maps of rank < rows (the increment
+    # rule decides), and unbalanced kernels
+    rnd = random.Random(2027)
+    # the full-window oracle is slow over Q, so the Q draws are smaller
+    size = dict(max_rank=5, spread=6) if field.p else dict(max_rank=4, spread=4)
+    maps = [random_surjective_map(rnd, field, **size) for _ in range(12)]
+    for deg in (1, 2, 3):  # entries with a common factor: deg ker M = D + deg
+        maps += [_times(_random_row(rnd, field), _monic(rnd, field, deg)) for _ in range(2)]
+    for _ in range(3):  # a row stacked over a multiple of itself: rank 1 < 2 rows
+        M = _random_row(rnd, field)
+        maps.append(stack_rows(M, _times(M, _monic(rnd, field, 1))))
+    coprime = [(e, n) for e, n in ((3, 3), (3, 5), (5, 5), (5, 9)) if field.p is None or e % field.p]
+    for e, n in coprime:  # quadric chains: unbalanced T, and N
+        F = chain_hypersurface(2, e, n, field)
+        maps += [build_delta(F), build_psi(F)]
+    if field.p is None:
+        maps += [build_delta(cubic_surface()), build_psi(cubic_surface()), build_delta(quintic_surface())]
+    for M in maps:
+        want = full_window_splitting(M)
+        assert splitting_of_kernel(M).parts == want, M
+        assert tuple(sorted(kernel_matrix(M).source)) == want, M
+
+
+def test_section_matrix_matches_per_coefficient_oracle():
+    rnd = random.Random(404)
+    for p in (2, 3, 7, 32003):
+        K = FieldSpec(p)
+        for _ in range(25):
+            source = tuple(rnd.randrange(-2, 6) for _ in range(rnd.randrange(1, 5)))
+            target = tuple(max(source) + rnd.randrange(0, 4) for _ in range(rnd.randrange(0, 3)))
+            entries = {}
+            for i, c in enumerate(target):
+                for j, b in enumerate(source):
+                    if rnd.random() < 0.7:
+                        coeffs = tuple(K.from_int(rnd.randrange(0, p)) for _ in range(c - b + 1))
+                        entries[(i, j)] = BinaryForm(K, c - b, coeffs)
+            M = GradedSheafMap(K, source, target, entries)
+            for m in range(-max(source) - 3, 4):
+                A, C = sheafmap._section_matrix(M, m)
+                B, width = section_matrix_loop(M, m)
+                assert C == width and A.shape == B.shape and np.array_equal(A, B), (M, m)
 
 
 # -- the kernel certificate ------------------------------------------------------------
