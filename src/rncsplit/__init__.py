@@ -7,7 +7,6 @@ from .constructor import (
     build_chain,
     extend_dimension,
     extension_schedule,
-    generate_example,
     lift_psi_targets,
     seed_example,
 )
@@ -16,11 +15,8 @@ from .multipoly import (
     CurveContext,
     IdealCombination,
     MultiPoly,
-    build_quadric,
-    decompose_into_ideal,
     format_hypersurface,
     format_poly,
-    gradient_on_curve,
     lift_binary_form,
     parse_hypersurface,
     parse_poly,
@@ -28,13 +24,10 @@ from .multipoly import (
 )
 from .sheafmap import (
     GradedSheafMap,
-    build_beta,
     build_delta,
-    build_df,
     build_psi,
     check_smooth_along_curve,
     compose,
-    h0_euler_crosscheck,
     kernel_matrix,
     section_kernel_dim,
     splitting_of_kernel,

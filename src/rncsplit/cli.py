@@ -22,7 +22,6 @@ from .constructor import (
 from .fields import DEFAULT_PRIME, FieldSpec, FieldError, RATIONALS, parse_field
 from .multipoly import (
     CurveContextError,
-    DecompositionError,
     PolyError,
     format_hypersurface,
     parse_hypersurface,
@@ -63,7 +62,6 @@ USER_ERRORS = (
     FieldError,
     CurveContextError,
     PolyError,
-    DecompositionError,
     SplittingError,
     UsageError,
     OSError,
@@ -187,7 +185,7 @@ def _verify_chain_job(job) -> list[dict]:
 
     try:
         results = run(field)
-    except (CertificationError, UnsupportedCaseError) as exc:
+    except (CertificationError, UnsupportedCaseError, CurveContextError) as exc:
         results = [
             {
                 "d": d,

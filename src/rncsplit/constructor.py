@@ -358,12 +358,6 @@ def build_chain(
     return F, steps
 
 
-def generate_example(d: int, e: int, n: int, field: FieldSpec = RATIONALS) -> IdealCombination:
-    """Explicit hypersurface through the degree-e rational normal curve in P^n
-    whose restricted tangent bundle realizes the catalog prediction."""
-    return build_chain(d, e, n, field)[0]
-
-
 # -- the extension engine --------------------------------------------------------
 
 

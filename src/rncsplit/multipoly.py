@@ -1,6 +1,6 @@
 """Multivariate homogeneous forms in x0..xn and their interaction with the
-rational normal curve: restriction, gradients, monomial lifting, and the
-presentation of hypersurfaces as combinations of the curve's ideal generators.
+rational normal curve: restriction, monomial lifting, and hypersurfaces given
+by their coefficients on the curve's ideal generators.
 
 The degree-e rational normal curve in P^n is parametrized by
 x_m = s^(e-m) t^m for m <= e and x_m = 0 for m > e.  Its ideal is generated by
@@ -23,15 +23,6 @@ class CurveContextError(ValueError):
 
 class PolyError(ValueError):
     pass
-
-
-class DecompositionError(ValueError):
-    """Multivariate division left a nonzero remainder."""
-
-    def __init__(self, message: str, remainder=None, order: str = "grlex x0 > x1 > ... > xn"):
-        super().__init__(message)
-        self.remainder = remainder
-        self.order = order
 
 
 @dataclass(frozen=True)
@@ -183,37 +174,6 @@ class MultiPoly:
     def __mul__(self, other):
         return self.mul(other)
 
-    # -- calculus and substitution ---------------------------------------------------
-
-    def partial(self, index: int) -> "MultiPoly":
-        K = self.context.field
-        out: dict = {}
-        for exp, c in self.terms.items():
-            k = exp[index]
-            if k == 0:
-                continue
-            new = list(exp)
-            new[index] = k - 1
-            out[tuple(new)] = K.mul(K.from_int(k), c)
-        return MultiPoly(self.context, max(self.total_degree - 1, 0), out)
-
-    def set_var_zero(self, index: int) -> "MultiPoly":
-        return MultiPoly(
-            self.context,
-            self.total_degree,
-            {e: c for e, c in self.terms.items() if e[index] == 0},
-        )
-
-    def cofactor_of_var(self, index: int) -> "MultiPoly":
-        """G with self = self|_{x_index=0} + x_index * G  (exact by construction)."""
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[index] > 0:
-                new = list(exp)
-                new[index] -= 1
-                out[tuple(new)] = c
-        return MultiPoly(self.context, max(self.total_degree - 1, 0), out)
-
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)!r})"
 
@@ -242,26 +202,6 @@ def restrict_to_curve(p: MultiPoly) -> BinaryForm:
     return form if not form.is_zero() else BinaryForm.zero(K)
 
 
-def gradient_on_curve(F: MultiPoly) -> list[BinaryForm]:
-    """Restrictions of all n+1 partial derivatives of F to the curve."""
-    return [restrict_to_curve(F.partial(m)) for m in range(F.context.nvars)]
-
-
-def build_quadric(context: CurveContext, i: int, j: int) -> MultiPoly:
-    """Q_{i,j} = x_i x_{j-1} - x_{i-1} x_j for 1 <= i < j <= e."""
-    if not (1 <= i < j <= context.e):
-        raise PolyError(f"quadric indices ({i},{j}) outside 1 <= i < j <= e = {context.e}")
-    K = context.field
-
-    def mono(a: int, b: int) -> tuple:
-        exp = [0] * context.nvars
-        exp[a] += 1
-        exp[b] += 1
-        return tuple(exp)
-
-    return MultiPoly(context, 2, {mono(i, j - 1): K.one, mono(i - 1, j): K.neg(K.one)})
-
-
 def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
     """Canonical degree-k preimage of h under restriction to the curve.
 
@@ -277,7 +217,7 @@ def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
             f"expected binary degree {e * k}"
         )
     K = context.field
-    out = MultiPoly.zero(context, k)
+    terms = {}
     for i, c in enumerate(h.coeffs):
         if K.is_zero(c):
             continue
@@ -289,8 +229,8 @@ def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
             exp[e] += q
             exp[r] += 1
             exp[0] += k - q - 1
-        out = out.add(MultiPoly.monomial(context, exp, c))
-    return out
+        terms[tuple(exp)] = c  # restricts to s^(ek-i) t^i: no two i collide
+    return MultiPoly(context, k, terms)
 
 
 # -- ideal combinations ------------------------------------------------------------
@@ -301,8 +241,8 @@ class IdealCombination:
 
     Quadric coefficients F_{i,j} are homogeneous of degree d-2 (indices
     1 <= i < j <= e), linear coefficients G_k of degree d-1 (e+1 <= k <= n).
-    The assembled F is homogeneous of degree d and restricts to zero on the
-    curve by construction.
+    F is homogeneous of degree d and vanishes on the curve by construction;
+    the maps psi and delta read it off the restrictions of its coefficients.
     """
 
     __slots__ = ("context", "quadric_coeffs", "linear_coeffs")
@@ -334,15 +274,6 @@ class IdealCombination:
         self.quadric_coeffs = clean_q
         self.linear_coeffs = clean_l
 
-    def assemble(self) -> MultiPoly:
-        ctx = self.context
-        F = MultiPoly.zero(ctx, ctx.d)
-        for (i, j), poly in sorted(self.quadric_coeffs.items()):
-            F = F.add(poly.mul(build_quadric(ctx, i, j)))
-        for k, poly in sorted(self.linear_coeffs.items()):
-            F = F.add(poly.mul(MultiPoly.variable(ctx, k)))
-        return F
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealCombination):
             return NotImplemented
@@ -362,61 +293,6 @@ def _grlex_key(exp: tuple) -> tuple:
     # graded lexicographic with x0 > x1 > ... > xn: higher total degree first,
     # then larger exponent vector (componentwise left to right).
     return (sum(exp), exp)
-
-
-def decompose_into_ideal(F: MultiPoly) -> IdealCombination:
-    """Present a form vanishing on the curve in terms of the ideal generators.
-
-    Linear coefficients are extracted first by collecting cofactors of
-    x_n, ..., x_{e+1}; the remainder in x_0..x_e is divided by the quadrics
-    Q_{i,j} under graded lex with x0 > ... > xn.  A nonzero final remainder is
-    reported, never silently dropped.
-    """
-    ctx = F.context
-    K = ctx.field
-    if F.total_degree != ctx.d:
-        raise PolyError(f"F has degree {F.total_degree}, context expects d = {ctx.d}")
-    restriction = restrict_to_curve(F)
-    if not restriction.is_zero():
-        raise PolyError("F does not vanish on the curve")
-
-    linear: dict = {}
-    rem = F
-    for k in range(ctx.n, ctx.e, -1):
-        g = rem.cofactor_of_var(k)
-        if not g.is_zero():
-            linear[k] = g
-        rem = rem.set_var_zero(k)
-
-    quadrics = {(i, j): build_quadric(ctx, i, j) for i in range(1, ctx.e + 1) for j in range(i + 1, ctx.e + 1)}
-    # leading term of Q_{i,j} under this order is -x_{i-1} x_j
-    lead_of: dict = {}
-    for (i, j) in quadrics:
-        exp = [0] * ctx.nvars
-        exp[i - 1] += 1
-        exp[j] += 1
-        lead_of[(i, j)] = tuple(exp)
-
-    coeffs: dict = {}
-    while not rem.is_zero():
-        lm = max(rem.terms, key=_grlex_key)
-        lc = rem.terms[lm]
-        hit = None
-        for (i, j) in sorted(lead_of):
-            lt = lead_of[(i, j)]
-            if all(a >= b for a, b in zip(lm, lt)):
-                hit = (i, j)
-                break
-        if hit is None:
-            raise DecompositionError(
-                "division by the curve quadrics left a remainder", remainder=rem
-            )
-        lt = lead_of[hit]
-        mono_exp = tuple(a - b for a, b in zip(lm, lt))
-        factor = MultiPoly.monomial(ctx, mono_exp, K.neg(lc))  # LT(Q) carries -1
-        coeffs[hit] = coeffs.get(hit, MultiPoly.zero(ctx, ctx.d - 2)).add(factor)
-        rem = rem.sub(factor.mul(quadrics[hit]))
-    return IdealCombination(ctx, coeffs, linear)
 
 
 # -- text grammar --------------------------------------------------------------

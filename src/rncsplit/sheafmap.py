@@ -2,11 +2,11 @@
 
 A map ⊕_j O(b_j) -> ⊕_i O(c_i) is a matrix of binary forms whose (i, j) entry
 is homogeneous of degree c_i - b_j (or strictly zero).  This module builds the
-maps attached to a hypersurface through a rational normal curve (psi, beta,
-delta = psi∘beta, df), recovers splitting types of kernels by an exact nullity
-scan over twists, and extracts minimal kernel matrices.  One certificate,
-certify_kernel, proves a matrix generates a kernel of known rank and degree;
-full rank at every point of the line follows from it.
+maps psi and delta attached to a hypersurface X through a rational normal
+curve C (their kernels are N_{C/X} and T_X|_C), recovers splitting types of
+kernels by an exact nullity scan over twists, and extracts minimal kernel
+matrices.  One certificate, certify_kernel, proves a matrix generates a kernel
+of known rank and degree; full rank at every point of the line follows from it.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import numpy as np
 from . import linalg
 from .binform import BinaryForm, bf_gcd
 from .fields import FieldSpec
-from .multipoly import (
-    CurveContext,
-    IdealCombination,
-    gradient_on_curve,
-    restrict_to_curve,
-)
+from .multipoly import CurveContext, IdealCombination, restrict_to_curve
 from .splitting import SplittingType
 
 TwistSum = tuple  # sequence of integers, order significant
@@ -153,32 +148,6 @@ def normal_twists(ctx: CurveContext) -> TwistSum:
     return (ctx.e + 2,) * (ctx.e - 1) + (ctx.e,) * (ctx.n - ctx.e)
 
 
-def build_beta(ctx: CurveContext) -> GradedSheafMap:
-    """Comparison map T_{P^n}|_C -> N_{C/P^n}: bidiagonal (t, -s) block on the
-    tangent part, identity on the O(e) part."""
-    K = ctx.field
-    e, n = ctx.e, ctx.n
-    entries: dict = {}
-    t = BinaryForm.monomial(K, 1, 1)
-    minus_s = BinaryForm.monomial(K, 1, 0, K.neg(K.one))
-    one = BinaryForm.constant(K, K.one)
-    for i in range(e - 1):
-        entries[(i, i)] = t
-        entries[(i, i + 1)] = minus_s
-    for k in range(n - e):
-        entries[(e - 1 + k, e + k)] = one
-    return GradedSheafMap(K, tangent_twists(ctx), normal_twists(ctx), entries)
-
-
-def build_df(ctx: CurveContext) -> GradedSheafMap:
-    """The tangent-line column (s^(e-1), ..., t^(e-1); 0, ..., 0): O(2) -> T_{P^n}|_C."""
-    K = ctx.field
-    entries = {
-        (i, 0): BinaryForm.monomial(K, ctx.e - 1, i) for i in range(ctx.e)
-    }
-    return GradedSheafMap(K, (2,), tangent_twists(ctx), entries)
-
-
 def build_psi(F: IdealCombination) -> GradedSheafMap:
     """Induced map N_{C/P^n} -> O(de) of a hypersurface F through the curve.
 
@@ -206,8 +175,9 @@ def build_psi(F: IdealCombination) -> GradedSheafMap:
 
 
 def build_delta(F: IdealCombination) -> GradedSheafMap:
-    """delta = psi ∘ beta in closed form:
-    (tC_1, -sC_1 + tC_2, ..., -sC_(e-1); G_(e+1)|_C, ..., G_n|_C)."""
+    """delta = psi ∘ beta, where beta : T_{P^n}|_C -> N_{C/P^n} is the quotient
+    map (bidiagonal (t, -s) block on the tangent part, identity on O(e)^(n-e)).
+    In closed form: (tC_1, -sC_1 + tC_2, ..., -sC_(e-1); G_(e+1)|_C, ..., G_n|_C)."""
     return _delta_from_psi(F.context, build_psi(F))
 
 
@@ -228,14 +198,6 @@ def _delta_from_psi(ctx: CurveContext, psi: GradedSheafMap) -> GradedSheafMap:
         cols.append(psi.entry(0, k))
     entries = {(0, j): f for j, f in enumerate(cols) if not f.is_zero()}
     return GradedSheafMap(K, tangent_twists(ctx), (ctx.d * e,), entries)
-
-
-def gradient_map(F: IdealCombination) -> GradedSheafMap:
-    """The gradient route O(e)^(n+1) -> O(de) with entries (∂F/∂x_m)|_C."""
-    ctx = F.context
-    grads = gradient_on_curve(F.assemble())
-    entries = {(0, m): g for m, g in enumerate(grads) if not g.is_zero()}
-    return GradedSheafMap(ctx.field, (ctx.e,) * ctx.nvars, (ctx.d * ctx.e,), entries)
 
 
 # -- sections and the nullity scan ---------------------------------------------
@@ -537,23 +499,16 @@ def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> 
 
 
 def check_smooth_along_curve(F: IdealCombination) -> bool:
-    """True iff the restricted gradient entries have no common projective zero."""
-    grads = [g for g in gradient_on_curve(F.assemble()) if not g.is_zero()]
-    if not grads:
-        return False
-    return bf_gcd(grads).degree == 0
+    """True iff X = V(F) is smooth at every point of the curve C, that is,
+    iff the entries of delta have no common projective zero.
 
-
-def h0_euler_crosscheck(F: IdealCombination, m: int) -> bool:
-    """Compare section-kernel dimensions of the psi∘beta route and the gradient
-    route; valid for m >= -1 where the twisted Euler sequence has no H^1."""
-    if m < -1:
-        raise ValueError(f"twist m = {m} < -1 outside the valid comparison range")
-    if not check_smooth_along_curve(F):
-        raise ValueError("hypersurface is singular along the curve")
-    left = section_kernel_dim(build_delta(F), m)
-    right = section_kernel_dim(gradient_map(F), m) - max(0, m + 1)
-    return left == right
+    X is smooth at a point of C iff dF|_C is nonzero there.  F vanishes on
+    C, so dF|_C : T_{P^n}|_C -> O(de) kills T_C and factors through the
+    surjection T_{P^n}|_C -> N_{C/P^n} followed by psi; that composite is
+    delta.  So dF|_C and delta have the same image in O(de), and they vanish
+    at the same points: exactly where all entries of delta do."""
+    delta = build_delta(F)
+    return bool(delta.entries) and bf_gcd(list(delta.entries.values())).degree == 0
 
 
 # -- serialization -----------------------------------------------------------------

@@ -44,9 +44,6 @@ class SplittingType:
     def is_balanced(self) -> bool:
         return not self.parts or self.parts[-1] - self.parts[0] <= 1
 
-    def is_perfectly_balanced(self) -> bool:
-        return not self.parts or self.parts[-1] == self.parts[0]
-
     def __str__(self) -> str:
         return format_splitting(self)
 

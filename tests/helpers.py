@@ -8,13 +8,16 @@ import numpy as np
 from rncsplit import linalg
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import IdealCombination, MultiPoly
+from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_to_curve
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
     _scan_window,
+    build_delta,
     generic_rank,
+    normal_twists,
     section_kernel_dim,
+    tangent_twists,
 )
 
 GF = FieldSpec(32003)
@@ -167,6 +170,109 @@ def section_matrix_loop(M, m):
                 idx = np.arange(width)
                 A[row_off[i] + u + idx, col_off[j] + idx] = c
     return A, col_off[-1]
+
+
+# -- the gradient route ----------------------------------------------------------
+#
+# A second description of a hypersurface through the curve: assemble F as one
+# polynomial, differentiate, and restrict.  Oracles for the closed-form
+# build_delta and for check_smooth_along_curve, which read everything off the
+# restrictions of F's coefficients.
+
+
+def build_quadric(context, i, j):
+    """Q_{i,j} = x_i x_{j-1} - x_{i-1} x_j for 1 <= i < j <= e."""
+    if not (1 <= i < j <= context.e):
+        raise PolyError(f"quadric indices ({i},{j}) outside 1 <= i < j <= e = {context.e}")
+    K = context.field
+
+    def mono(a, b):
+        exp = [0] * context.nvars
+        exp[a] += 1
+        exp[b] += 1
+        return tuple(exp)
+
+    return MultiPoly(context, 2, {mono(i, j - 1): K.one, mono(i - 1, j): K.neg(K.one)})
+
+
+def assemble(F: IdealCombination) -> MultiPoly:
+    """F = sum F_{i,j} Q_{i,j} + sum G_k x_k as one polynomial."""
+    ctx = F.context
+    out = MultiPoly.zero(ctx, ctx.d)
+    for (i, j), poly in sorted(F.quadric_coeffs.items()):
+        out = out.add(poly.mul(build_quadric(ctx, i, j)))
+    for k, poly in sorted(F.linear_coeffs.items()):
+        out = out.add(poly.mul(MultiPoly.variable(ctx, k)))
+    return out
+
+
+def partial(p: MultiPoly, index: int) -> MultiPoly:
+    """The partial derivative of p with respect to x_index."""
+    K = p.context.field
+    out = {}
+    for exp, c in p.terms.items():
+        k = exp[index]
+        if k == 0:
+            continue
+        new = list(exp)
+        new[index] = k - 1
+        out[tuple(new)] = K.mul(K.from_int(k), c)
+    return MultiPoly(p.context, max(p.total_degree - 1, 0), out)
+
+
+def gradient_on_curve(p: MultiPoly) -> list:
+    """Restrictions of all n+1 partial derivatives of p to the curve."""
+    return [restrict_to_curve(partial(p, m)) for m in range(p.context.nvars)]
+
+
+def gradient_map(F: IdealCombination) -> GradedSheafMap:
+    """The gradient route O(e)^(n+1) -> O(de) with entries (dF/dx_m)|_C."""
+    ctx = F.context
+    grads = gradient_on_curve(assemble(F))
+    entries = {(0, m): g for m, g in enumerate(grads) if not g.is_zero()}
+    return GradedSheafMap(ctx.field, (ctx.e,) * ctx.nvars, (ctx.d * ctx.e,), entries)
+
+
+def gradient_smooth(F: IdealCombination) -> bool:
+    """True iff the restricted gradient entries have no common projective zero."""
+    grads = list(gradient_map(F).entries.values())
+    return bool(grads) and bf_gcd(grads).degree == 0
+
+
+def h0_euler_crosscheck(F: IdealCombination, m: int) -> bool:
+    """Compare section-kernel dimensions of delta and the gradient route; valid
+    for m >= -1 where the twisted Euler sequence has no H^1."""
+    if m < -1:
+        raise ValueError(f"twist m = {m} < -1 outside the valid comparison range")
+    if not gradient_smooth(F):
+        raise ValueError("hypersurface is singular along the curve")
+    left = section_kernel_dim(build_delta(F), m)
+    right = section_kernel_dim(gradient_map(F), m) - max(0, m + 1)
+    return left == right
+
+
+def build_beta(ctx) -> GradedSheafMap:
+    """Comparison map T_{P^n}|_C -> N_{C/P^n}: bidiagonal (t, -s) block on the
+    tangent part, identity on the O(e) part."""
+    K = ctx.field
+    e, n = ctx.e, ctx.n
+    entries = {}
+    t = BinaryForm.monomial(K, 1, 1)
+    minus_s = BinaryForm.monomial(K, 1, 0, K.neg(K.one))
+    one = BinaryForm.constant(K, K.one)
+    for i in range(e - 1):
+        entries[(i, i)] = t
+        entries[(i, i + 1)] = minus_s
+    for k in range(n - e):
+        entries[(e - 1 + k, e + k)] = one
+    return GradedSheafMap(K, tangent_twists(ctx), normal_twists(ctx), entries)
+
+
+def build_df(ctx) -> GradedSheafMap:
+    """The tangent-line column (s^(e-1), ..., t^(e-1); 0, ..., 0): O(2) -> T_{P^n}|_C."""
+    K = ctx.field
+    entries = {(i, 0): BinaryForm.monomial(K, ctx.e - 1, i) for i in range(ctx.e)}
+    return GradedSheafMap(K, (2,), tangent_twists(ctx), entries)
 
 
 # -- maximal-minor oracle for full rank at every point -----------------------------

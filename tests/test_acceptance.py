@@ -19,7 +19,6 @@ from rncsplit.sheafmap import (
     build_psi,
     check_smooth_along_curve,
     compose,
-    h0_euler_crosscheck,
     kernel_matrix,
     splitting_of_kernel,
 )
@@ -31,7 +30,12 @@ from rncsplit.splitting import (
     predicted_splitting,
     specializes_to,
 )
-from tests.helpers import full_rank_everywhere, random_combination, random_surjective_map
+from tests.helpers import (
+    full_rank_everywhere,
+    h0_euler_crosscheck,
+    random_combination,
+    random_surjective_map,
+)
 
 GF = FieldSpec(32003)
 

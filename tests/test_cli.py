@@ -191,6 +191,24 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
     assert "rational backstop" in out
 
 
+@pytest.mark.parametrize(
+    "theorem, max_n, p, total, backstop",
+    [("cubics", 8, 7, 21, ["d=3 e=7 n=7", "d=3 e=7 n=8"]), ("quadrics", 6, 2, 14, ["d=2 e=2 n=3", "d=2 e=6 n=6"])],
+)
+def test_verify_char_divides_e_uses_rational_backstop(capsys, theorem, max_n, p, total, backstop):
+    # a chain whose curve degree the characteristic divides has no curve over
+    # GF(p); it is checked over Q instead of ending the sweep, and the e = 3
+    # chain (p does not divide 3) stays over GF(p)
+    argv = ["verify", "--theorem", theorem, "--max-n", str(max_n), "--field", f"prime:{p}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert f"{total}/{total} cases ok" in out
+    lines = out.splitlines()
+    for case in backstop:
+        assert any(ln.startswith(f"ok   {case} ") and ln.endswith("(rational backstop)") for ln in lines), case
+    assert not any("e=3 " in ln and "backstop" in ln for ln in lines)
+
+
 def test_extend_report(capsys):
     code, out, _ = run(capsys, "extend", "--d", "3", "--e", "3", "--to-n", "5")
     assert code == 0

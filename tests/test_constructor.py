@@ -11,7 +11,6 @@ from rncsplit.constructor import (
     extend_dimension,
     extension_schedule,
     general_psi_targets,
-    generate_example,
     lift_psi_targets,
     seed_example,
 )
@@ -81,7 +80,7 @@ def test_quartic_sixfold_seed_golden():
 
 
 def test_quadric_chain_all_ones():
-    F = generate_example(2, 4, 7, GF)
+    F = build_chain(2, 4, 7, GF)[0]
     ctx = F.context
     one = parse_poly("1", ctx, 0)
     assert F.quadric_coeffs == {(1, 2): one, (2, 3): one, (3, 4): one}
@@ -90,7 +89,7 @@ def test_quadric_chain_all_ones():
 
 def test_extended_cubic_golden():
     # one step of the induction: quadric part unchanged, linear part x0*x3
-    F = generate_example(3, 3, 4)
+    F = build_chain(3, 3, 4)[0]
     ctx = F.context
     assert F.quadric_coeffs == {
         (1, 2): parse_poly("x0", ctx, 1),
@@ -107,13 +106,13 @@ def test_seed_smoothness():
 
 def test_generate_out_of_range():
     with pytest.raises(UnsupportedCaseError):
-        generate_example(3, 2, 5)
+        build_chain(3, 2, 5)
     with pytest.raises(UnsupportedCaseError):
-        generate_example(5, 7, 8)  # d >= 5 needs e = n
+        build_chain(5, 7, 8)  # d >= 5 needs e = n
     with pytest.raises(UnsupportedCaseError):
-        generate_example(5, 7, 7)  # below 2d-2
+        build_chain(5, 7, 7)  # below 2d-2
     with pytest.raises(UnsupportedCaseError):
-        generate_example(2, 1, 4)
+        build_chain(2, 1, 4)
 
 
 # -- psi lifting --------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_extend_worked_cubic_step():
 
 
 def test_extend_j0_step_appends_zero():
-    F = generate_example(3, 3, 4)
+    F = build_chain(3, 3, 4)[0]
     step = extend_dimension(F, SplittingType((2, 2, 2, 3)))
     assert step.strategy == "J0"
     assert step.g.is_zero()

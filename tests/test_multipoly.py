@@ -4,18 +4,20 @@ import pytest
 
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
-from tests.helpers import random_combination, random_poly
+from tests.helpers import (
+    assemble,
+    build_quadric,
+    gradient_on_curve,
+    random_combination,
+    random_poly,
+)
 from rncsplit.multipoly import (
     CurveContext,
     CurveContextError,
     IdealCombination,
-    MultiPoly,
     PolyError,
-    build_quadric,
-    decompose_into_ideal,
     format_hypersurface,
     format_poly,
-    gradient_on_curve,
     lift_binary_form,
     parse_hypersurface,
     parse_poly,
@@ -171,7 +173,7 @@ def test_euler_pairing_vanishes_for_combinations():
     rnd = random.Random(33)
     for _ in range(10):
         c = CurveContext(rnd.randrange(2, 5), rnd.randrange(1, 5), rnd.randrange(4, 7), GF)
-        F = random_combination(rnd, c).assemble()
+        F = assemble(random_combination(rnd, c))
         grads = gradient_on_curve(F)
         acc = BinaryForm.zero(c.field)
         for m in range(c.e + 1):
@@ -229,48 +231,7 @@ def test_assemble_restricts_to_zero():
         n = rnd.randrange(max(e, 3), 7)
         c = CurveContext(rnd.randrange(2, 5), e, n, GF)
         F = random_combination(rnd, c)
-        assert restrict_to_curve(F.assemble()).is_zero()
-
-
-def test_decompose_single_quadric():
-    c = ctx(2, 3, 3)
-    F = build_quadric(c, 1, 2)
-    comb = decompose_into_ideal(F)
-    assert set(comb.quadric_coeffs) == {(1, 2)}
-    assert comb.quadric_coeffs[(1, 2)] == MultiPoly.constant(c, RATIONALS.one)
-    assert not comb.linear_coeffs
-
-
-def test_decompose_worked_cubic():
-    c = ctx(3, 3, 3)
-    F = parse_poly("x0", c, 1).mul(build_quadric(c, 1, 2)).add(
-        parse_poly("x3", c, 1).mul(build_quadric(c, 2, 3))
-    )
-    comb = decompose_into_ideal(F)
-    assert comb.quadric_coeffs == {
-        (1, 2): parse_poly("x0", c, 1),
-        (2, 3): parse_poly("x3", c, 1),
-    }
-
-
-def test_decompose_assemble_round_trip():
-    rnd = random.Random(43)
-    for _ in range(50):
-        d = rnd.randrange(2, 5)
-        e = rnd.randrange(1, 7)
-        n = rnd.randrange(max(e, 3), 7)
-        c = CurveContext(d, e, n, GF)
-        F = random_combination(rnd, c)
-        assembled = F.assemble()
-        again = decompose_into_ideal(assembled)
-        assert again.assemble() == assembled
-        assert restrict_to_curve(again.assemble()).is_zero()
-
-
-def test_decompose_rejects_non_member():
-    c = ctx(2, 3, 3)
-    with pytest.raises(PolyError):
-        decompose_into_ideal(parse_poly("x0^2", c, 2))
+        assert restrict_to_curve(assemble(F)).is_zero()
 
 
 # -- hypersurface files -----------------------------------------------------------------

@@ -4,24 +4,20 @@ import numpy as np
 import pytest
 
 from rncsplit import sheafmap
-from rncsplit.binform import BinaryForm, parse_binary_form
+from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
     MapError,
-    build_beta,
     build_delta,
-    build_df,
     build_psi,
     check_smooth_along_curve,
     certify_kernel,
     compose,
     format_map,
     generic_rank,
-    gradient_map,
-    h0_euler_crosscheck,
     kernel_matrix,
     map_from_json,
     map_to_json,
@@ -33,10 +29,16 @@ from rncsplit.sheafmap import (
 )
 from tests.helpers import (
     GF,
+    build_beta,
+    build_df,
+    build_quadric,
     dense_combination,
     from_rows,
     full_rank_everywhere,
     full_window_splitting,
+    gradient_map,
+    gradient_smooth,
+    h0_euler_crosscheck,
     random_combination,
     random_surjective_map,
     section_matrix_loop,
@@ -533,10 +535,40 @@ def test_smoothness_worked_cubic():
 
 def test_smoothness_square_fails():
     ctx = CurveContext(4, 3, 3, RATIONALS)
-    from rncsplit.multipoly import build_quadric
-
     F = IdealCombination(ctx, {(1, 2): build_quadric(ctx, 1, 2)}, {})
     assert not check_smooth_along_curve(F)
+
+
+def _equal_up_to_scalar(f, g):
+    if f.degree != g.degree:
+        return False
+    K = f.field
+    k = next(i for i, c in enumerate(f.coeffs) if not K.is_zero(c))
+    return f.scale(K.div(g.coeffs[k], f.coeffs[k])).equals(g)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7), FieldSpec(5), FieldSpec(3)], ids=str)
+def test_smoothness_matches_gradient_oracle(field):
+    # delta and the restricted gradient have the same image in O(de), so the
+    # gcds of their entries agree up to a scalar; sparse draws with few
+    # linear coefficients make many of them singular along the curve
+    rnd = random.Random(67)
+    singular = 0
+    for trial in range(60):
+        e = trial % 6 + 1
+        if field.p is not None and e % field.p == 0:
+            e -= 1
+        ctx = CurveContext(rnd.randrange(2, 5), e, rnd.randrange(max(e, 3), 7), field)
+        F = random_combination(rnd, ctx, linear_prob=rnd.choice([0.0, 0.2, 0.6]))
+        smooth = check_smooth_along_curve(F)
+        assert smooth == gradient_smooth(F), (trial, F)
+        singular += not smooth
+        by_delta = list(build_delta(F).entries.values())
+        by_gradient = list(gradient_map(F).entries.values())
+        assert bool(by_delta) == bool(by_gradient), (trial, F)
+        if by_delta:
+            assert _equal_up_to_scalar(bf_gcd(by_delta), bf_gcd(by_gradient)), (trial, F)
+    assert 5 <= singular <= 55, singular  # both outcomes occur
 
 
 def test_euler_crosscheck_rejects_low_twist():
