@@ -29,7 +29,6 @@ from .sheafmap import (
     check_smooth_along_curve,
     compose,
     kernel_matrix,
-    section_kernel_dim,
     splitting_of_kernel,
 )
 from .splitting import (

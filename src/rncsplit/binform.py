@@ -139,27 +139,6 @@ class BinaryForm:
             self.field.eq(a, b) for a, b in zip(self.coeffs, other.coeffs)
         )
 
-    # -- evaluation -----------------------------------------------------------
-
-    def eval(self, point) -> object:
-        """Exact evaluation at (s0, t0) != (0, 0)."""
-        K = self.field
-        s0, t0 = point
-        if K.is_zero(s0) and K.is_zero(t0):
-            raise ValueError("evaluation point (0, 0) is not a point of the projective line")
-        if self.degree == -1:
-            return K.zero
-        # Horner in t/s-split form: sum c_i s^(d-i) t^i.
-        acc = K.zero
-        spow = K.one
-        tpow = [K.one]
-        for _ in range(self.degree):
-            tpow.append(K.mul(tpow[-1], t0))
-        for i in range(self.degree, -1, -1):
-            acc = K.add(acc, K.mul(self.coeffs[i], K.mul(spow, tpow[i])))
-            spow = K.mul(spow, s0)
-        return acc
-
     # -- valuations and division ----------------------------------------------
 
     def t_valuation(self) -> int:

@@ -30,8 +30,8 @@ from .sheafmap import (
     CertificationError,
     MapError,
     _delta_from_psi,
+    _onto_everywhere,
     build_psi,
-    check_smooth_along_curve,
     format_map,
     kernel_matrix,
     map_to_json,
@@ -89,7 +89,7 @@ def _case_report(F, d: int, e: int, n: int) -> dict:
     K = kernel_matrix(delta)
     T = SplittingType(tuple(sorted(K.source)))
     N = splitting_of_kernel(psi)
-    smooth = check_smooth_along_curve(F)
+    smooth = _onto_everywhere(delta)
     pred = predicted_splitting(d, e, n)
     return {
         "params": {"d": d, "e": e, "n": n, "field": str(F.context.field)},

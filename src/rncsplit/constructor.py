@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .binform import BinaryForm, DegreeError, bf_gcd
+from .binform import BinaryForm, DegreeError
 from .fields import RATIONALS, FieldSpec
 from .multipoly import (
     CurveContext,
@@ -27,6 +27,7 @@ from .multipoly import (
 from .sheafmap import (
     CertificationError,
     GradedSheafMap,
+    _onto_everywhere,
     build_delta,
     build_psi,
     certify_kernel,
@@ -549,7 +550,7 @@ def extend_dimension(
         entries[(0, n)] = g
     delta_out = GradedSheafMap(field, N.target, delta_in.target, entries)
     # onto at every point, so ker delta_out has rank n and degree sum(N.target) - de
-    if bf_gcd(list(entries.values())).degree != 0:
+    if not _onto_everywhere(delta_out):
         raise CertificationError("delta_out is not onto at every point")
     certify_kernel(delta_out, N, n, sum(N.target) - d * e)
 

@@ -4,14 +4,14 @@ A map ⊕_j O(b_j) -> ⊕_i O(c_i) is a matrix of binary forms whose (i, j) entr
 is homogeneous of degree c_i - b_j (or strictly zero).  This module builds the
 maps psi and delta attached to a hypersurface X through a rational normal
 curve C (their kernels are N_{C/X} and T_X|_C), recovers splitting types of
-kernels by an exact nullity scan over twists, and extracts minimal kernel
-matrices.  One certificate, certify_kernel, proves a matrix generates a kernel
-of known rank and degree; full rank at every point of the line follows from it.
+kernels of one-row maps by an exact nullity scan over twists, and extracts
+minimal kernel matrices.  One certificate, certify_kernel, proves a matrix
+generates a kernel of known rank and degree from its rank at one point; full
+rank at every point of the line follows from it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +71,11 @@ class GradedSheafMap:
     def is_zero_map(self) -> bool:
         return not self.entries
 
-    def column(self, j: int) -> list[BinaryForm]:
-        return [self.entry(i, j) for i in range(self.nrows)]
-
     def equals(self, other: "GradedSheafMap") -> bool:
         if self.source != other.source or self.target != other.target:
             return False
         keys = set(self.entries) | set(other.entries)
         return all(self.entry(i, j).equals(other.entry(i, j)) for (i, j) in keys)
-
-    def scale(self, scalar) -> "GradedSheafMap":
-        return GradedSheafMap(
-            self.field,
-            self.source,
-            self.target,
-            {k: f.scale(scalar) for k, f in self.entries.items()},
-        )
 
     def permute_columns(self, perm: list[int]) -> "GradedSheafMap":
         """New map whose column k is the old column perm[k]."""
@@ -243,86 +232,27 @@ def _section_matrix(M: GradedSheafMap, m: int):
     return A, C
 
 
-def section_kernel_dim(M: GradedSheafMap, m: int) -> int:
-    """dim ker of the induced linear map on global sections twisted by m."""
-    A, C = _section_matrix(M, m)
-    return C - linalg.rank(A, M.field, C)
-
-
-def _eval_matrix(M: GradedSheafMap, point) -> list[list]:
-    K = M.field
-    rows = [[K.zero] * M.ncols for _ in range(M.nrows)]
-    for (i, j), f in M.entries.items():
-        rows[i][j] = f.eval(point)
-    return rows
-
-
-def generic_rank(M: GradedSheafMap) -> int:
-    """Exact rank at deterministic points plus pseudorandom ones until stable.
-    A one-row map needs no evaluation: its rank is 1 iff it has a nonzero
-    entry (over a tiny field a nonzero form can vanish at every point).
-
-    Over GF(p) with p < 64 the points are all of P^1(F_p).  If they leave the
-    rank below min(rows, cols), a nonzero minor may vanish at every point, so
-    the rank is read off the nullity counts at the top of _scan_window, where
-    the increment N(m) - N(m-1) is the rank of the kernel."""
-    K = M.field
-    if M.nrows == 0 or M.ncols == 0:
-        return 0
-    if M.nrows == 1:
-        return 1 if M.entries else 0
-    cap = min(M.nrows, M.ncols)
-    tiny = K.p is not None and K.p < 64
-    pts = [(K.one, K.zero), (K.zero, K.one), (K.one, K.one)]
-    if tiny:
-        pts += [(K.one, K.from_int(x)) for x in range(2, K.p)]
-    rng = random.Random(0x5EED)
-    best = 0
-    stable = 0
-    for trial in range(len(pts) if tiny else 64):
-        if trial < len(pts):
-            P = pts[trial]
-        elif K.p is not None:
-            P = (K.one, K.from_int(rng.randrange(2, K.p)))
-        else:
-            P = (K.one, K.from_int(trial + rng.randrange(2, 10**6)))
-        r = linalg.rank(_eval_matrix(M, P), K, M.ncols)
-        if r > best:
-            best = r
-            stable = 0
-        else:
-            stable += 1
-        if best == cap or (not tiny and trial >= 3 and stable >= 3):
-            break
-    if tiny and best < cap:
-        m_top = _scan_window(M)[1]
-        return M.ncols - section_kernel_dim(M, m_top) + section_kernel_dim(M, m_top - 1)
-    return best
-
-
 def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
-    B = max(M.source)
-    maxc = max(M.target) if M.target else 0
-    a_spec = sum(M.source) - M.nrows * maxc - M.ncols * B
-    a_safe = sum(M.source) - M.nrows * max(maxc, 0) - (M.ncols - 1) * max(B, 0)
+    B, c = max(M.source), M.target[0]
+    a_spec = sum(M.source) - c - M.ncols * B
+    a_safe = sum(M.source) - max(c, 0) - (M.ncols - 1) * max(B, 0)
     return -B - 1, -min(a_spec, a_safe)
 
 
 def _nullity_scan(M: GradedSheafMap):
-    """Nullity scan of M: one section matrix and one nullspace per twist, each
-    twist built at most once.  For ker M ≅ ⊕O(a_i) the nullspace sizes obey
-    N(m) = h^0(ker M(m)) and N(m) - N(m-1) = #{i : a_i >= -m}; at each twist m
-    where this increment grows, yields (m, new_parts, sections), and
-    sections(m) gives the (basis, width) of the nullspace at m.
+    """Nullity scan of a one-row map M : ⊕O(b_j) -> O(c): one section matrix
+    and one nullspace per twist, each twist built at most once.  For
+    ker M ≅ ⊕O(a_i) the nullspace sizes obey N(m) = h^0(ker M(m)) and
+    N(m) - N(m-1) = #{i : a_i >= -m}; at each twist m where this increment
+    grows, yields (m, new_parts, sections), and sections(m) gives the
+    (basis, width) of the nullspace at m.  Any other map raises MapError.
 
-    Increment stop: the scan stops at the first twist m where the increment
-    inc = N(m) - N(m-1) equals expected_rank = cols - generic_rank(M).  This is
-    sound because inc <= true rank <= expected_rank: the increment counts only
-    parts a_i >= -m, and point evaluation can only undercount the rank of M.
+    The kernel's rank r and a lower bound D on its degree come from the shape.
+    A nonzero row has image O(c - deg g), g the gcd of its entries, so
+    r = cols - 1 and deg ker M = D + deg g with D = Σb_j - c.  The zero row
+    has kernel ⊕O(b_j): r = cols and D = Σb_j.
 
-    Euler-characteristic stop, when generic_rank(M) = rows: the kernel rank
-    r = cols - rows is then exact, and since the image of M has full rank in
-    ⊕O(c_i), D = Σb_j - Σc_i <= deg ker M.  Riemann-Roch gives
+    Euler-characteristic stop: Riemann-Roch gives
     N(m) >= χ(ker M(m)) = r(m+1) + deg ker M >= r(m+1) + D.  So at a twist m
     with N(m) = r(m+1) + D both inequalities are equalities: deg ker M = D
     and h^1(ker M(m)) = 0, which says every a_i >= -m-1.  The parts a_i >= -m
@@ -330,18 +260,23 @@ def _nullity_scan(M: GradedSheafMap):
     their generators are yielded at twist m+1.  Multiplication by s injects
     the sections at m into those at m+1, so N(m) = 0 forces N = 0 below m:
     the scan starts at m0 = floor(-D/r) - 1 (a balanced kernel of degree D
-    has no sections there), stepping down only while N(m0) > 0.  Where M is
-    not onto at some point, deg ker M > D, χ is never met and the increment
-    stop decides.
+    has no sections there), stepping down only while N(m0) > 0.
 
-    _scan_window bounds the scan: if neither stop is met inside it
-    (generic_rank undercounted, as over tiny fields), the scan runs to its top
-    and raises CertificationError.  The final checks run once the generator
-    is exhausted."""
-    if M.ncols == 0:
+    Increment stop: where the row is not onto at some point, deg ker M > D
+    and χ is never met; the scan stops at the first twist where the increment
+    inc = N(m) - N(m-1) equals r, so every part has appeared.
+
+    _scan_window bounds the scan: if neither stop is met inside it, the scan
+    raises CertificationError.  The final checks run once the generator is
+    exhausted."""
+    if M.nrows != 1:
+        raise MapError(f"the nullity scan takes one-row maps, not {M.nrows} rows")
+    rank, degree = M.ncols, sum(M.source)
+    if M.entries:
+        rank, degree = rank - 1, degree - M.target[0]
+    if rank == 0:
         return
     m_bottom, m_top = _scan_window(M)
-    expected_rank = M.ncols - generic_rank(M)
     built: dict = {}
 
     def sections(m: int):
@@ -350,13 +285,9 @@ def _nullity_scan(M: GradedSheafMap):
             built[m] = linalg.nullspace(A, M.field, C), C
         return built[m]
 
-    degree = None  # D = Σsource - Σtarget, when it bounds deg ker M below
-    start = m_bottom + 1
-    if expected_rank and M.ncols - expected_rank == M.nrows:
-        degree = sum(M.source) - sum(M.target)
-        start = max(start, min(-degree // expected_rank - 1, m_top))
-        while start > m_bottom + 1 and sections(start)[0]:
-            start -= 1
+    start = max(m_bottom + 1, min(-degree // rank - 1, m_top))
+    while start > m_bottom + 1 and sections(start)[0]:
+        start -= 1
     counts = {start - 1: 0}
     parts: list[int] = []
     prev_inc = 0
@@ -372,22 +303,18 @@ def _nullity_scan(M: GradedSheafMap):
             parts.extend(new_parts)
             yield m, new_parts, sections
         prev_inc = inc
-        chi_met = degree is not None and counts[m] == expected_rank * (m + 1) + degree
-        if chi_met or inc == expected_rank:
+        chi_met = counts[m] == rank * (m + 1) + degree
+        if chi_met or inc == rank:
             m_stop = m
             break
-    if chi_met and inc < expected_rank:
-        rest = [-m_stop - 1] * (expected_rank - inc)
+    if chi_met and inc < rank:
+        rest = [-m_stop - 1] * (rank - inc)
         parts.extend(rest)
         yield m_stop + 1, rest, sections
-    if len(parts) != expected_rank:
+    if len(parts) != rank:
         raise CertificationError(
-            f"scan stabilized at rank {len(parts)}, expected {expected_rank} "
-            f"(cols {M.ncols} - generic rank {M.ncols - expected_rank})"
+            f"scan found {len(parts)} kernel parts inside the window, expected rank {rank}"
         )
-    top_inc = counts[m_stop] - counts[m_stop - 1] if m_stop > m_bottom else 0
-    if expected_rank and not chi_met and top_inc != expected_rank:
-        raise CertificationError("section counts did not stabilize inside the window")
     for m in (m_stop - 1, m_stop):
         want = sum(max(0, a + m + 1) for a in parts)
         if m in counts and counts[m] != want:
@@ -397,7 +324,8 @@ def _nullity_scan(M: GradedSheafMap):
 
 
 def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
-    """Splitting type of ker M, read off the nullity scan (_nullity_scan)."""
+    """Splitting type of ker M for a one-row map M, read off the nullity scan
+    (_nullity_scan)."""
     return SplittingType(tuple(sorted(a for _, new, _ in _nullity_scan(M) for a in new)))
 
 
@@ -419,9 +347,9 @@ def _vector_to_forms(M: GradedSheafMap, vec, twist: int) -> dict:
 
 
 def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
-    """A minimal generating matrix K of ker M: compose(M, K) = 0, source twists
-    equal splitting_of_kernel(M) sorted descending, and K has full rank at
-    every point of the line.
+    """A minimal generating matrix K of ker M for a one-row map M:
+    compose(M, K) = 0, source twists equal splitting_of_kernel(M) sorted
+    descending, and K has full rank at every point of the line.
 
     Columns of twist a are the scan's nullspace vectors at m = -a that are
     independent of the shifts of the columns found before.  The scan proves
@@ -463,11 +391,16 @@ def certify_kernel(M: GradedSheafMap, K: GradedSheafMap, rank: int, degree: int)
     """Certify that K is a minimal generating matrix of ker M, given that
     ker M is a bundle of this rank and degree: raises CertificationError
     unless compose(M, K) = 0, K has `rank` columns of twist sum `degree`, and
-    K has full generic rank.
+    K has full rank at the point (1 : 0), where each entry is its s-power
+    coefficient.
 
-    K then maps ⊕O(b_j) into ker M, and a generically injective map between
+    One nonzero maximal minor at one point makes K generically injective.  K
+    then maps ⊕O(b_j) into ker M, and a generically injective map between
     bundles of equal rank and degree is an isomorphism (its determinant is a
-    nonzero constant), so K has full rank at every point of the line."""
+    nonzero constant), so K has full rank at every point of the line.  The
+    check refuses no correct K over any field: the quotient of the source by
+    ker M embeds in the target, so it is locally free, ker M is a subbundle,
+    and a minimal generating matrix is injective at every point."""
     if not compose(M, K).is_zero_map():
         raise CertificationError("kernel matrix does not annihilate the map")
     if K.ncols != rank or sum(K.source) != degree:
@@ -475,8 +408,9 @@ def certify_kernel(M: GradedSheafMap, K: GradedSheafMap, rank: int, degree: int)
             f"kernel matrix has rank {K.ncols} and degree {sum(K.source)}, "
             f"the kernel has rank {rank} and degree {degree}"
         )
-    if generic_rank(K) != K.ncols:
-        raise CertificationError("kernel matrix is not generically injective")
+    at_point = [[K.entry(i, j).coeff(0) for j in range(K.ncols)] for i in range(K.nrows)]
+    if linalg.rank(at_point, K.field, K.ncols) != K.ncols:
+        raise CertificationError("kernel matrix is not injective at the point (1 : 0)")
 
 
 def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> list:
@@ -498,17 +432,22 @@ def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> 
 # -- hypersurface-level checks -----------------------------------------------------
 
 
+def _onto_everywhere(M: GradedSheafMap) -> bool:
+    """True iff the one-row map M is onto its target at every point of the
+    line: its row is nonzero and the gcd of its entries is constant."""
+    return bool(M.entries) and bf_gcd(list(M.entries.values())).degree == 0
+
+
 def check_smooth_along_curve(F: IdealCombination) -> bool:
     """True iff X = V(F) is smooth at every point of the curve C, that is,
-    iff the entries of delta have no common projective zero.
+    iff delta is onto O(de) at every point of C.
 
     X is smooth at a point of C iff dF|_C is nonzero there.  F vanishes on
     C, so dF|_C : T_{P^n}|_C -> O(de) kills T_C and factors through the
     surjection T_{P^n}|_C -> N_{C/P^n} followed by psi; that composite is
     delta.  So dF|_C and delta have the same image in O(de), and they vanish
     at the same points: exactly where all entries of delta do."""
-    delta = build_delta(F)
-    return bool(delta.entries) and bf_gcd(list(delta.entries.values())).degree == 0
+    return _onto_everywhere(build_delta(F))
 
 
 # -- serialization -----------------------------------------------------------------

@@ -12,11 +12,11 @@ from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
+    _onto_everywhere,
     _scan_window,
+    _section_matrix,
     build_delta,
-    generic_rank,
     normal_twists,
-    section_kernel_dim,
     tangent_twists,
 )
 
@@ -81,47 +81,34 @@ def dense_combination(rnd, context, bound=9):
     return IdealCombination(context, quadric, linear)
 
 
-def onto_everywhere(M):
-    """True iff a map with one or two rows is onto at every point: the gcd of
-    its maximal minors, multiplied out exactly, is a nonzero constant.  Needs
-    no interpolation, so it holds over every field."""
-    if M.nrows == 1:
-        minors = [M.entry(0, j) for j in range(M.ncols)]
-    else:
-        assert M.nrows == 2
-        minors = [
-            M.entry(0, j).mul(M.entry(1, k)).sub(M.entry(0, k).mul(M.entry(1, j)))
-            for j, k in itertools.combinations(range(M.ncols), 2)
-        ]
-    minors = [f for f in minors if not f.is_zero()]
-    return bool(minors) and bf_gcd(minors).degree == 0
-
-
 def random_surjective_map(rnd, field=GF, max_rank=6, spread=8):
-    """Random graded map of full rank at every point (surjective onto the
-    target twist-sum), retrying the generic draw until the certificate holds.
-    Coefficients are uniform mod p, or integers in [-9, 9] over Q."""
+    """Random one-row graded map onto its target at every point, retrying the
+    generic draw until the gcd of its entries is constant.  Coefficients are
+    uniform mod p, or integers in [-9, 9] over Q."""
     draw = (lambda: rnd.randrange(-9, 10)) if field.p is None else (lambda: rnd.randrange(0, field.p))
     while True:
-        nrows = rnd.randrange(1, 3)
-        ncols = rnd.randrange(nrows + 1, max_rank + 1)
+        ncols = rnd.randrange(2, max_rank + 1)
         base = rnd.randrange(0, 3)
         source = tuple(
             sorted((base + rnd.randrange(0, spread + 1) for _ in range(ncols)), reverse=True)
         )
-        shift = rnd.randrange(1, 4)
-        target = tuple(max(source) + shift + rnd.randrange(0, 2) for _ in range(nrows))
+        c = max(source) + rnd.randrange(1, 4) + rnd.randrange(0, 2)
         entries = {}
-        for i in range(nrows):
-            for j in range(ncols):
-                deg = target[i] - source[j]
-                coeffs = [field.from_int(draw()) for _ in range(deg + 1)]
-                f = BinaryForm(field, deg, tuple(coeffs))
-                if not f.is_zero():
-                    entries[(i, j)] = f
-        M = GradedSheafMap(field, source, target, entries)
-        if onto_everywhere(M):
+        for j in range(ncols):
+            deg = c - source[j]
+            coeffs = [field.from_int(draw()) for _ in range(deg + 1)]
+            f = BinaryForm(field, deg, tuple(coeffs))
+            if not f.is_zero():
+                entries[(0, j)] = f
+        M = GradedSheafMap(field, source, (c,), entries)
+        if _onto_everywhere(M):
             return M
+
+
+def section_kernel_dim(M: GradedSheafMap, m: int) -> int:
+    """dim ker of the induced linear map on global sections twisted by m."""
+    A, C = _section_matrix(M, m)
+    return C - linalg.rank(A, M.field, C)
 
 
 def full_window_splitting(M):
@@ -139,7 +126,7 @@ def full_window_splitting(M):
         assert inc >= prev_inc, f"section counts not monotone at twist {m}"
         parts.extend([-m] * (inc - prev_inc))
         prev_count, prev_inc = count, inc
-    assert prev_inc == M.ncols - generic_rank(M)
+    assert prev_inc == M.ncols - (1 if M.entries else 0)
     return tuple(sorted(parts))
 
 
@@ -281,6 +268,26 @@ def build_df(ctx) -> GradedSheafMap:
 # interpolated from determinants.  Oracle for kernel_matrix / cokernel_matrix.
 
 
+def evaluate(f: BinaryForm, point):
+    """Exact value of the form f at the point (s0, t0) != (0, 0)."""
+    K = f.field
+    s0, t0 = point
+    if K.is_zero(s0) and K.is_zero(t0):
+        raise ValueError("evaluation point (0, 0) is not a point of the projective line")
+    if f.degree == -1:
+        return K.zero
+    # Horner in t/s-split form: sum c_i s^(d-i) t^i.
+    acc = K.zero
+    spow = K.one
+    tpow = [K.one]
+    for _ in range(f.degree):
+        tpow.append(K.mul(tpow[-1], t0))
+    for i in range(f.degree, -1, -1):
+        acc = K.add(acc, K.mul(f.coeffs[i], K.mul(spow, tpow[i])))
+        spow = K.mul(spow, s0)
+    return acc
+
+
 def det(rows, field: FieldSpec):
     """Determinant of a square scalar matrix by fraction-free-enough Gaussian
     elimination over the field."""
@@ -336,7 +343,7 @@ def minor_form(M: GradedSheafMap, rows: tuple, cols: tuple) -> BinaryForm:
     values = []
     for k in range(D + 1):
         P = (K.one, K.from_int(k))
-        sub = [[M.entry(i, j).eval(P) for j in cols] for i in rows]
+        sub = [[evaluate(M.entry(i, j), P) for j in cols] for i in rows]
         values.append(det(sub, K))
     f = _interpolate_form(K, D, values)
     return f if not f.is_zero() else BinaryForm.zero(K)

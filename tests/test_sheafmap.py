@@ -17,12 +17,10 @@ from rncsplit.sheafmap import (
     certify_kernel,
     compose,
     format_map,
-    generic_rank,
     kernel_matrix,
     map_from_json,
     map_to_json,
     parse_map,
-    section_kernel_dim,
     splitting_of_kernel,
     stack_rows,
     tangent_twists,
@@ -41,6 +39,7 @@ from tests.helpers import (
     h0_euler_crosscheck,
     random_combination,
     random_surjective_map,
+    section_kernel_dim,
     section_matrix_loop,
 )
 
@@ -223,7 +222,7 @@ def test_splitting_goldens():
 def test_splitting_of_zero_and_injective_maps():
     Z = GradedSheafMap(RATIONALS, (2, 5), (7,), {})
     assert splitting_of_kernel(Z).parts == (2, 5)
-    inj = from_rows([["s"], ["t"]], source=(0,), target=(1, 1))
+    inj = from_rows([["s"]], source=(0,), target=(1,))
     assert splitting_of_kernel(inj).parts == ()
 
 
@@ -241,7 +240,7 @@ def test_early_stop_scan_matches_full_window_oracle():
         build_psi(quintic_surface()),
         build_delta(cubic_surface()),
         from_rows([["s", "t"]], source=(0, 0), target=(1,)),
-        from_rows([["s"], ["t"]], source=(0,), target=(1, 1)),
+        from_rows([["s"]], source=(0,), target=(1,)),
         GradedSheafMap(RATIONALS, (2, 5), (7,), {}),
     ]
     F = random_combination(rnd, CurveContext(3, 3, 4, RATIONALS))
@@ -251,27 +250,20 @@ def test_early_stop_scan_matches_full_window_oracle():
 
 
 def test_scan_of_one_row_map_vanishing_on_tiny_field():
-    # s^p*t - s*t^p is nonzero but vanishes at every point of P^1(F_p); point
-    # evaluation would see rank 0, so one-row maps are ranked without it
+    # s^p*t - s*t^p is nonzero but vanishes at every point of P^1(F_p); the
+    # scan reads the kernel rank off the shape, with no point evaluation
     for p, text in ((3, "s^3*t - s*t^3"), (2, "s^2*t + s*t^2")):
         M = from_rows([[text]], source=(0,), target=(p + 1,), field=FieldSpec(p))
-        assert generic_rank(M) == 1
         assert splitting_of_kernel(M).parts == ()
+        assert kernel_matrix(M).ncols == 0
 
 
-@pytest.mark.parametrize("p, text", [(2, "s^2*t + s*t^2"), (3, "s^3*t - s*t^3")])
-def test_generic_rank_of_map_vanishing_on_tiny_field(p, text):
-    # the 2x2 minor vanishes at every point of P^1(F_p), so the rank is read
-    # off the nullity counts at the top of the scan window
-    K = FieldSpec(p)
-    M = from_rows([[text, "0"], ["0", "1"]], source=(0, 3), target=(p + 1, 3), field=K)
-    assert generic_rank(M) == 2
-    assert splitting_of_kernel(M).parts == ()
-    assert kernel_matrix(M).ncols == 0
-    # a map that really drops rank keeps its rank and its kernel O(-1)
-    low = from_rows([["s", "t"], ["s", "t"]], source=(0, 0), target=(1, 1), field=K)
-    assert generic_rank(low) == 1
-    assert splitting_of_kernel(low).parts == (-1,)
+def test_scan_rejects_maps_with_several_rows():
+    M = from_rows([["s", "t"], ["t", "s"]], source=(0, 0), target=(1, 1))
+    with pytest.raises(MapError):
+        splitting_of_kernel(M)
+    with pytest.raises(MapError):
+        kernel_matrix(M)
 
 
 # -- kernel matrices -----------------------------------------------------------------
@@ -368,14 +360,6 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
     assert built == [-10, -9, -8]
 
 
-def _random_row(rnd, field):
-    """A random one-row map onto its target at every point."""
-    M = random_surjective_map(rnd, field, max_rank=4, spread=5)
-    while M.nrows != 1:
-        M = random_surjective_map(rnd, field, max_rank=4, spread=5)
-    return M
-
-
 def _times(M, h):
     """The one-row map M times the nonzero form h."""
     entries = {k: f.mul(h) for k, f in M.entries.items()}
@@ -390,17 +374,15 @@ def _monic(rnd, field, degree):
 @pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
 def test_chi_stop_matches_full_window_oracle(field):
     # the h^0 = χ stop against the full increment scan: onto maps (χ decides),
-    # one-row maps with a common factor and maps of rank < rows (the increment
-    # rule decides), and unbalanced kernels
+    # maps with a common factor (the increment rule decides), and unbalanced
+    # kernels
     rnd = random.Random(2027)
     # the full-window oracle is slow over Q, so the Q draws are smaller
     size = dict(max_rank=5, spread=6) if field.p else dict(max_rank=4, spread=4)
     maps = [random_surjective_map(rnd, field, **size) for _ in range(12)]
+    row = dict(max_rank=4, spread=5)
     for deg in (1, 2, 3):  # entries with a common factor: deg ker M = D + deg
-        maps += [_times(_random_row(rnd, field), _monic(rnd, field, deg)) for _ in range(2)]
-    for _ in range(3):  # a row stacked over a multiple of itself: rank 1 < 2 rows
-        M = _random_row(rnd, field)
-        maps.append(stack_rows(M, _times(M, _monic(rnd, field, 1))))
+        maps += [_times(random_surjective_map(rnd, field, **row), _monic(rnd, field, deg)) for _ in range(2)]
     coprime = [(e, n) for e, n in ((3, 3), (3, 5), (5, 5), (5, 9)) if field.p is None or e % field.p]
     for e, n in coprime:  # quadric chains: unbalanced T, and N
         F = chain_hypersurface(2, e, n, field)
@@ -500,6 +482,24 @@ def test_kernel_certificate_matches_minor_oracle():
         for N, injective in ((K, True), (_times_column(K, j, 1, 0), False), (_times_column(K, j, 0, 1), False)):
             assert _certifies(M, N, degree) == injective
             assert full_rank_everywhere(N) == injective
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2)], ids=str)
+def test_kernel_certificate_checks_rank_at_one_point(field):
+    # ker (s, t, 0, 0) = O(-1) + O^2; a repeated column keeps the rank, the
+    # degree and compose(M, K) = 0, and only the rank at (1 : 0) sees it
+    M = from_rows([["s", "t", "0", "0"]], source=(0, 0, 0, 0), target=(1,), field=field)
+    K = kernel_matrix(M)
+    certify_kernel(M, K, 3, -1)
+    bad = from_rows(
+        [["t", "0", "0"], ["-s", "0", "0"], ["0", "1", "1"], ["0", "0", "0"]],
+        source=(-1, 0, 0),
+        target=(0, 0, 0, 0),
+        field=field,
+    )
+    assert compose(M, bad).is_zero_map()
+    with pytest.raises(CertificationError):
+        certify_kernel(M, bad, 3, -1)
 
 
 # -- full-rank certificate ---------------------------------------------------------------
