@@ -86,10 +86,14 @@ def _emit(args, payload: dict, text: str) -> None:
 def _case_report(F, d: int, e: int, n: int) -> dict:
     psi = build_psi(F)
     delta = _delta_from_psi(F.context, psi)
+    if not _onto_everywhere(delta):
+        raise UsageError(
+            "the hypersurface is singular along the curve (delta is not onto O(de) "
+            "at every point), so ker delta is not T_X|_C"
+        )
     K = kernel_matrix(delta)
     T = SplittingType(tuple(sorted(K.source)))
     N = splitting_of_kernel(psi)
-    smooth = _onto_everywhere(delta)
     pred = predicted_splitting(d, e, n)
     return {
         "params": {"d": d, "e": e, "n": n, "field": str(F.context.field)},
@@ -104,7 +108,7 @@ def _case_report(F, d: int, e: int, n: int) -> dict:
         "provenance": pred.provenance,
         "predicted": splitting_to_json(pred.splitting) if pred.verdict == EXACT else pred.verdict,
         "certificates": {
-            "smooth_along_curve": smooth,
+            "smooth_along_curve": True,
             "kernel_compose_zero": True,
             "kernel_full_rank": True,
             "kernel_source": list(K.source),

@@ -9,6 +9,10 @@ hold, so dividing each pivot row by its pivot gives the same reduced echelon
 form; ``Fraction`` entries are made only for the output.  Prime-field matrices
 go through vectorized numpy row reduction mod p (int64 is safe: all
 intermediate products stay below p^2 < 2^63 for any 31-bit prime).
+
+Rank and the pivot columns need no reduced form: `pivot_columns` runs forward
+elimination only (each pivot row clears the rows below it, with no
+back-substitution and no basis), and `rank` is the number of its pivots.
 """
 
 from __future__ import annotations
@@ -49,10 +53,35 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         others = np.nonzero(A[:, c])[0]
         others = others[others != r]
         if others.size:
-            A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+            # the pivot row is zero left of c
+            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def _pivots_mod(A: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of A mod p by forward elimination."""
+    A = A % p
+    m, n = A.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
+        if below.size:
+            f = A[below, c] * pow(int(A[r, c]), p - 2, p) % p
+            A[below, c:] = (A[below, c:] - np.outer(f, A[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def _integer_row(row) -> list[int]:
@@ -72,6 +101,23 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     g = math.gcd(row[c], pivot_row[c])
     a, b = row[c] // g, pivot_row[c] // g
     return _primitive([b * x - a * y for x, y in zip(row, pivot_row)])
+
+
+def _pivots_q(rows) -> list[int]:
+    """Pivot columns of a rational matrix by integer forward elimination."""
+    A = [_integer_row(row) for row in rows]
+    n = len(A[0]) if A else 0
+    pivots = []
+    for c in range(n):
+        if not A:
+            break
+        piv = next((i for i, row in enumerate(A) if row[c]), None)
+        if piv is None:
+            continue
+        P = A.pop(piv)
+        A = [_eliminate(row, P, c) if row[c] else row for row in A]
+        pivots.append(c)
+    return pivots
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int]]:
@@ -110,10 +156,19 @@ def rref(rows, field: FieldSpec, width: int | None = None):
     return R + [[Fraction(0)] * len(row) for row in A[len(pivots) :]], pivots
 
 
-def rank(rows, field: FieldSpec, width: int | None = None) -> int:
+def pivot_columns(rows, field: FieldSpec, width: int | None = None) -> list[int]:
+    """Pivot columns of the row echelon form (the same as rref's), by forward
+    elimination only: column k is a pivot iff it is independent of columns
+    0..k-1, so the rank of the first k columns is the number of pivots < k."""
     if field.p is None:
-        return len(_echelon(rows)[1])
-    return len(rref(rows, field, width)[1])
+        return _pivots_q(rows)
+    if width is None:
+        width = len(rows[0]) if len(rows) else 0
+    return _pivots_mod(_to_np(rows, field.p, width), field.p)
+
+
+def rank(rows, field: FieldSpec, width: int | None = None) -> int:
+    return len(pivot_columns(rows, field, width))
 
 
 def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:

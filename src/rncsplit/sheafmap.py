@@ -12,6 +12,7 @@ rank at every point of the line follows from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,13 +240,50 @@ def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
     return -B - 1, -min(a_spec, a_safe)
 
 
+def _submatrix(A, nrows: int, cols: list, field: FieldSpec):
+    """The first nrows rows of a section matrix, restricted to cols in order."""
+    if field.p is not None:
+        return A[:nrows, cols]
+    return [[row[k] for k in cols] for row in A[:nrows]]
+
+
+def _section_counts(M: GradedSheafMap, A, T: int) -> list[int]:
+    """[N(T), N(T-1), ...] down to the last twist with sections, from one
+    forward elimination of the twist-T section matrix A (block order) with
+    its columns taken in level order; see _nullity_scan."""
+    levels = [b + T - q for b in M.source for q in range(b + T + 1)]
+    order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+    pivots = linalg.pivot_columns(_submatrix(A, len(A), order, M.field), M.field, len(order))
+    counts = []
+    for k in range(max(levels, default=-1) + 1):
+        width = sum(max(0, b + T - k + 1) for b in M.source)  # columns of level >= k
+        counts.append(width - bisect_left(pivots, width))
+    return counts
+
+
 def _nullity_scan(M: GradedSheafMap):
-    """Nullity scan of a one-row map M : ⊕O(b_j) -> O(c): one section matrix
-    and one nullspace per twist, each twist built at most once.  For
-    ker M ≅ ⊕O(a_i) the nullspace sizes obey N(m) = h^0(ker M(m)) and
-    N(m) - N(m-1) = #{i : a_i >= -m}; at each twist m where this increment
-    grows, yields (m, new_parts, sections), and sections(m) gives the
-    (basis, width) of the nullspace at m.  Any other map raises MapError.
+    """Nullity scan of a one-row map M : ⊕O(b_j) -> O(c).  For ker M ≅ ⊕O(a_i)
+    the section counts N(m) = dim ker of _section_matrix(M, m) obey
+    N(m) = h^0(ker M(m)) and N(m) - N(m-1) = #{i : a_i >= -m}; at each twist
+    m where this increment grows, yields (m, new_parts, sections), and
+    sections(m) gives the (basis, width) of the nullspace at m.  Any other
+    map raises MapError.
+
+    One elimination gives every count below a twist T (the single-rref idea
+    of Hong, Hough and Kogan, "Algorithm for computing μ-bases of univariate
+    polynomials", J. Symbolic Comput. 80, 2017).  Coefficient q of block j at
+    twist T is the coefficient of s^(b_j+T-q) t^q; give its column the level
+    b_j + T - q.  Multiplication by s^k embeds the sections at T - k into
+    those at T as the columns of level >= k, and the target rows above
+    c + T - k are zero on them: those columns are the section matrix at
+    T - k.  Ordered by level, descending, they are a prefix, and the rank of
+    a prefix is the number of pivots in it.  So the pivot levels of one
+    forward elimination give N(T - k) for every k >= 0 (_section_counts).
+    The scan first eliminates at T = m0 + 1 (m0 as in the χ stop below),
+    where a balanced kernel meets χ, so one matrix answers the N(m0) = 0
+    check, any step down and the χ stop; it eliminates at a higher twist
+    only when an unbalanced kernel climbs past T.  sections(m) cuts the twist-m matrix, in block order,
+    from a built twist above m, so no twist is built twice.
 
     The kernel's rank r and a lower bound D on its degree come from the shape.
     A nonzero row has image O(c - deg g), g the gcd of its entries, so
@@ -260,7 +298,8 @@ def _nullity_scan(M: GradedSheafMap):
     their generators are yielded at twist m+1.  Multiplication by s injects
     the sections at m into those at m+1, so N(m) = 0 forces N = 0 below m:
     the scan starts at m0 = floor(-D/r) - 1 (a balanced kernel of degree D
-    has no sections there), stepping down only while N(m0) > 0.
+    has no sections there, and meets χ at m0 + 1), stepping down only while
+    N(m0) > 0.
 
     Increment stop: where the row is not onto at some point, deg ker M > D
     and χ is never met; the scan stops at the first twist where the increment
@@ -277,25 +316,42 @@ def _nullity_scan(M: GradedSheafMap):
     if rank == 0:
         return
     m_bottom, m_top = _scan_window(M)
-    built: dict = {}
+    built: dict = {}  # twist -> (section matrix in block order, width)
+    below: dict = {}  # twist T -> [N(T), N(T-1), ...]
+
+    def matrix(m: int):
+        top = min((t for t in built if t >= m), default=m)
+        if top not in built:
+            built[m] = _section_matrix(M, m)
+        if top == m:
+            return built[m]
+        cols = []
+        off = 0
+        for b in M.source:
+            cols.extend(range(off, off + max(0, b + m + 1)))
+            off += max(0, b + top + 1)
+        return _submatrix(built[top][0], max(0, M.target[0] + m + 1), cols, M.field), len(cols)
+
+    def count(m: int) -> int:
+        top = min((t for t in below if t >= m), default=m)
+        if top not in below:
+            below[m] = _section_counts(M, matrix(m)[0], m)
+        return below[top][top - m] if top - m < len(below[top]) else 0
 
     def sections(m: int):
-        if m not in built:
-            A, C = _section_matrix(M, m)
-            built[m] = linalg.nullspace(A, M.field, C), C
-        return built[m]
+        A, C = matrix(m)
+        return linalg.nullspace(A, M.field, C), C
 
     start = max(m_bottom + 1, min(-degree // rank - 1, m_top))
-    while start > m_bottom + 1 and sections(start)[0]:
+    count(start + 1)  # eliminate at the χ twist of a balanced kernel first
+    while start > m_bottom + 1 and count(start):
         start -= 1
-    counts = {start - 1: 0}
     parts: list[int] = []
     prev_inc = 0
     m_stop = m_top
     chi_met = False
     for m in range(start, m_top + 1):
-        counts[m] = len(sections(m)[0])
-        inc = counts[m] - counts[m - 1]
+        inc = count(m) - count(m - 1)
         if inc < prev_inc:
             raise CertificationError(f"section counts not monotone at twist {m}")
         if inc > prev_inc:
@@ -303,7 +359,7 @@ def _nullity_scan(M: GradedSheafMap):
             parts.extend(new_parts)
             yield m, new_parts, sections
         prev_inc = inc
-        chi_met = counts[m] == rank * (m + 1) + degree
+        chi_met = count(m) == rank * (m + 1) + degree
         if chi_met or inc == rank:
             m_stop = m
             break
@@ -317,7 +373,7 @@ def _nullity_scan(M: GradedSheafMap):
         )
     for m in (m_stop - 1, m_stop):
         want = sum(max(0, a + m + 1) for a in parts)
-        if m in counts and counts[m] != want:
+        if count(m) != want:
             raise CertificationError(
                 f"recovered splitting {sorted(parts)} inconsistent with count at twist {m}"
             )

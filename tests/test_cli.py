@@ -34,6 +34,18 @@ def test_compute_quintic_from_file(capsys, tmp_path):
     assert "N_C/X  = O(-5)" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_singular_along_curve_exit_2(capsys, tmp_path, fmt):
+    # F = Q_{1,2}^2 is singular along all of C: delta = 0, and ker delta is
+    # T_{P^3}|_C, not T_X|_C, so no splitting may be printed
+    hsf = tmp_path / "singular.hsf"
+    hsf.write_text("d = 4\ne = 3\nn = 3\nQ 1 2 : x1^2 - x0*x2\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "singular along the curve" in err
+
+
 def test_readme_hsf_example(capsys, tmp_path):
     text = README.read_text(encoding="utf-8").split("Hypersurface files (`.hsf`)", 1)[1]
     block = re.search(r"```\n(.*?)```", text, re.S).group(1)

@@ -212,3 +212,41 @@ def test_integer_elimination_matches_fraction_oracle(system):
         res = span.insert(v)
         assert res == oracle.insert(v)
         assert res is None or _all_fractions([res])
+
+
+@st.composite
+def prime_field_systems(draw):
+    """(field, rows, width): up to 6 random rows mod a small or large prime,
+    then up to three multiples of earlier rows, so that ranks drop."""
+    p = draw(st.sampled_from([2, 3, 7, 32003, 2**31 - 1]))
+    width = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            scale = draw(st.integers(0, p - 1))
+            rows.insert(draw(st.integers(0, len(rows))), [scale * x % p for x in rows[i]])
+    return FieldSpec(p), rows, width
+
+
+@settings(deadline=None)
+@given(rational_systems(), prime_field_systems())
+@example(([], 0, [], []), (FieldSpec(2), [], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3, [0, 1], [1, 2, 3]), (FieldSpec(3), [[0, 0], [0, 0]], 2))
+def test_pivot_columns_match_rref(system, mod_system):
+    # forward elimination finds the pivot columns of the reduced form
+    rows, width, _, _ = system
+    pivots = linalg.pivot_columns(rows, RATIONALS, width)
+    assert pivots == linalg.rref(rows, RATIONALS, width)[1]
+    assert linalg.rank(rows, RATIONALS, width) == len(pivots)
+    K, rows, width = mod_system
+    pivots = linalg.pivot_columns(rows, K, width)
+    R, rref_pivots = linalg.rref(rows, K, width)
+    assert pivots == rref_pivots
+    # the reduced form is the identity on its pivot columns, zero past the rank
+    assert np.array_equal(R[:, pivots], np.eye(len(rows), len(pivots), dtype=np.int64))
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    assert linalg.pivot_columns(A, K, width) == pivots
+    assert linalg.rank(A, K, width) == len(pivots)
+    if rows:
+        assert len(pivots) == _rank_mod_p(rows, K.p)

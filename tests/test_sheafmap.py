@@ -9,6 +9,7 @@ from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
     CertificationError,
+    _onto_everywhere,
     GradedSheafMap,
     MapError,
     build_delta,
@@ -349,15 +350,17 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
         assert K.ncols > 0
         assert len(built) == len(set(built)), built
     # (7, 14, 14): the scan starts one twist below the slope of O(8)^5 + O(9)^8
-    # and h^0 = χ at the next twist proves the type; the full increment scan
-    # built 8 twists for either call
+    # and h^0 = χ at the next twist proves the type; that one level-ordered
+    # matrix holds both counts, and kernel_matrix builds only the twist where
+    # the last generators appear (the full increment scan built 8 twists for
+    # either call)
     delta = build_delta(chain_hypersurface(7, 14, 14))
     built.clear()
     assert splitting_of_kernel(delta).parts == (8,) * 5 + (9,) * 8
-    assert built == [-10, -9]
+    assert built == [-9]
     built.clear()
     assert sorted(kernel_matrix(delta).source) == [8] * 5 + [9] * 8
-    assert built == [-10, -9, -8]
+    assert built == [-9, -8]
 
 
 def _times(M, h):
@@ -393,6 +396,42 @@ def test_chi_stop_matches_full_window_oracle(field):
         want = full_window_splitting(M)
         assert splitting_of_kernel(M).parts == want, M
         assert tuple(sorted(kernel_matrix(M).source)) == want, M
+
+
+def _random_row(rnd, field, max_cols=5):
+    """A random one-row map with some zero entries; often not onto at some point."""
+    source = tuple(rnd.randrange(-2, 6) for _ in range(rnd.randrange(1, max_cols + 1)))
+    c = max(source) + rnd.randrange(0, 4)
+    entries = {}
+    for j, b in enumerate(source):
+        if rnd.random() < 0.7:
+            coeffs = tuple(field.from_int(rnd.randrange(-9, 10)) for _ in range(c - b + 1))
+            entries[(0, j)] = BinaryForm(field, c - b, coeffs)
+    return GradedSheafMap(field, source, (c,), entries)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF], ids=str)
+def test_level_ordered_counts_match_per_twist_oracle(field):
+    # one forward elimination of the level-ordered section matrix at twist m
+    # gives N(m - k) for every k >= 0: compare each with its own matrix
+    rnd = random.Random(1017)
+    maps = [GradedSheafMap(field, (3, 1, 1, -1), (5,), {})]  # the zero row
+    maps += [_random_row(rnd, field) for _ in range(10)]
+    for deg in (1, 2, 3):  # onto nowhere along a common factor
+        maps.append(_times(random_surjective_map(rnd, field, max_rank=4, spread=5), _monic(rnd, field, deg)))
+    maps += [random_surjective_map(rnd, field, max_rank=5, spread=6) for _ in range(4)]
+    maps += [build_delta(chain_hypersurface(2, 5, 9, field)), build_psi(chain_hypersurface(2, 5, 9, field))]
+    kinds = set()
+    for M in maps:
+        kinds.add("zero" if M.is_zero_map() else "onto" if _onto_everywhere(M) else "not onto")
+        kinds.add("balanced" if splitting_of_kernel(M).is_balanced() else "unbalanced")
+        m_bottom, m_top = sheafmap._scan_window(M)
+        want = {m: section_kernel_dim(M, m) for m in range(m_bottom - 1, m_top + 2)}
+        for m in range(m_bottom, m_top + 2):
+            counts = sheafmap._section_counts(M, sheafmap._section_matrix(M, m)[0], m)
+            for k in range(m - m_bottom + 2):
+                assert (counts[k] if k < len(counts) else 0) == want[m - k], (M, m, k)
+    assert kinds == {"zero", "onto", "not onto", "balanced", "unbalanced"}
 
 
 def test_section_matrix_matches_per_coefficient_oracle():
