@@ -1,14 +1,22 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Rational matrices are reduced over the integers in pure Python: each row is
-cleared of denominators once, and elimination cross-multiplies two rows and
-divides out the content of the result (fraction-free, as in Bareiss 1968, but
-dividing by the row content rather than by the previous pivot).  Every
+Matrices are lists of rows at every boundary; numpy arrays are accepted as
+input.  Rational matrices are reduced over the integers in pure Python: each
+row is cleared of denominators once, and elimination cross-multiplies two rows
+and divides out the content of the result (fraction-free, as in Bareiss 1968,
+but dividing by the row content rather than by the previous pivot).  Every
 integer row stays a nonzero multiple of the row rational Gauss-Jordan would
 hold, so dividing each pivot row by its pivot gives the same reduced echelon
-form; ``Fraction`` entries are made only for the output.  Prime-field matrices
-go through vectorized numpy row reduction mod p (int64 is safe: all
-intermediate products stay below p^2 < 2^63 for any 31-bit prime).
+form; ``Fraction`` entries are made only for the output.
+
+Prime-field matrices are lists of Python ints in 0..p-1, reduced by the same
+list kernels as rational ones (`_pivots`, `_echelon`) with a row operation mod
+p.  Those kernels skip the rows already zero in the pivot column, so a sparse
+matrix costs little more than its fill.  A matrix with more than
+DENSE_NONZEROS nonzero entries goes instead to vectorized numpy row reduction
+mod p, whose results come back as lists; numpy is imported only there.  That
+path is why FieldSpec takes p < 2^31: int64 is safe because all intermediate
+products stay below p^2 < 2^63.
 
 Rank and the pivot columns need no reduced form: `pivot_columns` runs forward
 elimination only (each pivot row clears the rows below it, with no
@@ -19,22 +27,48 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .fields import FieldSpec
 
+if TYPE_CHECKING:
+    import numpy as np
 
-def _to_np(rows: Sequence[Sequence[int]], p: int, width: int) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        return rows.astype(np.int64) % p
-    if len(rows) == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    return np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
+#: Prime-field matrices with more nonzero entries than this are reduced by
+#: numpy.  On uniform random dense square matrices mod 32003 numpy overtakes
+#: the list kernels at about 40 (rref) to 90 (forward elimination) nonzeros,
+#: and is 3-5 times faster at 625 and 10-13 times faster at 6400.  Section
+#: matrices are sparse, though, and most rows are zero in each pivot column:
+#: `verify` on the published tables up to n = 14, whose matrices have at most
+#: 182 nonzeros, runs 20% faster on lists than on numpy even with numpy
+#: loaded, and loading it costs about 70 ms once per process.
+DENSE_NONZEROS = 500
+
+
+def _listed(a):
+    """A numpy array as (nested) lists of Python ints; anything else as is."""
+    return a.tolist() if hasattr(a, "tolist") else a
+
+
+def _mod_rows(rows, p: int) -> list[list[int]]:
+    """A fresh copy of rows as lists of ints in 0..p-1."""
+    return [[x % p for x in row] for row in _listed(rows)]
+
+
+def _is_dense(A: list[list[int]]) -> bool:
+    return sum(len(row) - row.count(0) for row in A) > DENSE_NONZEROS
+
+
+def _to_np(A: list[list[int]], width: int):
+    import numpy as np
+
+    return np.array(A, dtype=np.int64).reshape(len(A), width)
 
 
 def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    import numpy as np
+
     A = A % p
     m, n = A.shape
     pivots = []
@@ -62,6 +96,8 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _pivots_mod(A: np.ndarray, p: int) -> list[int]:
     """Pivot columns of A mod p by forward elimination."""
+    import numpy as np
+
     A = A % p
     m, n = A.shape
     pivots = []
@@ -103,33 +139,37 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     return _primitive([b * x - a * y for x, y in zip(row, pivot_row)])
 
 
-def _pivots_q(rows) -> list[int]:
-    """Pivot columns of a rational matrix by integer forward elimination."""
-    A = [_integer_row(row) for row in rows]
-    n = len(A[0]) if A else 0
+def _eliminate_mod(row: list[int], pivot_row: list[int], c: int, p: int) -> list[int]:
+    """row - (row[c] / pivot_row[c]) * pivot_row mod p, for a pivot row that
+    is zero left of c (so row keeps its entries there)."""
+    f = row[c] * pow(pivot_row[c], p - 2, p) % p
+    return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], pivot_row[c:])]
+
+
+def _pivots(A: list[list], width: int, eliminate) -> list[int]:
+    """Pivot columns of A by forward elimination (consumes A): each pivot row
+    clears column c of the rows left, skipping those already zero there."""
     pivots = []
-    for c in range(n):
+    for c in range(width):
         if not A:
             break
         piv = next((i for i, row in enumerate(A) if row[c]), None)
         if piv is None:
             continue
         P = A.pop(piv)
-        A = [_eliminate(row, P, c) if row[c] else row for row in A]
+        A = [eliminate(row, P, c) if row[c] else row for row in A]
         pivots.append(c)
     return pivots
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Integer Gauss-Jordan over Q: returns (rows, pivot_columns), where row k
-    is zero in every pivot column but its own, pivots[k], and the rows past
-    the rank are zero.  Row k divided by its pivot is row k of the rref."""
-    A = [_integer_row(row) for row in rows]
+def _echelon(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan on A in place: returns (A, pivot_columns), where row k is
+    zero in every pivot column but its own, pivots[k], and the rows past the
+    rank are zero.  Row k divided by its pivot is row k of the rref."""
     m = len(A)
-    n = len(A[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(n):
+    for c in range(width):
         if r == m:
             break
         piv = next((i for i in range(r, m) if A[i][c]), None)
@@ -139,19 +179,33 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
         P = A[r]
         for i in range(m):
             if i != r and A[i][c]:
-                A[i] = _eliminate(A[i], P, c)
+                A[i] = eliminate(A[i], P, c)
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def _echelon_q(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """_echelon of a rational matrix on primitive integer rows."""
+    return _echelon([_integer_row(row) for row in rows], width, _eliminate)
 
 
 def rref(rows, field: FieldSpec, width: int | None = None):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    if field.p is not None:
-        return _rref_mod(_to_np(rows, field.p, width), field.p)
-    A, pivots = _echelon(rows)
+    p = field.p
+    if p is not None:
+        A = _mod_rows(rows, p)
+        if _is_dense(A):
+            R, pivots = _rref_mod(_to_np(A, width), p)
+            return R.tolist(), pivots
+        A, pivots = _echelon(A, width, partial(_eliminate_mod, p=p))
+        for k, c in enumerate(pivots):
+            inv = pow(A[k][c], p - 2, p)
+            A[k] = [x * inv % p for x in A[k]]
+        return A, pivots
+    A, pivots = _echelon_q(rows, width)
     R = [[Fraction(x, row[c]) for x in row] for row, c in zip(A, pivots)]
     return R + [[Fraction(0)] * len(row) for row in A[len(pivots) :]], pivots
 
@@ -160,11 +214,15 @@ def pivot_columns(rows, field: FieldSpec, width: int | None = None) -> list[int]
     """Pivot columns of the row echelon form (the same as rref's), by forward
     elimination only: column k is a pivot iff it is independent of columns
     0..k-1, so the rank of the first k columns is the number of pivots < k."""
-    if field.p is None:
-        return _pivots_q(rows)
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    return _pivots_mod(_to_np(rows, field.p, width), field.p)
+    p = field.p
+    if p is None:
+        return _pivots([_integer_row(row) for row in rows], width, _eliminate)
+    A = _mod_rows(rows, p)
+    if _is_dense(A):
+        return _pivots_mod(_to_np(A, width), p)
+    return _pivots(A, width, partial(_eliminate_mod, p=p))
 
 
 def rank(rows, field: FieldSpec, width: int | None = None) -> int:
@@ -175,24 +233,19 @@ def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
     """Basis of the right kernel, one vector (length = width) per free column."""
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    if field.p is not None:
-        R, pivots = rref(rows, field, width)
-    else:
-        A, pivots = _echelon(rows)
+    p = field.p
+    # GF(p): the rref, pivots 1; Q: integer rows, pivots arbitrary
+    A, pivots = rref(rows, field, width) if p is not None else _echelon_q(rows, width)
     piv_set = set(pivots)
-    free = [j for j in range(width) if j not in piv_set]
-    if field.p is not None:
-        B = np.zeros((len(free), width), dtype=np.int64)
-        B[range(len(free)), free] = 1
-        B[:, pivots] = -R[: len(pivots)][:, free].T % field.p
-        return B.tolist()
     basis = []
-    for f in free:
+    for f in range(width):
+        if f in piv_set:
+            continue
         v = [field.zero] * width
         v[f] = field.one
         for row, pc in zip(A, pivots):
             if row[f]:
-                v[pc] = Fraction(-row[f], row[pc])
+                v[pc] = -row[f] % p if p is not None else Fraction(-row[f], row[pc])
         basis.append(v)
     return basis
 
@@ -201,18 +254,16 @@ def solve(rows, rhs, field: FieldSpec, width: int | None = None):
     """One particular solution of A x = rhs (free variables set to 0), or None."""
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(_listed(rows), _listed(rhs))]
     if not aug:
         return [field.zero] * width
-    if field.p is not None:
-        R, pivots = rref(aug, field, width + 1)
-    else:
-        A, pivots = _echelon(aug)
+    p = field.p
+    A, pivots = rref(aug, field, width + 1) if p is not None else _echelon_q(aug, width + 1)
     if width in pivots:
         return None
     x = [field.zero] * width
-    for k, pc in enumerate(pivots):
-        x[pc] = int(R[k, width]) if field.p is not None else Fraction(A[k][width], A[k][pc])
+    for row, pc in zip(A, pivots):
+        x[pc] = row[width] if p is not None else Fraction(row[width], row[pc])
     return x
 
 
@@ -220,9 +271,10 @@ class RowSpace:
     """Incrementally maintained row space with exact reduction.
 
     Stores an echelon basis kept mutually reduced (each stored row is zero in
-    the pivot columns of the others): numpy rows with pivot 1 over GF(p),
-    primitive integer rows over Q.  `insert` extends the span when a vector's
-    residual against it is nonzero.
+    the pivot columns of the others): lists of ints in 0..p-1 with pivot 1
+    over GF(p), primitive integer rows over Q.  `insert` extends the span
+    when a vector's residual against it is nonzero.  Rows are touched one at
+    a time, so GF(p) rows stay lists whatever their density.
     """
 
     def __init__(self, field: FieldSpec, width: int):
@@ -232,13 +284,13 @@ class RowSpace:
         self._pivots: list[int] = []
 
     def _reduce(self, vec):
-        K = self.field
-        if K.p is not None:
-            v = np.asarray([int(x) % K.p for x in vec], dtype=np.int64)
+        p = self.field.p
+        if p is not None:
+            v = [x % p for x in _listed(vec)]
             for piv, row in zip(self._pivots, self._rows):
-                c = int(v[piv])
+                c = v[piv]
                 if c:
-                    v = (v - c * row) % K.p
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
             return v
         v = _integer_row(vec)
         for piv, row in zip(self._pivots, self._rows):
@@ -249,23 +301,20 @@ class RowSpace:
     def insert(self, vec):
         """Reduce and, if independent, add; returns the residual (zero in
         every earlier pivot column, its own pivot entry 1) or None."""
-        K = self.field
+        p = self.field.p
         v = self._reduce(vec)
-        if K.p is not None:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return None
-            piv = int(nz[0])
-            v = (v * pow(int(v[piv]), K.p - 2, K.p)) % K.p
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        if p is not None:
+            inv = pow(v[piv], p - 2, p)
+            v = [x * inv % p for x in v]
             for i, row in enumerate(self._rows):
-                c = int(row[piv])
+                c = row[piv]
                 if c:
-                    self._rows[i] = (row - c * v) % K.p
+                    self._rows[i] = [(x - c * y) % p for x, y in zip(row, v)]
             residual = v
         else:
-            piv = next((i for i, x in enumerate(v) if x), None)
-            if piv is None:
-                return None
             for i, row in enumerate(self._rows):
                 if row[piv]:
                     self._rows[i] = _eliminate(row, v, piv)

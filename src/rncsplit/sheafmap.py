@@ -15,8 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .binform import BinaryForm, bf_gcd
 from .fields import FieldSpec
@@ -154,7 +152,7 @@ def build_psi(F: IdealCombination) -> GradedSheafMap:
         acc = BinaryForm.zero(K)
         for (i, j), r in restr.items():
             if i <= l < j and not r.is_zero():
-                acc = acc.add(r.mul(BinaryForm.monomial(K, e - 2, j + i - l - 2)))
+                acc = acc.add(r.shift(e - j - i + l, j + i - l - 2))
         if not acc.is_zero():
             entries[(0, l - 1)] = acc
     for k, poly in F.linear_coeffs.items():
@@ -195,42 +193,26 @@ def _delta_from_psi(ctx: CurveContext, psi: GradedSheafMap) -> GradedSheafMap:
 
 def _section_matrix(M: GradedSheafMap, m: int):
     """Matrix of the induced map ⊕Γ(O(b_j+m)) -> ⊕Γ(O(c_i+m)) in coefficient
-    coordinates (returns (matrix, n_cols)); multiplication by a form is its
-    coefficient convolution."""
-    K = M.field
+    coordinates (returns (matrix, n_cols)) as lists of field elements;
+    multiplication by a form is its coefficient convolution."""
+    zero = M.field.zero
     src_dims = [max(0, b + m + 1) for b in M.source]
     tgt_dims = [max(0, c + m + 1) for c in M.target]
-    col_off = [0]
-    for d in src_dims:
-        col_off.append(col_off[-1] + d)
-    row_off = [0]
-    for d in tgt_dims:
-        row_off.append(row_off[-1] + d)
-    R, C = row_off[-1], col_off[-1]
-    if K.p is not None:
-        A = np.zeros((R, C), dtype=np.int64)
-        for (i, j), f in M.entries.items():
-            ds = src_dims[j]
-            if ds == 0:
-                continue
-            # f has degree c_i - b_j, so all ds columns of the block get every
-            # coefficient: coefficient u sits u rows below the diagonal
-            q = np.arange(ds)
-            rows = row_off[i] + np.arange(f.degree + 1)[:, None] + q
-            coeffs = np.array([int(c) % K.p for c in f.coeffs], dtype=np.int64)
-            A[rows, col_off[j] + q] = coeffs[:, None]
-        return A, C
-    A = [[K.zero] * C for _ in range(R)]
-    for (i, j), f in M.entries.items():
-        ds, dt = src_dims[j], tgt_dims[i]
-        if ds == 0 or dt == 0:
-            continue
-        for u, coeff in enumerate(f.coeffs):
-            if K.is_zero(coeff):
-                continue
-            for q in range(min(ds, dt - u)):
-                A[row_off[i] + u + q][col_off[j] + q] = coeff
-    return A, C
+    # M_ij has degree c_i - b_j, so column q of block j holds every
+    # coefficient of M_ij, coefficient u in row q + u of block i
+    cols = []
+    for j, ds in enumerate(src_dims):
+        for q in range(ds):
+            col = []
+            for i, dt in enumerate(tgt_dims):
+                f = M.entries.get((i, j))
+                if f is None:
+                    col += [zero] * dt
+                else:
+                    col += [zero] * q + list(f.coeffs) + [zero] * (dt - q - f.degree - 1)
+            cols.append(col)
+    A = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(tgt_dims))]
+    return A, len(cols)
 
 
 def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
@@ -240,10 +222,8 @@ def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
     return -B - 1, -min(a_spec, a_safe)
 
 
-def _submatrix(A, nrows: int, cols: list, field: FieldSpec):
+def _submatrix(A, nrows: int, cols: list):
     """The first nrows rows of a section matrix, restricted to cols in order."""
-    if field.p is not None:
-        return A[:nrows, cols]
     return [[row[k] for k in cols] for row in A[:nrows]]
 
 
@@ -253,7 +233,7 @@ def _section_counts(M: GradedSheafMap, A, T: int) -> list[int]:
     its columns taken in level order; see _nullity_scan."""
     levels = [b + T - q for b in M.source for q in range(b + T + 1)]
     order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
-    pivots = linalg.pivot_columns(_submatrix(A, len(A), order, M.field), M.field, len(order))
+    pivots = linalg.pivot_columns(_submatrix(A, len(A), order), M.field, len(order))
     counts = []
     for k in range(max(levels, default=-1) + 1):
         width = sum(max(0, b + T - k + 1) for b in M.source)  # columns of level >= k
@@ -330,7 +310,7 @@ def _nullity_scan(M: GradedSheafMap):
         for b in M.source:
             cols.extend(range(off, off + max(0, b + m + 1)))
             off += max(0, b + top + 1)
-        return _submatrix(built[top][0], max(0, M.target[0] + m + 1), cols, M.field), len(cols)
+        return _submatrix(built[top][0], max(0, M.target[0] + m + 1), cols), len(cols)
 
     def count(m: int) -> int:
         top = min((t for t in below if t >= m), default=m)
@@ -387,15 +367,13 @@ def splitting_of_kernel(M: GradedSheafMap) -> SplittingType:
 
 def _vector_to_forms(M: GradedSheafMap, vec, twist: int) -> dict:
     """Cut a section-space kernel vector at m = -twist into per-column forms."""
-    K = M.field
     forms = {}
     off = 0
     for j, b in enumerate(M.source):
         dim = max(0, b - twist + 1)
         if dim == 0:
             continue
-        coeffs = [K.from_int(int(x)) if K.p is not None else x for x in vec[off : off + dim]]
-        f = BinaryForm(K, b - twist, tuple(coeffs))
+        f = BinaryForm(M.field, b - twist, tuple(vec[off : off + dim]))
         if not f.is_zero():
             forms[j] = f
         off += dim
@@ -425,7 +403,7 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
         for v in basis:
             res = span.insert(v)
             if res is not None:
-                gens.append((a, _vector_to_forms(M, list(res), a)))
+                gens.append((a, _vector_to_forms(M, res, a)))
                 found += 1
                 if found == len(new_parts):
                     break
@@ -522,33 +500,6 @@ def format_map(M: GradedSheafMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_map(text: str, field: FieldSpec) -> GradedSheafMap:
-    import re
-
-    from .binform import parse_binary_form
-
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise MapError("empty map serialization")
-    m = re.match(r"^map\s+(\d+)\s*x\s*(\d+)\s*:\s*\[([^\]]*)\]\s*<-\s*\[([^\]]*)\]$", lines[0])
-    if not m:
-        raise MapError(f"bad map header: {lines[0]!r}")
-    nrows, ncols = int(m.group(1)), int(m.group(2))
-    target = tuple(int(x) for x in m.group(3).split(",") if x.strip() != "")
-    source = tuple(int(x) for x in m.group(4).split(",") if x.strip() != "")
-    if len(target) != nrows or len(source) != ncols:
-        raise MapError("map header dimensions disagree with twist lists")
-    entries = {}
-    for ln in lines[1:]:
-        em = re.match(r"^\((\d+)\s*,\s*(\d+)\)\s*:\s*(.+)$", ln)
-        if not em:
-            raise MapError(f"bad entry line: {ln!r}")
-        i, j = int(em.group(1)) - 1, int(em.group(2)) - 1
-        entries[(i, j)] = parse_binary_form(em.group(3), field, degree=target[i] - source[j])
-    return GradedSheafMap(field, source, target, entries)
-
-
 def map_to_json(M: GradedSheafMap) -> dict:
     from .binform import format_binary_form
 
@@ -561,16 +512,3 @@ def map_to_json(M: GradedSheafMap) -> dict:
             [i + 1, j + 1, format_binary_form(f)] for (i, j), f in sorted(M.entries.items())
         ],
     }
-
-
-def map_from_json(obj: dict, field: FieldSpec) -> GradedSheafMap:
-    from .binform import parse_binary_form
-
-    target = tuple(int(x) for x in obj["target"])
-    source = tuple(int(x) for x in obj["source"])
-    entries = {}
-    for i, j, text in obj["entries"]:
-        entries[(int(i) - 1, int(j) - 1)] = parse_binary_form(
-            text, field, degree=target[int(i) - 1] - source[int(j) - 1]
-        )
-    return GradedSheafMap(field, source, target, entries)

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
+    MapError,
     _onto_everywhere,
     _scan_window,
     _section_matrix,
@@ -134,8 +136,7 @@ def full_window_splitting(M):
 
 def section_matrix_loop(M, m):
     """The GF(p) section matrix of M at twist m, one numpy assignment per
-    coefficient.  Oracle for the per-entry fancy assignment in
-    sheafmap._section_matrix."""
+    coefficient.  Oracle for sheafmap._section_matrix."""
     K = M.field
     src_dims = [max(0, b + m + 1) for b in M.source]
     tgt_dims = [max(0, c + m + 1) for c in M.target]
@@ -461,3 +462,73 @@ class FractionRowSpace:
         self._rows.append(v)
         self._pivots.append(piv)
         return v
+
+
+class NumpyRowSpace:
+    """Row space over GF(p) with int64 numpy rows, pivots normalized to 1:
+    the vectorized form of linalg.RowSpace's prime-field path, and its oracle."""
+
+    def __init__(self, field: FieldSpec):
+        self.p = field.p
+        self._rows: list = []
+        self._pivots: list[int] = []
+
+    def insert(self, vec):
+        """Reduce and, if independent, add; returns the residual or None."""
+        p = self.p
+        v = np.asarray([int(x) % p for x in vec], dtype=np.int64)
+        for piv, row in zip(self._pivots, self._rows):
+            c = int(v[piv])
+            if c:
+                v = (v - c * row) % p
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return None
+        piv = int(nz[0])
+        v = (v * pow(int(v[piv]), p - 2, p)) % p
+        for i, row in enumerate(self._rows):
+            c = int(row[piv])
+            if c:
+                self._rows[i] = (row - c * v) % p
+        self._rows.append(v)
+        self._pivots.append(piv)
+        return v
+
+
+# -- map serialization parsers: round-trip oracles for format_map and map_to_json --
+
+
+def parse_map(text: str, field: FieldSpec) -> GradedSheafMap:
+    """Parse the text of sheafmap.format_map."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise MapError("empty map serialization")
+    m = re.match(r"^map\s+(\d+)\s*x\s*(\d+)\s*:\s*\[([^\]]*)\]\s*<-\s*\[([^\]]*)\]$", lines[0])
+    if not m:
+        raise MapError(f"bad map header: {lines[0]!r}")
+    nrows, ncols = int(m.group(1)), int(m.group(2))
+    target = tuple(int(x) for x in m.group(3).split(",") if x.strip() != "")
+    source = tuple(int(x) for x in m.group(4).split(",") if x.strip() != "")
+    if len(target) != nrows or len(source) != ncols:
+        raise MapError("map header dimensions disagree with twist lists")
+    entries = {}
+    for ln in lines[1:]:
+        em = re.match(r"^\((\d+)\s*,\s*(\d+)\)\s*:\s*(.+)$", ln)
+        if not em:
+            raise MapError(f"bad entry line: {ln!r}")
+        i, j = int(em.group(1)) - 1, int(em.group(2)) - 1
+        entries[(i, j)] = parse_binary_form(em.group(3), field, degree=target[i] - source[j])
+    return GradedSheafMap(field, source, target, entries)
+
+
+def map_from_json(obj: dict, field: FieldSpec) -> GradedSheafMap:
+    """Parse the object of sheafmap.map_to_json."""
+    target = tuple(int(x) for x in obj["target"])
+    source = tuple(int(x) for x in obj["source"])
+    entries = {}
+    for i, j, text in obj["entries"]:
+        entries[(int(i) - 1, int(j) - 1)] = parse_binary_form(
+            text, field, degree=target[int(i) - 1] - source[int(j) - 1]
+        )
+    return GradedSheafMap(field, source, target, entries)

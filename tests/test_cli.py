@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from rncsplit.binform import DegreeError
 from rncsplit.sheafmap import MapError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -280,3 +284,21 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     rep = json.loads(target.read_text())
     assert rep["splitting"] == [4, 4, 4, 4, 4]
+
+
+def test_cli_runs_without_numpy():
+    # numpy is imported only for dense prime-field matrices, and a table
+    # sweep has none: neither the import nor the sweep may load it
+    script = (
+        "import sys\n"
+        "from rncsplit import cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with rncsplit.cli'\n"
+        "code = cli.main(['verify', '--theorem', 'cubics', '--max-n', '6', '--workers', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by verify'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

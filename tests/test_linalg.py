@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import linalg
 from rncsplit.fields import FieldSpec, RATIONALS
-from tests.helpers import FractionRowSpace, det, nullspace_frac, rref_frac, solve_frac
+from tests.helpers import (
+    FractionRowSpace,
+    NumpyRowSpace,
+    det,
+    nullspace_frac,
+    rref_frac,
+    solve_frac,
+)
 
 GF = FieldSpec(32003)
 
@@ -130,6 +139,12 @@ def test_numpy_input_accepted():
     A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
     assert linalg.rank(A, GF, 3) == 1
     assert len(linalg.nullspace(A, GF, 3)) == 2
+    x = linalg.solve(A, np.array([2, 4]), GF, 3)
+    assert x == [2, 0, 0] and all(type(v) is int for v in x)
+    span = linalg.RowSpace(GF, 3)
+    res = span.insert(A[1])
+    assert res == [1, 2, 3] and all(type(v) is int for v in res)
+    assert span.insert(A[0]) is None
 
 
 def test_empty_matrices():
@@ -244,9 +259,96 @@ def test_pivot_columns_match_rref(system, mod_system):
     R, rref_pivots = linalg.rref(rows, K, width)
     assert pivots == rref_pivots
     # the reduced form is the identity on its pivot columns, zero past the rank
-    assert np.array_equal(R[:, pivots], np.eye(len(rows), len(pivots), dtype=np.int64))
+    identity = np.eye(len(rows), len(pivots), dtype=np.int64).tolist()
+    assert [[row[c] for c in pivots] for row in R] == identity
     A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     assert linalg.pivot_columns(A, K, width) == pivots
     assert linalg.rank(A, K, width) == len(pivots)
     if rows:
         assert len(pivots) == _rank_mod_p(rows, K.p)
+
+
+def _mod_matrix(p, dense, seed):
+    """(rows, width, rhs, x): a random matrix mod p whose rows are its first r
+    rows and random combinations of them, a right-hand side and a vector.
+    Dense ones have uniform entries, at least 36 x 36 of them and r >= m/2,
+    so more than DENSE_NONZEROS of them are nonzero even mod 2; sparse ones
+    have at most 12 x 12."""
+    rnd = random.Random(seed)
+    lo, hi, share = (36, 44, 1.0) if dense else (0, 12, rnd.choice([0.15, 0.5]))
+    m, width = rnd.randint(lo, hi), rnd.randint(lo, hi)
+    r = rnd.randint(m // 2, m) if dense else rnd.randint(min(m, 1), m)
+    rows = [[rnd.randrange(p) if rnd.random() < share else 0 for _ in range(width)] for _ in range(r)]
+    basis = list(rows)
+    for _ in range(m - r):
+        coeffs = [rnd.randrange(p) if rnd.random() < share else 0 for _ in range(r)]
+        combo = [sum(c * row[j] for c, row in zip(coeffs, basis)) % p for j in range(width)]
+        rows.insert(rnd.randint(0, len(rows)), combo)
+    return rows, width, [rnd.randrange(p) for _ in range(m)], [rnd.randrange(p) for _ in range(width)]
+
+
+def _all_ints(*matrices):
+    return all(type(x) is int for A in matrices for row in A for x in row)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([2, 3, 7, 32003, 2**31 - 1]), st.booleans(), st.integers(0, 2**32))
+@example(2, True, 0)
+@example(2**31 - 1, True, 1)
+@example(3, False, 2)
+def test_list_kernels_match_numpy_kernels(p, dense, seed):
+    K = FieldSpec(p)
+    rows, width, rhs, x = _mod_matrix(p, dense, seed)
+    assert linalg._is_dense(rows) == dense
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    R, pivots = linalg._rref_mod(A, p)
+    R = R.tolist()
+    assert linalg._pivots_mod(A, p) == pivots
+    assert not rows or len(pivots) == _rank_mod_p(rows, p)
+
+    # the public functions, with every matrix sent to numpy and then none
+    image = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+    results = []
+    for bound in (-1, math.inf):
+        with mock.patch.object(linalg, "DENSE_NONZEROS", bound):
+            out = (
+                linalg.pivot_columns(rows, K, width),
+                linalg.rref(rows, K, width),
+                linalg.nullspace(rows, K, width),
+                linalg.solve(rows, rhs, K, width),
+                linalg.solve(rows, image, K, width),
+            )
+        assert out[0] == pivots and out[1] == (R, pivots) and out[4] is not None
+        assert _all_ints(out[1][0], out[2], [out[3] or []], [out[4]])
+        results.append(out)
+    assert results[0] == results[1]
+
+    span, oracle = linalg.RowSpace(K, width), NumpyRowSpace(K)
+    for v in rows + results[0][2]:
+        res, want = span.insert(v), oracle.insert(v)
+        assert (res is None) == (want is None)
+        assert res is None or (_all_ints([res]) and res == want.tolist())
+
+
+def test_dense_matrices_take_the_numpy_branch(monkeypatch):
+    calls = []
+    for name in ("_pivots_mod", "_rref_mod"):
+        kernel = getattr(linalg, name)
+
+        def recording(A, p, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(A, p)
+
+        monkeypatch.setattr(linalg, name, recording)
+    rnd = random.Random(5)
+    A = [[rnd.randrange(1, GF.p) for _ in range(25)] for _ in range(20)]
+    assert linalg.DENSE_NONZEROS == 500
+    # 500 nonzeros: the list kernels
+    assert linalg.rank(A, GF) == 20 and len(linalg.nullspace(A, GF)) == 5
+    assert calls == []
+    # 501: numpy, with lists of Python ints out
+    A.append([0] * 24 + [1])
+    assert linalg.rank(A, GF) == 21
+    R, pivots = linalg.rref(A, GF)
+    assert calls == ["_pivots_mod", "_rref_mod"]
+    assert type(R) is list and _all_ints(R) and pivots == list(range(20)) + [24]
