@@ -6,7 +6,6 @@ from .constructor import (
     ExtensionStep,
     build_chain,
     extend_dimension,
-    extension_schedule,
     lift_psi_targets,
     seed_example,
 )

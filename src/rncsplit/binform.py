@@ -105,30 +105,6 @@ class BinaryForm:
         K = self.field
         return BinaryForm(K, self.degree, tuple(K.mul(scalar, c) for c in self.coeffs))
 
-    def mul(self, other: "BinaryForm") -> "BinaryForm":
-        K = self.field
-        if self.degree == -1 or other.degree == -1:
-            return BinaryForm.zero(K)
-        out = [K.zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if K.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = K.add(out[i + j], K.mul(a, b))
-        return BinaryForm(K, self.degree + other.degree, tuple(out))
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __neg__(self):
-        return self.neg()
-
     def equals(self, other: "BinaryForm") -> bool:
         """Equality of values: all zero forms are equal regardless of degree slot."""
         if self.is_zero() and other.is_zero():

@@ -17,6 +17,7 @@ from .constructor import (
     PsiLiftError,
     UnsupportedCaseError,
     build_chain,
+    extend_chain,
     seed_example,
 )
 from .fields import DEFAULT_PRIME, FieldSpec, FieldError, RATIONALS, parse_field
@@ -31,6 +32,7 @@ from .sheafmap import (
     MapError,
     _delta_from_psi,
     _onto_everywhere,
+    build_delta,
     build_psi,
     format_map,
     kernel_matrix,
@@ -178,13 +180,14 @@ def _verify_chain_job(job) -> list[dict]:
         if d == 2:
             for n in range(max(e, 3), n_max + 1):
                 F, _ = build_chain(2, e, n, field_now)
-                out.append(_verify_case(F, 2, e, n, None))
+                psi = build_psi(F)
+                out.append(_verify_case(_delta_from_psi(F.context, psi), 2, e, n, None, psi))
             return out
         F, steps = build_chain(d, e, n_max, field_now)
-        F_seed = steps[0].input_F if steps else F
-        out.append(_verify_case(F_seed, d, e, e, None))
+        out.append(_verify_case(build_delta(steps[0].input_F if steps else F), d, e, e, None))
+        # each step's delta_out is certified equal to build_delta(output_F)
         for st in steps:
-            out.append(_verify_case(st.output_F, d, e, st.output_F.context.n, st.strategy))
+            out.append(_verify_case(st.delta_out, d, e, st.output_F.context.n, st.strategy))
         return out
 
     try:
@@ -221,10 +224,11 @@ def _verify_chain_job(job) -> list[dict]:
     return results
 
 
-def _verify_case(F, d: int, e: int, n: int, strategy) -> dict:
+def _verify_case(delta, d: int, e: int, n: int, strategy, psi=None) -> dict:
+    """One level of a chain: the scanned splitting of ker delta against the
+    catalog, and for quadrics (psi given) the balance of ker psi."""
     pred = predicted_splitting(d, e, n)
-    psi = build_psi(F)
-    T = splitting_of_kernel(_delta_from_psi(F.context, psi))
+    T = splitting_of_kernel(delta)
     rec = {
         "d": d,
         "e": e,
@@ -232,12 +236,12 @@ def _verify_case(F, d: int, e: int, n: int, strategy) -> dict:
         "got": splitting_to_json(T),
         "want": splitting_to_json(pred.splitting),
         "provenance": pred.provenance,
-        "field": str(F.context.field),
+        "field": str(delta.field),
     }
     if strategy:
         rec["strategy"] = strategy
     ok = T.parts == pred.splitting.parts
-    if d == 2:
+    if psi is not None:
         N = splitting_of_kernel(psi)
         rec["N_balanced"] = N.is_balanced()
         ok = ok and N.is_balanced()
@@ -328,22 +332,9 @@ def cmd_extend(args) -> int:
     ctx = F.context
     if args.to_n <= ctx.n:
         raise UsageError(f"--to-n {args.to_n} must exceed the current dimension {ctx.n}")
-    from .constructor import extend_dimension
-
-    steps = []
-    kernel = None
-    for m in range(ctx.n + 1, args.to_n + 1):
-        pred = predicted_splitting(ctx.d, ctx.e, m)
-        if pred.verdict != EXACT:
-            raise UnsupportedCaseError(
-                f"no exact catalog target at n = {m} ({pred.verdict} [{pred.provenance}])"
-            )
-        step = extend_dimension(F, pred.splitting, kernel=kernel)
-        steps.append(step)
-        F = step.output_F
-        kernel = step.N
+    steps = extend_chain(F, args.to_n)
     payload = {
-        "input": format_hypersurface(steps[0].input_F),
+        "input": format_hypersurface(F),
         "steps": [
             {
                 "n": st.output_F.context.n,
@@ -362,7 +353,7 @@ def cmd_extend(args) -> int:
             }
             for st in steps
         ],
-        "output": format_hypersurface(F),
+        "output": format_hypersurface(steps[-1].output_F),
     }
     blocks = ["input hypersurface:", payload["input"]]
     for st in steps:

@@ -272,22 +272,6 @@ def _seed_general(d: int, n: int, field: FieldSpec) -> IdealCombination:
 # -- schedules and generation -------------------------------------------------------
 
 
-def extension_schedule(d: int, e: int, n_target: int) -> list[SplittingType]:
-    """Intermediate target splittings from n = e up to n_target, each the
-    catalog prediction at its level."""
-    _check_constructive(d, e, n_target)
-    out = []
-    for m in range(e, n_target + 1):
-        pred = predicted_splitting(d, e, m)
-        if pred.verdict != EXACT:
-            raise UnsupportedCaseError(
-                f"no exact predicted splitting at (d={d}, e={e}, n={m}); "
-                f"the catalog gives {pred.verdict} [{pred.provenance}]"
-            )
-        out.append(pred.splitting)
-    return out
-
-
 def _check_constructive(d: int, e: int, n: int) -> None:
     if d == 2:
         if not 2 <= e <= n:
@@ -339,7 +323,8 @@ def seed_example(d: int, e: int, field: FieldSpec = RATIONALS) -> IdealCombinati
 def build_chain(
     d: int, e: int, n: int, field: FieldSpec = RATIONALS
 ) -> tuple[IdealCombination, list[ExtensionStep]]:
-    """Seed plus certified extension steps carrying it from n = e up to n.
+    """Seed plus the certified extension steps (extend_chain) carrying it
+    from n = e up to n.
 
     Returns (final F, steps); for quadrics the chain polynomial works at every
     n directly and the step list is empty.
@@ -348,15 +333,29 @@ def build_chain(
     if d == 2:
         return _seed_quadric_chain(e, n, field), []
     F = seed_example(d, e, field)
-    schedule = extension_schedule(d, e, n)
+    steps = extend_chain(F, n)
+    return (steps[-1].output_F if steps else F), steps
+
+
+def extend_chain(F: IdealCombination, n: int) -> list[ExtensionStep]:
+    """Certified extend_dimension steps carrying F up to dimension n, each to
+    the catalog prediction at its level.  Each step hands its certified
+    kernel N and its delta_out to the next, so the chain builds a kernel
+    matrix and a delta only for F itself."""
+    ctx = F.context
     steps: list[ExtensionStep] = []
-    kernel = None
-    for target in schedule[1:]:
-        step = extend_dimension(F, target, kernel=kernel)
+    kernel = delta = None
+    for m in range(ctx.n + 1, n + 1):
+        pred = predicted_splitting(ctx.d, ctx.e, m)
+        if pred.verdict != EXACT:
+            raise UnsupportedCaseError(
+                f"no exact predicted splitting at (d={ctx.d}, e={ctx.e}, n={m}); "
+                f"the catalog gives {pred.verdict} [{pred.provenance}]"
+            )
+        step = extend_dimension(F, pred.splitting, kernel=kernel, delta=delta)
         steps.append(step)
-        F = step.output_F
-        kernel = step.N
-    return F, steps
+        F, kernel, delta = step.output_F, step.N, step.delta_out
+    return steps
 
 
 # -- the extension engine --------------------------------------------------------
@@ -499,21 +498,27 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
 
 
 def extend_dimension(
-    F: IdealCombination, target: SplittingType, kernel: GradedSheafMap | None = None
+    F: IdealCombination,
+    target: SplittingType,
+    kernel: GradedSheafMap | None = None,
+    delta: GradedSheafMap | None = None,
 ) -> ExtensionStep:
     """One inductive step n -> n+1: realize `target` as the splitting of the
     restricted tangent bundle of an extension F + G_(n+1) x_(n+1).
 
-    The strategy is selected by shape and stacks N = (N1; N2).  The new entry
-    g of delta_out = (delta_in, g) is read off (delta_in, g)·N = 0 by one exact
-    division; for N of corank one that row is unique up to a scalar.
-    certify_kernel then proves N generates ker delta_out (so N has full rank
-    everywhere), and the splitting of N's source equals the target.
+    `delta` and `kernel`, if given, are build_delta(F) and its certified
+    kernel matrix, as a previous step hands them on.  The strategy is
+    selected by shape and stacks N = (N1; N2).  The new entry g of delta_out
+    = (delta_in, g) is read off (delta_in, g)·N = 0 by one exact division in
+    a column j of N2, from delta_in times column j of N1; for N of corank
+    one that row is unique up to a scalar.  certify_kernel then proves N
+    generates ker delta_out (so N has full rank everywhere), and the
+    splitting of N's source equals the target.
     """
     ctx = F.context
     e, n, d = ctx.e, ctx.n, ctx.d
     field = ctx.field
-    delta_in = build_delta(F)
+    delta_in = delta if delta is not None else build_delta(F)
     K_map = kernel if kernel is not None else kernel_matrix(delta_in)
     S = SplittingType(tuple(sorted(K_map.source)))
     if target.rank != S.rank + 1 or target.degree != S.degree + e:
@@ -541,8 +546,11 @@ def extend_dimension(
 
     # (delta_in, g)·N = 0 pins g by one exact division in a column where N2 is nonzero
     j = min(col for _, col in N2.entries)
+    col_j = GradedSheafMap(
+        field, (N1.source[j],), N1.target, {(i, 0): f for (i, c), f in N1.entries.items() if c == j}
+    )
     try:
-        g = compose(delta_in, N1).entry(0, j).neg().divexact(N2.entry(0, j))
+        g = compose(delta_in, col_j).entry(0, 0).neg().divexact(N2.entry(0, j))
     except DegreeError as exc:
         raise CertificationError(f"N2 does not divide delta_in·N1 in column {j}") from exc
     entries = dict(delta_in.entries)

@@ -165,15 +165,6 @@ class MultiPoly:
     def neg(self) -> "MultiPoly":
         return self.scale(self.context.field.neg(self.context.field.one))
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)!r})"
 
@@ -306,9 +297,10 @@ _POLY_TOKEN = re.compile(
 
 
 class _PolyParser:
-    def __init__(self, text: str, context: CurveContext):
+    def __init__(self, text: str, context: CurveContext, degree: int):
         self.tokens: list = []
         self.context = context
+        self.degree = degree  # the expected degree, which no power may exceed
         pos = 0
         while pos < len(text):
             if text[pos].isspace():
@@ -377,7 +369,13 @@ class _PolyParser:
             if exp_tok[0] != "num" or "/" in exp_tok[1]:
                 raise PolyError(f"expected integer exponent at position {exp_tok[2]}")
             power = int(exp_tok[1])
-            out = MultiPoly.constant(self.context, self.context.field.one)
+            K = self.context.field
+            if base.is_zero() or base.total_degree == 0:  # 0^k and c^k in one step
+                c = next(iter(base.terms.values()), K.zero)
+                return MultiPoly.constant(self.context, c**power if K.p is None else pow(c, power, K.p))
+            if base.total_degree * power > self.degree:
+                raise PolyError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
+            out = MultiPoly.constant(self.context, K.one)
             for _ in range(power):
                 out = out.mul(base)
             return out
@@ -405,7 +403,7 @@ def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiP
     text = text.strip()
     if text == "0":
         return MultiPoly.zero(context, expected_degree)
-    raw = _PolyParser(text, context).parse()
+    raw = _PolyParser(text, context, expected_degree).parse()
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
     degrees = {sum(exp) for exp in raw.terms}

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .binform import BinaryForm, bf_gcd
@@ -91,26 +93,52 @@ class GradedSheafMap:
 
 
 def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
-    """Matrix product outer ∘ inner."""
+    """Matrix product outer ∘ inner, as one integer convolution per entry.
+
+    Each outer row and each inner column is cleared of denominators once, by
+    their lcm (over GF(p) there is nothing to clear).  Every product of
+    entry (i, j) adds into one list of Python ints, and each coefficient is
+    reduced once: mod p, or to one Fraction over the row and column lcms."""
     if inner.target != outer.source:
         raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
-    entries: dict = {}
-    by_col: dict = {}
-    for (k, j), f in inner.entries.items():
-        by_col.setdefault(j, []).append((k, f))
-    for j, pairs in by_col.items():
-        for k, f in pairs:
-            for i in range(outer.nrows):
-                g = outer.entries.get((i, k))
-                if g is None:
-                    continue
-                prod = g.mul(f)
-                if prod.is_zero():
-                    continue
-                cur = entries.get((i, j))
-                entries[(i, j)] = prod if cur is None else cur.add(prod)
-    entries = {k: f for k, f in entries.items() if not f.is_zero()}
-    return GradedSheafMap(outer.field, inner.source, outer.target, entries)
+    K = outer.field
+    cols = _integer_lines(inner.entries, K, 1)
+    entries = {}
+    for i, (row_den, row) in _integer_lines(outer.entries, K, 0).items():
+        for j, (col_den, col) in cols.items():
+            pairs = [(a, col[k]) for k, a in row.items() if k in col]
+            if not pairs:
+                continue
+            acc = [0] * (outer.target[i] - inner.source[j] + 1)
+            for a, b in pairs:
+                if len(a) > len(b):
+                    a, b = b, a
+                for u, x in enumerate(a):
+                    if x:
+                        for v, y in enumerate(b, u):
+                            acc[v] += x * y
+            if K.p is None:
+                coeffs = tuple(Fraction(c, row_den * col_den) for c in acc)
+            else:
+                coeffs = tuple(c % K.p for c in acc)
+            if any(coeffs):
+                entries[(i, j)] = BinaryForm(K, len(acc) - 1, coeffs)
+    return GradedSheafMap(K, inner.source, outer.target, entries)
+
+
+def _integer_lines(entries: dict, K: FieldSpec, axis: int) -> dict:
+    """The rows (axis 0) or columns (axis 1) of a map's entries, each as
+    (lcm L of its denominators, {other index: coefficients times L})."""
+    lines: dict = {}
+    for key, f in entries.items():
+        lines.setdefault(key[axis], {})[key[1 - axis]] = f.coeffs
+    if K.p is not None:
+        return {x: (1, line) for x, line in lines.items()}
+    out = {}
+    for x, line in lines.items():
+        L = lcm(*(c.denominator for cs in line.values() for c in cs))
+        out[x] = (L, {k: [c.numerator * (L // c.denominator) for c in cs] for k, cs in line.items()})
+    return out
 
 
 def stack_rows(top: GradedSheafMap, bottom: GradedSheafMap) -> GradedSheafMap:

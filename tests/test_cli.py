@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,18 @@ def test_compute_bad_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "--poly", str(hsf))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("body", ["(x0+x1)^999999", "x0^999999"])
+def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
+    # the parser refuses the power before multiplying it out
+    hsf = tmp_path / "power.hsf"
+    hsf.write_text(f"d = 3\ne = 3\nn = 3\nQ 1 2 : {body}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "above the expected degree 1" in err
 
 
 def test_compute_missing_file_exit_2(capsys):
@@ -205,6 +218,40 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "4")
     assert code == 0
     assert "rational backstop" in out
+
+
+def test_verify_chain_builds_each_delta_once(monkeypatch):
+    # build_chain builds the seed's delta, then one delta per step: the check
+    # of the step's output hypersurface.  verify scans each step's certified
+    # delta_out and builds psi again only for the seed.
+    from rncsplit import constructor, sheafmap
+
+    calls = []
+    build_psi, build_delta, build_chain = sheafmap.build_psi, constructor.build_delta, cli.build_chain
+
+    def psi(F):
+        calls.append("psi")
+        return build_psi(F)
+
+    def delta(F):
+        calls.append("delta")
+        return build_delta(F)
+
+    def chain(*args):
+        out = build_chain(*args)
+        calls.append("chain")
+        return out
+
+    monkeypatch.setattr(sheafmap, "build_psi", psi)
+    monkeypatch.setattr(constructor, "build_delta", delta)
+    monkeypatch.setattr(cli, "build_chain", chain)
+    for d, e in ((3, 3), (4, 4)):
+        calls.clear()
+        recs = cli._verify_chain_job((None, d, e, 8, 32003))
+        assert [r["status"] for r in recs] == ["ok"] * (9 - e)
+        cut = calls.index("chain")
+        assert calls[:cut] == ["delta", "psi"] * (9 - e), (d, e)
+        assert calls[cut + 1 :] == ["psi"], (d, e)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from rncsplit.constructor import (
     UnsupportedCaseError,
     build_chain,
     extend_dimension,
-    extension_schedule,
     general_psi_targets,
     lift_psi_targets,
     seed_example,
@@ -25,7 +24,7 @@ from rncsplit.sheafmap import (
     splitting_of_kernel,
 )
 from rncsplit.splitting import SplittingType, predicted_splitting
-from tests.helpers import full_rank_everywhere
+from tests.helpers import extension_schedule, full_rank_everywhere
 
 GF = FieldSpec(32003)
 

@@ -1,11 +1,15 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from rncsplit import multipoly
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from tests.helpers import (
     assemble,
+    bf_mul,
     build_quadric,
     gradient_on_curve,
     random_combination,
@@ -86,6 +90,39 @@ def test_parse_parentheses_and_powers():
     assert p == q
 
 
+def test_parse_powers_of_constants_and_zero_in_one_step():
+    c = ctx()
+    x0 = parse_poly("x0", c, 1)
+    assert parse_poly("2^10*x0", c, 1) == parse_poly("1024*x0", c, 1)
+    assert parse_poly("(1/2)^3*x0", c, 1) == parse_poly("1/8*x0", c, 1)
+    assert parse_poly("0^0*x0", c, 1) == x0
+    assert parse_poly("(x1 - x1)^999999 + x0", c, 1) == x0
+    g = ctx(field=FieldSpec(7))
+    assert parse_poly("3^999999*x0", g, 1) == parse_poly(f"{pow(3, 999999, 7)}*x0", g, 1)
+
+
+def test_parse_refuses_powers_above_the_expected_degree():
+    # refused before any multiplication, even where over-degree terms cancel
+    for text in ("x0^999999", "(x0 + x1)^999999", "x0^2 - x0^2 + x1"):
+        with pytest.raises(PolyError, match="above the expected degree 1"):
+            parse_poly(text, ctx(), 1)
+
+
+def test_repository_hsf_files_parse_as_without_the_power_bound(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8").split("Hypersurface files (`.hsf`)", 1)[1]
+    texts = [re.search(r"```\n(.*?)```", readme, re.S).group(1)]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(root.rglob("*.hsf"))]
+    bounded = [parse_hypersurface(text) for text in texts]
+
+    class Unbounded(multipoly._PolyParser):
+        def __init__(self, text, context, degree):
+            super().__init__(text, context, float("inf"))
+
+    monkeypatch.setattr(multipoly, "_PolyParser", Unbounded)
+    assert [parse_hypersurface(text) for text in texts] == bounded
+
+
 @pytest.mark.parametrize("text", ["x1^2 - x0*x2", "x0*x3", "2*x0^2 - 3*x1*x2 + x3^2"])
 def test_poly_round_trip(text):
     c = ctx(4, 3, 3)
@@ -127,7 +164,7 @@ def test_restrict_is_ring_homomorphism():
         p = random_poly(rnd, c, 2)
         q = random_poly(rnd, c, 2)
         lhs = restrict_to_curve(p.mul(q))
-        rhs = restrict_to_curve(p).mul(restrict_to_curve(q))
+        rhs = bf_mul(restrict_to_curve(p), restrict_to_curve(q))
         assert lhs.equals(rhs)
 
 
@@ -160,7 +197,7 @@ def test_euler_identity_on_curve():
         acc = BinaryForm.zero(K)
         for m in range(c.e + 1):
             coord = BinaryForm.monomial(K, c.e, m)
-            term = grads[m].mul(coord) if not grads[m].is_zero() else None
+            term = bf_mul(grads[m], coord) if not grads[m].is_zero() else None
             if term is not None:
                 acc = acc.add(term)
         want = restrict_to_curve(F).scale(K.from_int(c.d))
@@ -178,7 +215,7 @@ def test_euler_pairing_vanishes_for_combinations():
         acc = BinaryForm.zero(c.field)
         for m in range(c.e + 1):
             if not grads[m].is_zero():
-                acc = acc.add(grads[m].mul(BinaryForm.monomial(c.field, c.e, m)))
+                acc = acc.add(bf_mul(grads[m], BinaryForm.monomial(c.field, c.e, m)))
         assert acc.is_zero()
 
 

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
@@ -25,9 +27,11 @@ from rncsplit.sheafmap import (
 )
 from tests.helpers import (
     GF,
+    bf_mul,
     build_beta,
     build_df,
     build_quadric,
+    compose_forms,
     dense_combination,
     from_rows,
     full_rank_everywhere,
@@ -136,7 +140,7 @@ def test_psi_single_term_column():
     F = IdealCombination(ctx, {(2, 3): parse_poly("x1", ctx, 1)}, {})
     psi = build_psi(F)
     l = 2
-    want = bform("s^3*t").mul(BinaryForm.monomial(RATIONALS, 2, l - 1))
+    want = bf_mul(bform("s^3*t"), BinaryForm.monomial(RATIONALS, 2, l - 1))
     assert psi.entry(0, 1).equals(want)
     assert psi.entry(0, 0).is_zero()
     assert psi.entry(0, 2).is_zero()
@@ -189,6 +193,66 @@ def test_compose_identity_and_mismatch():
     assert compose(d, ident).equals(d)
     with pytest.raises(MapError):
         compose(d, GradedSheafMap(RATIONALS, (1, 2), (1, 2), {(0, 0): one, (1, 1): one}))
+
+
+@st.composite
+def composable_maps(draw, K):
+    """(outer, inner) over K, with empty maps, zero rows and columns,
+    rationals with large denominators, and optionally an inner column that
+    row 0 of outer annihilates: (g·h, -f·h) against the row's (f, g)."""
+    if K.p is None:
+        big = st.integers(-(10**30), 10**30)
+        coeff = st.one_of(
+            st.sampled_from([0, 1, -1]),
+            st.builds(Fraction, big, st.integers(1, 10**30)),
+            st.builds(Fraction, st.integers(-3, 3), st.sampled_from([7, 10**20 + 39])),
+        ).map(Fraction)
+    else:
+        coeff = st.one_of(st.sampled_from([0, 1, K.p - 1]), st.integers(0, K.p - 1))
+
+    def form(degree):
+        return BinaryForm(K, degree, tuple(draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))))
+
+    def twists(lo):
+        return tuple(draw(st.lists(st.integers(lo, lo + 4), max_size=4)))
+
+    def graded(target, source):
+        entries = {
+            (i, j): form(c - b)
+            for i, c in enumerate(target)
+            for j, b in enumerate(source)
+            if c >= b and draw(st.integers(0, 3))
+        }
+        return GradedSheafMap(K, source, target, entries)
+
+    target, middle, source = twists(2), twists(0), twists(-2)
+    outer, inner = graded(target, middle), graded(middle, source)
+    f, g = outer.entries.get((0, 0)), outer.entries.get((0, 1))
+    if f is not None and g is not None and draw(st.booleans()):
+        h = form(draw(st.integers(0, 2)))
+        entries = dict(inner.entries)
+        entries[(0, inner.ncols)] = bf_mul(g, h)
+        entries[(1, inner.ncols)] = bf_mul(f, h).neg()
+        inner = GradedSheafMap(K, source + (middle[0] - g.degree - h.degree,), middle, entries)
+    return outer, inner
+
+
+@pytest.mark.parametrize(
+    "K", [RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(32003), FieldSpec(2**31 - 1)], ids=str
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_compose_matches_form_oracle(K, data):
+    outer, inner = data.draw(composable_maps(K))
+    got, want = compose(outer, inner), compose_forms(outer, inner)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.entries.keys() == want.entries.keys()
+    for key, f in got.entries.items():
+        assert (f.degree, f.coeffs) == (want.entries[key].degree, want.entries[key].coeffs)
+        if K.p is None:
+            assert all(type(c) is Fraction for c in f.coeffs)
+        else:
+            assert all(type(c) is int and 0 <= c < K.p for c in f.coeffs)
 
 
 def test_delta_annihilates_df_random():
@@ -364,7 +428,7 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
 
 def _times(M, h):
     """The one-row map M times the nonzero form h."""
-    entries = {k: f.mul(h) for k, f in M.entries.items()}
+    entries = {k: bf_mul(f, h) for k, f in M.entries.items()}
     return GradedSheafMap(M.field, M.source, (M.target[0] + h.degree,), entries)
 
 

@@ -245,5 +245,9 @@ def test_catalog_interpolation_bound_and_balanced_equality():
 
 
 def test_catalog_never_unknown_in_range():
-    for d, e, n in catalog_cases():
-        assert predicted_splitting(d, e, n).verdict in (EXACT, BALANCED, NOT_BALANCED)
+    # every cell with d <= 40, n <= 80 gets a verdict, with a splitting
+    # exactly when the verdict is exact
+    for d, e, n in catalog_cases(max_n=80, max_d=40):
+        pred = predicted_splitting(d, e, n)
+        assert pred.verdict in (EXACT, BALANCED, NOT_BALANCED), (d, e, n)
+        assert (pred.splitting is not None) == (pred.verdict == EXACT), (d, e, n)
