@@ -18,3 +18,45 @@ def test_worked_examples_golden(capsys):
 def test_extend_json_golden(capsys):
     assert cli.main(["extend", "--d", "3", "--e", "3", "--to-n", "5", "--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "extend_d3_e3_n5.json").read_text(encoding="utf-8")
+
+
+def _kernel_cases():
+    """(label, one-row map) pairs whose kernel matrices are pinned: the
+    compute catalog seeds and the README quintic over Q, the cubic and
+    quartic seeds over GF(32003), two dense random surfaces over Q, and
+    three unbalanced one-row maps."""
+    import random
+
+    from rncsplit.constructor import build_chain, seed_example
+    from rncsplit.fields import FieldSpec, RATIONALS
+    from rncsplit.multipoly import CurveContext, parse_hypersurface
+    from rncsplit.sheafmap import build_delta
+    from tests.helpers import dense_combination, from_rows
+
+    GF = FieldSpec(32003)
+    for d, e, n in ((2, 4, 8), (2, 6, 10), (3, 3, 3), (3, 4, 4), (3, 5, 5), (3, 6, 6), (4, 4, 4), (4, 5, 5), (4, 6, 6)):
+        yield f"catalog d={d} e={e} n={n} over Q", build_delta(build_chain(d, e, n, RATIONALS)[0])
+    quintic = (ROOT / "perfbench" / "inputs" / "quintic.hsf").read_text(encoding="utf-8")
+    yield "README quintic over Q", build_delta(parse_hypersurface(quintic))
+    for d, e in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (4, 6)):  # quartics start at e = 4
+        yield f"seed d={d} e={e} over GF(32003)", build_delta(seed_example(d, e, GF))
+    for shape in ((3, 3, 5), (6, 8, 10)):
+        F = dense_combination(random.Random(1), CurveContext(*shape, RATIONALS))
+        yield f"dense {shape} seed 1 over Q", build_delta(F)
+    # O(-1) + O(-3); the same row times t, onto nowhere along t = 0; and a
+    # zero column, O(1) + O(-1), over GF(7)
+    yield "unbalanced (s^4, 2/3 t^4 + s^2 t^2, 5/7 s^3 t) over Q", from_rows(
+        [["s^4", "2/3*t^4 + s^2*t^2", "5/7*s^3*t"]], (0, 0, 0), (4,)
+    )
+    yield "unbalanced (s^4 t, t^5, s^3 t^2) over Q", from_rows([["s^4*t", "t^5", "s^3*t^2"]], (0, 0, 0), (5,))
+    yield "unbalanced (s, 3t, 0) over GF(7)", from_rows([["s", "3*t", "0"]], (2, 2, -1), (3,), FieldSpec(7))
+
+
+def kernel_golden_text() -> str:
+    from rncsplit.sheafmap import format_map, kernel_matrix
+
+    return "".join(f"# {label}\n{format_map(kernel_matrix(M))}" for label, M in _kernel_cases())
+
+
+def test_kernel_matrix_golden():
+    assert kernel_golden_text() == (GOLDEN / "kernel_matrices.txt").read_text(encoding="utf-8")
