@@ -9,7 +9,6 @@ and both answer ``is_zero()``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldSpec
@@ -19,21 +18,21 @@ class DegreeError(ValueError):
     """Operands with incompatible degrees."""
 
 
-@dataclass(frozen=True)
 class BinaryForm:
-    field: FieldSpec
-    degree: int
-    coeffs: tuple
+    """Compare forms with `equals`: `==` is identity."""
 
-    def __post_init__(self):
-        if self.degree < -1:
-            raise DegreeError(f"degree {self.degree} < -1")
-        if self.degree == -1 and self.coeffs:
+    __slots__ = ("field", "degree", "coeffs")
+
+    def __init__(self, field: FieldSpec, degree: int, coeffs: tuple):
+        if degree < -1:
+            raise DegreeError(f"degree {degree} < -1")
+        if degree == -1 and coeffs:
             raise DegreeError("strictly zero form carries no coefficients")
-        if self.degree >= 0 and len(self.coeffs) != self.degree + 1:
-            raise DegreeError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, got {len(self.coeffs)}"
-            )
+        if degree >= 0 and len(coeffs) != degree + 1:
+            raise DegreeError(f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}")
+        self.field = field
+        self.degree = degree
+        self.coeffs = coeffs
 
     # -- constructors ---------------------------------------------------------
 

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 user/precondition error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 
@@ -273,6 +272,8 @@ def _verify_jobs(args) -> list[tuple]:
 def cmd_verify(args) -> int:
     jobs = _verify_jobs(args)
     if args.workers > 1:
+        import concurrent.futures  # with logging, 3 ms of import a one-worker run skips
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunks = list(pool.map(_verify_chain_job, jobs))
     else:

@@ -13,7 +13,6 @@ G_(n+1).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .binform import BinaryForm, DegreeError
 from .fields import RATIONALS, FieldSpec
@@ -47,18 +46,18 @@ class PsiLiftError(ValueError):
     """No ideal combination realizes the requested psi columns."""
 
 
-@dataclass(frozen=True)
 class ExtensionStep:
-    input_F: IdealCombination
-    strategy: str  # "J0" | "J1" | "J2"
-    output_F: IdealCombination
-    J: GradedSheafMap
-    N1: GradedSheafMap
-    N2: GradedSheafMap
-    N: GradedSheafMap
-    delta_out: GradedSheafMap
-    target_splitting: SplittingType
-    g: BinaryForm
+    """One certified step: input_F and output_F (IdealCombination), strategy
+    ("J0" | "J1" | "J2"), the maps J, N1, N2, N and delta_out
+    (GradedSheafMap), target_splitting (SplittingType) and g (BinaryForm)."""
+
+    __slots__ = ("input_F", "strategy", "output_F", "J", "N1", "N2", "N", "delta_out", "target_splitting", "g")
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields.pop(name))
+        if fields:
+            raise TypeError(f"unknown ExtensionStep fields {sorted(fields)}")
 
 
 # -- context embedding ---------------------------------------------------------

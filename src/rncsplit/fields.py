@@ -7,7 +7,6 @@ reduced); prime-field elements are plain ``int`` in canonical range ``0..p-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -30,19 +29,27 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """The rationals (``p is None``) or the prime field GF(p)."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is None:
-            return
-        if self.p >= 2**31:
-            raise FieldError(f"prime {self.p} too large: int64 row reduction needs p < 2^31")
-        if not is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if p >= 2**31:
+                raise FieldError(f"prime {p} too large: int64 row reduction needs p < 2^31")
+            if not is_prime(p):
+                raise FieldError(f"{p} is not prime")
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldSpec) and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(p={self.p})"
 
     def __str__(self) -> str:
         return "rational" if self.p is None else f"prime:{self.p}"

@@ -18,9 +18,12 @@ mod p, whose results come back as lists; numpy is imported only there.  That
 path is why FieldSpec takes p < 2^31: int64 is safe because all intermediate
 products stay below p^2 < 2^63.
 
-Rank and the pivot columns need no reduced form: `pivot_columns` runs forward
+Rank and the pivot columns need no reduced form.  `row_echelon` runs forward
 elimination only (each pivot row clears the rows below it, with no
-back-substitution and no basis), and `rank` is the number of its pivots.
+back-substitution) and keeps its pivot rows; `pivot_columns` and `rank` read
+its pivots.  The nullity scan hands it section matrices already built as
+rows of Python ints and reads both the section counts and the kernel
+generators from the rows it returns, so no matrix is eliminated twice.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def _pivots_mod(A: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of A mod p by forward elimination."""
+def _pivots_mod(A: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
+    """Forward elimination of A mod p: (pivot rows as lists, pivot columns)."""
     import numpy as np
 
     A = A % p
@@ -117,7 +120,7 @@ def _pivots_mod(A: np.ndarray, p: int) -> list[int]:
             A[below, c:] = (A[below, c:] - np.outer(f, A[r, c:])) % p
         pivots.append(c)
         r += 1
-    return pivots
+    return A[:r].tolist(), pivots
 
 
 def _integer_row(row) -> list[int]:
@@ -146,10 +149,11 @@ def _eliminate_mod(row: list[int], pivot_row: list[int], c: int, p: int) -> list
     return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], pivot_row[c:])]
 
 
-def _pivots(A: list[list], width: int, eliminate) -> list[int]:
-    """Pivot columns of A by forward elimination (consumes A): each pivot row
-    clears column c of the rows left, skipping those already zero there."""
-    pivots = []
+def _pivots(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]]:
+    """Forward elimination of A (consumes A): each pivot row clears column c
+    of the rows left, skipping those already zero there, and is kept as it
+    is.  Returns (pivot rows, pivot columns)."""
+    rows, pivots = [], []
     for c in range(width):
         if not A:
             break
@@ -158,8 +162,9 @@ def _pivots(A: list[list], width: int, eliminate) -> list[int]:
             continue
         P = A.pop(piv)
         A = [eliminate(row, P, c) if row[c] else row for row in A]
+        rows.append(P)
         pivots.append(c)
-    return pivots
+    return rows, pivots
 
 
 def _echelon(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]]:
@@ -210,6 +215,21 @@ def rref(rows, field: FieldSpec, width: int | None = None):
     return R + [[Fraction(0)] * len(row) for row in A[len(pivots) :]], pivots
 
 
+def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[list[int]], list[int]]:
+    """Forward elimination of a matrix of Python ints (consumed): entries in
+    0..p-1 over GF(p), any integers over Q, where a rational matrix scaled by
+    a common denominator has the same pivots and kernel.  Returns (rows,
+    pivots): pivots increase, row k is zero left of pivots[k], and the rows
+    whose pivots lie in the first k columns span the row space of those
+    columns, so they have the same kernel there."""
+    p = field.p
+    if p is None:
+        return _pivots(A, width, _eliminate)
+    if _is_dense(A):
+        return _pivots_mod(_to_np(A, width), p)
+    return _pivots(A, width, partial(_eliminate_mod, p=p))
+
+
 def pivot_columns(rows, field: FieldSpec, width: int | None = None) -> list[int]:
     """Pivot columns of the row echelon form (the same as rref's), by forward
     elimination only: column k is a pivot iff it is independent of columns
@@ -217,37 +237,12 @@ def pivot_columns(rows, field: FieldSpec, width: int | None = None) -> list[int]
     if width is None:
         width = len(rows[0]) if len(rows) else 0
     p = field.p
-    if p is None:
-        return _pivots([_integer_row(row) for row in rows], width, _eliminate)
-    A = _mod_rows(rows, p)
-    if _is_dense(A):
-        return _pivots_mod(_to_np(A, width), p)
-    return _pivots(A, width, partial(_eliminate_mod, p=p))
+    A = [_integer_row(row) for row in rows] if p is None else _mod_rows(rows, p)
+    return row_echelon(A, field, width)[1]
 
 
 def rank(rows, field: FieldSpec, width: int | None = None) -> int:
     return len(pivot_columns(rows, field, width))
-
-
-def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
-    """Basis of the right kernel, one vector (length = width) per free column."""
-    if width is None:
-        width = len(rows[0]) if len(rows) else 0
-    p = field.p
-    # GF(p): the rref, pivots 1; Q: integer rows, pivots arbitrary
-    A, pivots = rref(rows, field, width) if p is not None else _echelon_q(rows, width)
-    piv_set = set(pivots)
-    basis = []
-    for f in range(width):
-        if f in piv_set:
-            continue
-        v = [field.zero] * width
-        v[f] = field.one
-        for row, pc in zip(A, pivots):
-            if row[f]:
-                v[pc] = -row[f] % p if p is not None else Fraction(-row[f], row[pc])
-        basis.append(v)
-    return basis
 
 
 def solve(rows, rhs, field: FieldSpec, width: int | None = None):

@@ -11,10 +11,13 @@ with the linear forms x_{e+1}, ..., x_n.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+import sys
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .binform import BinaryForm
-from .fields import FieldSpec
+from .fields import RATIONALS, FieldSpec
 
 
 class CurveContextError(ValueError):
@@ -25,7 +28,6 @@ class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CurveContext:
     """Ambient data (d, e, n) plus the coefficient field.
 
@@ -33,24 +35,32 @@ class CurveContext:
     dimension >= 3 with e <= n.  The field characteristic must not divide e.
     """
 
-    d: int
-    e: int
-    n: int
-    field: FieldSpec = dc_field(default_factory=FieldSpec)
+    __slots__ = ("d", "e", "n", "field")
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise CurveContextError(f"hypersurface degree d = {self.d} < 2")
-        if self.e < 1:
-            raise CurveContextError(f"curve degree e = {self.e} < 1")
-        if self.n < 3:
-            raise CurveContextError(f"ambient dimension n = {self.n} < 3")
-        if self.e > self.n:
-            raise CurveContextError(f"curve degree e = {self.e} exceeds n = {self.n}")
-        if self.field.p is not None and self.e % self.field.p == 0:
-            raise CurveContextError(
-                f"characteristic {self.field.p} divides the curve degree {self.e}"
-            )
+    def __init__(self, d: int, e: int, n: int, field: FieldSpec = RATIONALS):
+        if d < 2:
+            raise CurveContextError(f"hypersurface degree d = {d} < 2")
+        if e < 1:
+            raise CurveContextError(f"curve degree e = {e} < 1")
+        if n < 3:
+            raise CurveContextError(f"ambient dimension n = {n} < 3")
+        if e > n:
+            raise CurveContextError(f"curve degree e = {e} exceeds n = {n}")
+        if field.p is not None and e % field.p == 0:
+            raise CurveContextError(f"characteristic {field.p} divides the curve degree {e}")
+        self.d, self.e, self.n, self.field = d, e, n, field
+
+    def _key(self) -> tuple:
+        return (self.d, self.e, self.n, self.field)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CurveContext) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"CurveContext(d={self.d}, e={self.e}, n={self.n}, field={self.field!r})"
 
     @property
     def nvars(self) -> int:
@@ -176,21 +186,20 @@ def restrict_to_curve(p: MultiPoly) -> BinaryForm:
     """Substitute x_m -> s^(e-m) t^m for m <= e and x_m -> 0 for m > e.
 
     A degree-k form restricts to a binary form of degree e*k (or strictly zero).
+    The coefficients are summed as integers: over Q, numerators over the lcm
+    of the denominators; each is reduced once.
     """
-    ctx = p.context
-    K = ctx.field
-    if p.is_zero():
-        return BinaryForm.zero(K)
-    deg = ctx.e * p.total_degree
-    coeffs = [K.zero] * (deg + 1)
-    for exp, c in p.terms.items():
-        if any(exp[m] > 0 for m in range(ctx.e + 1, ctx.nvars)):
-            continue
+    K, e = p.context.field, p.context.e
+    terms = [(exp, c) for exp, c in p.terms.items() if not any(exp[e + 1 :])]
+    den = lcm(*(c.denominator for _, c in terms)) if K.p is None else 1
+    acc = [0] * (e * p.total_degree + 1)
+    for exp, c in terms:
         # monomial prod x_m^{a_m} -> s^(sum a_m (e-m)) t^(sum a_m m)
-        tpow = sum(m * a for m, a in enumerate(exp[: ctx.e + 1]))
-        coeffs[tpow] = K.add(coeffs[tpow], c)
-    form = BinaryForm(K, deg, tuple(coeffs))
-    return form if not form.is_zero() else BinaryForm.zero(K)
+        acc[sum(map(mul, range(e + 1), exp))] += c if K.p else c.numerator * (den // c.denominator)
+    if not any(acc):
+        return BinaryForm.zero(K)
+    coeffs = tuple(x % K.p for x in acc) if K.p else tuple(Fraction(x, den) for x in acc)
+    return BinaryForm(K, len(acc) - 1, coeffs)
 
 
 def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
@@ -296,11 +305,18 @@ _POLY_TOKEN = re.compile(
 )
 
 
+def _digit_limit() -> int:
+    """Python's limit on the digits of an int read from or printed as text
+    (sys.get_int_max_str_digits; 0 where there is none)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 class _PolyParser:
     def __init__(self, text: str, context: CurveContext, degree: int):
         self.tokens: list = []
         self.context = context
         self.degree = degree  # the expected degree, which no power may exceed
+        self.limit = _digit_limit()  # nor any number's digits
         pos = 0
         while pos < len(text):
             if text[pos].isspace():
@@ -309,6 +325,8 @@ class _PolyParser:
             m = _POLY_TOKEN.match(text, pos)
             if not m:
                 raise PolyError(f"syntax error at position {pos}: {text[pos:]!r}")
+            if self.limit and any(len(run) > self.limit for run in re.findall(r"\d+", m.group())):
+                raise PolyError(f"number at position {pos} has more than {self.limit} digits")
             if m.group("num"):
                 self.tokens.append(("num", m.group("num"), pos))
             elif m.group("var") is not None:
@@ -372,6 +390,10 @@ class _PolyParser:
             K = self.context.field
             if base.is_zero() or base.total_degree == 0:  # 0^k and c^k in one step
                 c = next(iter(base.terms.values()), K.zero)
+                # |c|^power has at least power * bits + 1 bits, and 10^limit 3.33 * limit
+                bits = 0 if K.p else max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+                if self.limit and power * bits > 4 * self.limit:
+                    raise PolyError(f"power at position {exp_tok[2]} has more than {self.limit} digits")
                 return MultiPoly.constant(self.context, c**power if K.p is None else pow(c, power, K.p))
             if base.total_degree * power > self.degree:
                 raise PolyError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
@@ -404,6 +426,11 @@ def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiP
     if text == "0":
         return MultiPoly.zero(context, expected_degree)
     raw = _PolyParser(text, context, expected_degree).parse()
+    limit = _digit_limit()
+    if limit and context.field.p is None:
+        big = 10**limit
+        if any(abs(c.numerator) >= big or c.denominator >= big for c in raw.terms.values()):
+            raise PolyError(f"a coefficient has more than {limit} digits")
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
     degrees = {sum(exp) for exp in raw.terms}

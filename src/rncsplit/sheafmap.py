@@ -13,9 +13,8 @@ rank at every point of the line follows from it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .binform import BinaryForm, bf_gcd
@@ -34,29 +33,26 @@ class CertificationError(RuntimeError):
     """An internal exactness certificate failed; signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class GradedSheafMap:
-    field: FieldSpec
-    source: TwistSum
-    target: TwistSum
-    entries: dict  # (row, col) -> nonzero BinaryForm; zero entries implicit
+    """Compare maps with `equals`: `==` is identity."""
 
-    def __post_init__(self):
+    __slots__ = ("field", "source", "target", "entries")
+
+    def __init__(self, field: FieldSpec, source: TwistSum, target: TwistSum, entries: dict):
+        # entries: (row, col) -> BinaryForm; zero entries are dropped
+        source, target = tuple(source), tuple(target)
         clean = {}
-        for (i, j), f in self.entries.items():
-            if not (0 <= i < len(self.target) and 0 <= j < len(self.source)):
-                raise MapError(f"entry ({i},{j}) outside {len(self.target)}x{len(self.source)}")
+        for (i, j), f in entries.items():
+            if not (0 <= i < len(target) and 0 <= j < len(source)):
+                raise MapError(f"entry ({i},{j}) outside {len(target)}x{len(source)}")
             if f.is_zero():
                 continue
-            want = self.target[i] - self.source[j]
-            if f.degree != want:
+            if f.degree != target[i] - source[j]:
                 raise MapError(
-                    f"entry ({i},{j}) has degree {f.degree}, expected c_i - b_j = {want}"
+                    f"entry ({i},{j}) has degree {f.degree}, expected c_i - b_j = {target[i] - source[j]}"
                 )
             clean[(i, j)] = f
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
+        self.field, self.source, self.target, self.entries = field, source, target, clean
 
     @property
     def nrows(self) -> int:
@@ -75,8 +71,9 @@ class GradedSheafMap:
     def equals(self, other: "GradedSheafMap") -> bool:
         if self.source != other.source or self.target != other.target:
             return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.entry(i, j).equals(other.entry(i, j)) for (i, j) in keys)
+        # entries hold no zero forms, so equal maps have the same keys
+        theirs = other.entries
+        return self.entries.keys() == theirs.keys() and all(f.equals(theirs[k]) for k, f in self.entries.items())
 
     def permute_columns(self, perm: list[int]) -> "GradedSheafMap":
         """New map whose column k is the old column perm[k]."""
@@ -219,28 +216,33 @@ def _delta_from_psi(ctx: CurveContext, psi: GradedSheafMap) -> GradedSheafMap:
 # -- sections and the nullity scan ---------------------------------------------
 
 
-def _section_matrix(M: GradedSheafMap, m: int):
-    """Matrix of the induced map ⊕Γ(O(b_j+m)) -> ⊕Γ(O(c_i+m)) in coefficient
-    coordinates (returns (matrix, n_cols)) as lists of field elements;
-    multiplication by a form is its coefficient convolution."""
-    zero = M.field.zero
-    src_dims = [max(0, b + m + 1) for b in M.source]
-    tgt_dims = [max(0, c + m + 1) for c in M.target]
-    # M_ij has degree c_i - b_j, so column q of block j holds every
-    # coefficient of M_ij, coefficient u in row q + u of block i
+def _section_rows(M: GradedSheafMap, T: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The twist-T section matrix ⊕Γ(O(b_j+T)) -> ⊕Γ(O(c_i+T)) of M in
+    coefficient coordinates, built once as rows of Python ints.  Column
+    (j, q) is coefficient q of block j, that of s^(b_j+T-q) t^q; M_ij has
+    degree c_i - b_j and puts its coefficient u in row q + u of block i.  The
+    columns run in level order: by level b_j + T - q, descending, ties in
+    block order (see _nullity_scan).  Over GF(p) the entries are the
+    canonical coefficients; over Q, each row of M is scaled by the lcm of its
+    denominators, which leaves the kernel and the pivots unchanged.  Returns
+    (rows, the (j, q) of each column)."""
+    ints = {(i, j): list(cs) for i, (_, line) in _integer_lines(M.entries, M.field, 0).items() for j, cs in line.items()}
+    heights = [max(0, c + T + 1) for c in M.target]
+    keys = [
+        (j, b + T - level)
+        for level in range(max(M.source, default=-1) + T, -1, -1)
+        for j, b in enumerate(M.source)
+        if b + T >= level
+    ]
     cols = []
-    for j, ds in enumerate(src_dims):
-        for q in range(ds):
-            col = []
-            for i, dt in enumerate(tgt_dims):
-                f = M.entries.get((i, j))
-                if f is None:
-                    col += [zero] * dt
-                else:
-                    col += [zero] * q + list(f.coeffs) + [zero] * (dt - q - f.degree - 1)
-            cols.append(col)
-    A = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(tgt_dims))]
-    return A, len(cols)
+    for j, q in keys:
+        col = []
+        for i, h in enumerate(heights):
+            f = ints.get((i, j))
+            col += [0] * h if f is None else [0] * q + f + [0] * (h - q - len(f))
+        cols.append(col)
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(heights))]
+    return rows, keys
 
 
 def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
@@ -250,26 +252,77 @@ def _scan_window(M: GradedSheafMap) -> tuple[int, int]:
     return -B - 1, -min(a_spec, a_safe)
 
 
-def _submatrix(A, nrows: int, cols: list):
-    """The first nrows rows of a section matrix, restricted to cols in order."""
-    return [[row[k] for k in cols] for row in A[:nrows]]
+def _width(M: GradedSheafMap, m: int) -> int:
+    """Columns of the twist-m section matrix."""
+    return sum(max(0, b + m + 1) for b in M.source)
 
 
-def _section_counts(M: GradedSheafMap, A, T: int) -> list[int]:
-    """[N(T), N(T-1), ...] down to the last twist with sections, from one
-    forward elimination of the twist-T section matrix A (block order) with
-    its columns taken in level order; see _nullity_scan."""
-    levels = [b + T - q for b in M.source for q in range(b + T + 1)]
-    order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
-    pivots = linalg.pivot_columns(_submatrix(A, len(A), order), M.field, len(order))
-    counts = []
-    for k in range(max(levels, default=-1) + 1):
-        width = sum(max(0, b + T - k + 1) for b in M.source)  # columns of level >= k
-        counts.append(width - bisect_left(pivots, width))
-    return counts
+def _twist_echelon(M: GradedSheafMap, T: int) -> tuple[list, list[int], list]:
+    """One forward elimination of the level-ordered twist-T section matrix:
+    (pivot rows, pivot columns, the (j, q) of each column)."""
+    A, keys = _section_rows(M, T)
+    return (*linalg.row_echelon(A, M.field, len(keys)), keys)
 
 
-def _nullity_scan(M: GradedSheafMap):
+def _count(M: GradedSheafMap, pivots: list[int], m: int) -> int:
+    """N(m), the nullity of the twist-m section matrix, from the pivots of a
+    twist T >= m elimination: that matrix is its prefix of width _width(M, m)."""
+    w = _width(M, m)
+    return w - bisect_left(pivots, w)
+
+
+def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, m: int) -> list[list]:
+    """The nullspace of the twist-m section matrix in block order, as rref
+    gives it: one vector per free column f, 1 at f and 0 at the other free
+    columns and past f.  Read from a twist T >= m elimination (rows, pivots,
+    keys; see _twist_echelon) with no second elimination of the matrix.
+
+    The pivot rows inside the prefix of width w = _width(M, m) span its row
+    space.  Back-substitution on them gives the prefix kernel vector of each
+    free level-order column (over Q on integers, scaling the vector by the
+    pivot over its gcd with the residual).  Column (j, q) of the prefix is
+    column off(j) + q of the twist-m matrix in block order.  The vectors
+    above span the kernel, and the rref basis is their reduced echelon form
+    with the columns reversed: its pivots are the free columns of the
+    block-order matrix, since column f is free iff some kernel vector ends
+    at f."""
+    K, p = M.field, M.field.p
+    w = _width(M, m)
+    r = bisect_left(pivots, w)
+    rows, pivots = rows[:r], pivots[:r]
+    offsets, off = [], 0
+    for b in M.source:
+        offsets.append(off)
+        off += max(0, b + m + 1)
+    where = [offsets[j] + q for j, q in keys[:w]]
+    piv_set = set(pivots)
+    reversed_basis = []
+    for f in range(w):
+        if f in piv_set:
+            continue
+        v = {f: 1}
+        for row, c in zip(reversed(rows), reversed(pivots)):
+            if c > f:
+                continue
+            s = sum(row[x] * y for x, y in v.items())
+            if not s:
+                continue
+            if p is not None:
+                v[c] = -s * pow(row[c], p - 2, p) % p
+                continue
+            g = gcd(s, row[c])
+            if row[c] != g:
+                v = {x: y * (row[c] // g) for x, y in v.items()}
+            v[c] = -s // g
+        vec = [0] * w
+        for x, y in v.items():
+            vec[w - 1 - where[x]] = y
+        reversed_basis.append(vec)
+    R, _ = linalg.rref(reversed_basis, K, w)
+    return [row[::-1] for row in reversed(R)]
+
+
+def _nullity_scan(M: GradedSheafMap, generators: bool = False):
     """Nullity scan of a one-row map M : ⊕O(b_j) -> O(c).  For ker M ≅ ⊕O(a_i)
     the section counts N(m) = dim ker of _section_matrix(M, m) obey
     N(m) = h^0(ker M(m)) and N(m) - N(m-1) = #{i : a_i >= -m}; at each twist
@@ -324,34 +377,25 @@ def _nullity_scan(M: GradedSheafMap):
     if rank == 0:
         return
     m_bottom, m_top = _scan_window(M)
-    built: dict = {}  # twist -> (section matrix in block order, width)
-    below: dict = {}  # twist T -> [N(T), N(T-1), ...]
+    built: dict = {}  # twist T -> _twist_echelon(M, T)
 
-    def matrix(m: int):
+    def echelon(m: int):
         top = min((t for t in built if t >= m), default=m)
         if top not in built:
-            built[m] = _section_matrix(M, m)
-        if top == m:
-            return built[m]
-        cols = []
-        off = 0
-        for b in M.source:
-            cols.extend(range(off, off + max(0, b + m + 1)))
-            off += max(0, b + top + 1)
-        return _submatrix(built[top][0], max(0, M.target[0] + m + 1), cols), len(cols)
+            built[top] = _twist_echelon(M, top)
+        return built[top]
 
     def count(m: int) -> int:
-        top = min((t for t in below if t >= m), default=m)
-        if top not in below:
-            below[m] = _section_counts(M, matrix(m)[0], m)
-        return below[top][top - m] if top - m < len(below[top]) else 0
+        return _count(M, echelon(m)[1], m)
 
     def sections(m: int):
-        A, C = matrix(m)
-        return linalg.nullspace(A, M.field, C), C
+        return _kernel_basis(M, *echelon(m), m), _width(M, m)
 
     start = max(m_bottom + 1, min(-degree // rank - 1, m_top))
-    count(start + 1)  # eliminate at the χ twist of a balanced kernel first
+    # eliminate first at the χ twist of a balanced kernel, or, when the
+    # generators are wanted and the parts differ, one twist higher, where the
+    # last generators appear
+    echelon(start + 1 + (generators and degree % rank != 0))
     while start > m_bottom + 1 and count(start):
         start -= 1
     parts: list[int] = []
@@ -418,7 +462,7 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     parts: list[int] = []
-    for m, new_parts, sections in _nullity_scan(M):
+    for m, new_parts, sections in _nullity_scan(M, generators=True):
         basis, width = sections(m)
         parts.extend(new_parts)
         a = -m
@@ -470,7 +514,9 @@ def certify_kernel(M: GradedSheafMap, K: GradedSheafMap, rank: int, degree: int)
             f"kernel matrix has rank {K.ncols} and degree {sum(K.source)}, "
             f"the kernel has rank {rank} and degree {degree}"
         )
-    at_point = [[K.entry(i, j).coeff(0) for j in range(K.ncols)] for i in range(K.nrows)]
+    at_point = [[K.field.zero] * K.ncols for _ in range(K.nrows)]
+    for (i, j), f in K.entries.items():
+        at_point[i][j] = f.coeffs[0]
     if linalg.rank(at_point, K.field, K.ncols) != K.ncols:
         raise CertificationError("kernel matrix is not injective at the point (1 : 0)")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -18,15 +17,20 @@ class SplittingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SplittingType:
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(a) for a in self.parts)
-        if any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
-            parts = tuple(sorted(parts))
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple):
+        self.parts = tuple(sorted(int(a) for a in parts))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SplittingType) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"SplittingType(parts={self.parts})"
 
     @property
     def rank(self) -> int:
@@ -143,11 +147,11 @@ BALANCED = "balanced"
 NOT_BALANCED = "not-balanced"
 
 
-@dataclass(frozen=True)
 class Prediction:
-    verdict: str
-    splitting: SplittingType | None
-    provenance: str
+    __slots__ = ("verdict", "splitting", "provenance")
+
+    def __init__(self, verdict: str, splitting: SplittingType | None, provenance: str):
+        self.verdict, self.splitting, self.provenance = verdict, splitting, provenance
 
 
 def _exact(parts, tag: str) -> Prediction:

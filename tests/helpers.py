@@ -17,7 +17,6 @@ from rncsplit.sheafmap import (
     MapError,
     _onto_everywhere,
     _scan_window,
-    _section_matrix,
     build_delta,
     normal_twists,
     tangent_twists,
@@ -155,11 +154,53 @@ def random_surjective_map(rnd, field=GF, max_rank=6, spread=8):
             return M
 
 
+def section_matrix(M: GradedSheafMap, m: int):
+    """Matrix of the induced map ⊕Γ(O(b_j+m)) -> ⊕Γ(O(c_i+m)) in coefficient
+    coordinates, columns in block order, built column by column as lists of
+    field elements; returns (matrix, n_cols).  Oracle for
+    sheafmap._section_rows."""
+    zero = M.field.zero
+    src_dims = [max(0, b + m + 1) for b in M.source]
+    tgt_dims = [max(0, c + m + 1) for c in M.target]
+    # M_ij has degree c_i - b_j, so column q of block j holds every
+    # coefficient of M_ij, coefficient u in row q + u of block i
+    cols = []
+    for j, ds in enumerate(src_dims):
+        for q in range(ds):
+            col = []
+            for i, dt in enumerate(tgt_dims):
+                f = M.entries.get((i, j))
+                if f is None:
+                    col += [zero] * dt
+                else:
+                    col += [zero] * q + list(f.coeffs) + [zero] * (dt - q - f.degree - 1)
+            cols.append(col)
+    A = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(tgt_dims))]
+    return A, len(cols)
+
+
+def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
+    """Basis of the right kernel, one vector per free column of the rref:
+    1 there, 0 at the other free columns, minus the rref entries at the
+    pivots.  Oracle for the scan's kernel bases (sheafmap._kernel_basis)."""
+    if width is None:
+        width = len(rows[0]) if len(rows) else 0
+    R, pivots = linalg.rref(rows, field, width)
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        v = [field.zero] * width
+        v[f] = field.one
+        for row, pc in zip(R, pivots):
+            v[pc] = field.neg(row[f])
+        basis.append(v)
+    return basis
+
+
 def section_kernel_dim(M: GradedSheafMap, m: int) -> int:
     """dim ker of the induced linear map on global sections twisted by m: one
     section matrix and one Gauss-Jordan elimination per twist.  Oracle for
     the counts the nullity scan reads off one level-ordered matrix."""
-    A, C = _section_matrix(M, m)
+    A, C = section_matrix(M, m)
     return C - len(linalg.rref(A, M.field, C)[1])
 
 
@@ -184,7 +225,7 @@ def full_window_splitting(M):
 
 def section_matrix_loop(M, m):
     """The GF(p) section matrix of M at twist m, one numpy assignment per
-    coefficient.  Oracle for sheafmap._section_matrix."""
+    coefficient.  Oracle for section_matrix."""
     K = M.field
     src_dims = [max(0, b + m + 1) for b in M.source]
     tgt_dims = [max(0, c + m + 1) for c in M.target]

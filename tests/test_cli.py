@@ -108,6 +108,28 @@ def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
     assert "above the expected degree 1" in err
 
 
+@pytest.mark.parametrize(
+    "body, why",
+    [
+        ("2^20000*x0", "power at position 2 has more than 4300 digits"),
+        ("7" * 5000 + "*x0", "number at position 0 has more than 4300 digits"),
+        ("10^4000*10^4000*x0", "a coefficient has more than 4300 digits"),
+        ("x0^" + "9" * 5000, "number at position 3 has more than 4300 digits"),
+    ],
+    ids=["power", "literal", "product", "exponent"],
+)
+def test_compute_coefficient_over_digit_limit_exit_2(capsys, tmp_path, body, why):
+    # Python reads and prints ints of at most 4300 digits (its default
+    # int_max_str_digits); the parser refuses larger numbers, so no report
+    # fails when it prints one
+    assert sys.get_int_max_str_digits() == 4300
+    hsf = tmp_path / "big.hsf"
+    hsf.write_text(f"d = 3\ne = 3\nn = 3\nQ 1 2 : {body}\nQ 2 3 : x3\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert why in err
+
+
 def test_compute_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--poly", "/nonexistent/q.hsf")
     assert code == 2
@@ -335,14 +357,17 @@ def test_output_file(capsys, tmp_path):
 
 def test_cli_runs_without_numpy():
     # numpy is imported only for dense prime-field matrices, and a table
-    # sweep has none: neither the import nor the sweep may load it
+    # sweep has none: neither the import nor the sweep may load it.  Nor
+    # dataclasses (which pulls in inspect and ast) or concurrent.futures (for
+    # --workers > 1 only): each is milliseconds of start-up
     script = (
         "import sys\n"
+        "heavy = ('numpy', 'dataclasses', 'concurrent.futures')\n"
         "from rncsplit import cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported with rncsplit.cli'\n"
+        "assert not [m for m in heavy if m in sys.modules], 'imported with rncsplit.cli'\n"
         "code = cli.main(['verify', '--theorem', 'cubics', '--max-n', '6', '--workers', '1'])\n"
         "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported by verify'\n"
+        "assert not [m for m in heavy if m in sys.modules], 'imported by verify'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -300,13 +300,13 @@ def test_extend_step_builds_no_section_matrix(monkeypatch):
     # with the kernel passed in, a step runs no nullity scan: g comes from one
     # exact division and N is certified by certify_kernel
     built = []
-    section_matrix = sheafmap._section_matrix
+    section_rows = sheafmap._section_rows
 
     def recording(M, m):
         built.append(m)
-        return section_matrix(M, m)
+        return section_rows(M, m)
 
-    monkeypatch.setattr(sheafmap, "_section_matrix", recording)
+    monkeypatch.setattr(sheafmap, "_section_rows", recording)
     for d, e, field in ((3, 3, RATIONALS), (4, 5, GF)):
         F = seed_example(d, e, field)
         kernel = kernel_matrix(build_delta(F))

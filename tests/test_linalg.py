@@ -13,6 +13,7 @@ from tests.helpers import (
     FractionRowSpace,
     NumpyRowSpace,
     det,
+    nullspace,
     nullspace_frac,
     rref_frac,
     solve_frac,
@@ -31,7 +32,7 @@ def test_rank_and_nullspace_known(field):
     two = field.from_int(2)
     A = [[one, two], [two, field.from_int(4)]]
     assert linalg.rank(A, field) == 1
-    ns = linalg.nullspace(A, field)
+    ns = nullspace(A, field)
     assert len(ns) == 1
     x = ns[0]
     assert field.is_zero(field.add(field.mul(A[0][0], x[0]), field.mul(A[0][1], x[1])))
@@ -43,7 +44,7 @@ def test_nullspace_annihilates_random(field):
     for _ in range(25):
         m, n = rnd.randrange(1, 6), rnd.randrange(1, 7)
         A = rand_matrix(rnd, field, m, n)
-        ns = linalg.nullspace(A, field)
+        ns = nullspace(A, field)
         assert len(ns) == n - linalg.rank(A, field)
         for v in ns:
             for row in A:
@@ -129,7 +130,7 @@ def test_numpy_rank_at_largest_allowed_prime():
         A = [[sum(U[i][l] * V[l][j] for l in range(k)) % p for j in range(n)] for i in range(m)]
         r = _rank_mod_p(A, p)
         assert linalg.rank(A, K, n) == r
-        basis = linalg.nullspace(A, K, n)
+        basis = nullspace(A, K, n)
         assert len(basis) == n - r
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
@@ -138,7 +139,7 @@ def test_numpy_rank_at_largest_allowed_prime():
 def test_numpy_input_accepted():
     A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
     assert linalg.rank(A, GF, 3) == 1
-    assert len(linalg.nullspace(A, GF, 3)) == 2
+    assert len(nullspace(A, GF, 3)) == 2
     x = linalg.solve(A, np.array([2, 4]), GF, 3)
     assert x == [2, 0, 0] and all(type(v) is int for v in x)
     span = linalg.RowSpace(GF, 3)
@@ -149,22 +150,22 @@ def test_numpy_input_accepted():
 
 def test_empty_matrices():
     assert linalg.rank([], RATIONALS, 0) == 0
-    assert linalg.nullspace([], RATIONALS, 3) == [
+    assert nullspace([], RATIONALS, 3) == [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
     # no rows, and rows of width 0, as section matrices at low twists have
     assert linalg.rank(np.zeros((0, 3), dtype=np.int64), GF, 3) == 0
-    assert linalg.nullspace(np.zeros((0, 3), dtype=np.int64), GF, 3) == [
+    assert nullspace(np.zeros((0, 3), dtype=np.int64), GF, 3) == [
         [1, 0, 0],
         [0, 1, 0],
         [0, 0, 1],
     ]
     assert linalg.rank(np.zeros((3, 0), dtype=np.int64), GF, 0) == 0
-    assert linalg.nullspace(np.zeros((3, 0), dtype=np.int64), GF, 0) == []
+    assert nullspace(np.zeros((3, 0), dtype=np.int64), GF, 0) == []
     assert linalg.rank([[], [], []], RATIONALS, 0) == 0
-    assert linalg.nullspace([[], [], []], RATIONALS, 0) == []
+    assert nullspace([[], [], []], RATIONALS, 0) == []
 
 
 # Rational entries: ints and Fractions, zeros, negatives, and huge numerators
@@ -211,7 +212,7 @@ def test_integer_elimination_matches_fraction_oracle(system):
     assert (R, pivots) == rref_frac([[Fraction(a) for a in row] for row in rows])
     assert _all_fractions(R)
     assert linalg.rank(rows, RATIONALS, width) == len(pivots)
-    basis = linalg.nullspace(rows, RATIONALS, width)
+    basis = nullspace(rows, RATIONALS, width)
     assert basis == nullspace_frac(rows, width)
     assert _all_fractions(basis)
 
@@ -252,12 +253,25 @@ def test_pivot_columns_match_rref(system, mod_system):
     # forward elimination finds the pivot columns of the reduced form
     rows, width, _, _ = system
     pivots = linalg.pivot_columns(rows, RATIONALS, width)
-    assert pivots == linalg.rref(rows, RATIONALS, width)[1]
+    R, rref_pivots = linalg.rref(rows, RATIONALS, width)
+    assert pivots == rref_pivots
     assert linalg.rank(rows, RATIONALS, width) == len(pivots)
+    # the kept pivot rows: zero left of their pivots, with the same rref, from
+    # the rows times their common denominator
+    L = math.lcm(*(Fraction(a).denominator for row in rows for a in row))
+    ints = [[int(a * L) for a in row] for row in rows]
+    echelon, forward_pivots = linalg.row_echelon(ints, RATIONALS, width)
+    assert forward_pivots == pivots
+    assert all(not any(row[:c]) and row[c] for row, c in zip(echelon, pivots))
+    assert linalg.rref(echelon, RATIONALS, width)[0] == R[: len(pivots)]
     K, rows, width = mod_system
     pivots = linalg.pivot_columns(rows, K, width)
     R, rref_pivots = linalg.rref(rows, K, width)
     assert pivots == rref_pivots
+    echelon, forward_pivots = linalg.row_echelon([list(row) for row in rows], K, width)
+    assert forward_pivots == pivots
+    assert all(not any(row[:c]) and row[c] for row, c in zip(echelon, pivots))
+    assert linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
     # the reduced form is the identity on its pivot columns, zero past the rank
     identity = np.eye(len(rows), len(pivots), dtype=np.int64).tolist()
     assert [[row[c] for c in pivots] for row in R] == identity
@@ -303,7 +317,8 @@ def test_list_kernels_match_numpy_kernels(p, dense, seed):
     A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     R, pivots = linalg._rref_mod(A, p)
     R = R.tolist()
-    assert linalg._pivots_mod(A, p) == pivots
+    echelon, forward_pivots = linalg._pivots_mod(A, p)
+    assert forward_pivots == pivots and linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
     assert not rows or len(pivots) == _rank_mod_p(rows, p)
 
     # the public functions, with every matrix sent to numpy and then none
@@ -314,7 +329,7 @@ def test_list_kernels_match_numpy_kernels(p, dense, seed):
             out = (
                 linalg.pivot_columns(rows, K, width),
                 linalg.rref(rows, K, width),
-                linalg.nullspace(rows, K, width),
+                nullspace(rows, K, width),
                 linalg.solve(rows, rhs, K, width),
                 linalg.solve(rows, image, K, width),
             )
@@ -344,7 +359,7 @@ def test_dense_matrices_take_the_numpy_branch(monkeypatch):
     A = [[rnd.randrange(1, GF.p) for _ in range(25)] for _ in range(20)]
     assert linalg.DENSE_NONZEROS == 500
     # 500 nonzeros: the list kernels
-    assert linalg.rank(A, GF) == 20 and len(linalg.nullspace(A, GF)) == 5
+    assert linalg.rank(A, GF) == 20 and len(nullspace(A, GF)) == 5
     assert calls == []
     # 501: numpy, with lists of Python ints out
     A.append([0] * 24 + [1])

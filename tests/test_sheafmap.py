@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rncsplit import sheafmap
+from rncsplit import linalg, sheafmap
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
@@ -43,7 +45,9 @@ from tests.helpers import (
     parse_map,
     random_combination,
     random_surjective_map,
+    nullspace,
     section_kernel_dim,
+    section_matrix,
     section_matrix_loop,
 )
 
@@ -392,16 +396,16 @@ def test_dense_rational_hypersurface_matches_full_window_oracle():
 
 
 def test_kernel_matrix_builds_each_twist_once(monkeypatch):
-    # kernel_matrix reads its generators from the scan's own nullspaces, so no
-    # section matrix is built twice for the same twist
+    # kernel_matrix reads its generators from the scan's own eliminations, so
+    # no section matrix is built twice for the same twist
     built = []
-    section_matrix = sheafmap._section_matrix
+    section_rows = sheafmap._section_rows
 
     def recording(M, m):
         built.append(m)
-        return section_matrix(M, m)
+        return section_rows(M, m)
 
-    monkeypatch.setattr(sheafmap, "_section_matrix", recording)
+    monkeypatch.setattr(sheafmap, "_section_rows", recording)
     maps = [
         build_delta(cubic_surface()),
         random_surjective_map(random.Random(5), max_rank=4, spread=6),
@@ -414,16 +418,17 @@ def test_kernel_matrix_builds_each_twist_once(monkeypatch):
         assert len(built) == len(set(built)), built
     # (7, 14, 14): the scan starts one twist below the slope of O(8)^5 + O(9)^8
     # and h^0 = χ at the next twist proves the type; that one level-ordered
-    # matrix holds both counts, and kernel_matrix builds only the twist where
-    # the last generators appear (the full increment scan built 8 twists for
-    # either call)
+    # matrix holds both counts.  kernel_matrix builds only the twist where the
+    # last generators appear, whose elimination holds the counts and both
+    # twists' generators (the full increment scan built 8 twists for either
+    # call)
     delta = build_delta(chain_hypersurface(7, 14, 14))
     built.clear()
     assert splitting_of_kernel(delta).parts == (8,) * 5 + (9,) * 8
     assert built == [-9]
     built.clear()
     assert sorted(kernel_matrix(delta).source) == [8] * 5 + [9] * 8
-    assert built == [-9, -8]
+    assert built == [-8]
 
 
 def _times(M, h):
@@ -491,16 +496,18 @@ def test_level_ordered_counts_match_per_twist_oracle(field):
         m_bottom, m_top = sheafmap._scan_window(M)
         want = {m: section_kernel_dim(M, m) for m in range(m_bottom - 1, m_top + 2)}
         for m in range(m_bottom, m_top + 2):
-            counts = sheafmap._section_counts(M, sheafmap._section_matrix(M, m)[0], m)
+            _, pivots, _ = sheafmap._twist_echelon(M, m)
             for k in range(m - m_bottom + 2):
-                assert (counts[k] if k < len(counts) else 0) == want[m - k], (M, m, k)
+                assert sheafmap._count(M, pivots, m - k) == want[m - k], (M, m, k)
     assert kinds == {"zero", "onto", "not onto", "balanced", "unbalanced"}
 
 
 def test_section_matrix_matches_per_coefficient_oracle():
+    # the level-ordered integer rows are the block-order section matrix with
+    # its columns permuted (and over Q each block of rows scaled by its row's
+    # common denominator); the block-order oracle against the numpy loop
     rnd = random.Random(404)
-    for p in (2, 3, 7, 32003):
-        K = FieldSpec(p)
+    for K in (FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, RATIONALS):
         for _ in range(25):
             source = tuple(rnd.randrange(-2, 6) for _ in range(rnd.randrange(1, 5)))
             target = tuple(max(source) + rnd.randrange(0, 4) for _ in range(rnd.randrange(0, 3)))
@@ -508,13 +515,90 @@ def test_section_matrix_matches_per_coefficient_oracle():
             for i, c in enumerate(target):
                 for j, b in enumerate(source):
                     if rnd.random() < 0.7:
-                        coeffs = tuple(K.from_int(rnd.randrange(0, p)) for _ in range(c - b + 1))
-                        entries[(i, j)] = BinaryForm(K, c - b, coeffs)
+                        coeffs = [rnd.randrange(0, K.p) if K.p else Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 5)) for _ in range(c - b + 1)]
+                        entries[(i, j)] = BinaryForm(K, c - b, tuple(coeffs))
             M = GradedSheafMap(K, source, target, entries)
+            scale = [math.lcm(*(x.denominator for (i, _), f in M.entries.items() if i == row for x in f.coeffs)) for row in range(len(target))]
             for m in range(-max(source) - 3, 4):
-                A, C = sheafmap._section_matrix(M, m)
-                B, width = section_matrix_loop(M, m)
-                assert C == width and (len(A), C) == B.shape and A == B.tolist(), (M, m)
+                A, C = section_matrix(M, m)
+                if K.p:
+                    B, width = section_matrix_loop(M, m)
+                    assert C == width and (len(A), C) == B.shape and A == B.tolist(), (M, m)
+                rows, keys = sheafmap._section_rows(M, m)
+                assert sorted(keys) == [(j, q) for j, b in enumerate(source) for q in range(b + m + 1)]
+                assert keys == sorted(keys, key=lambda k: (k[1] - source[k[0]], k[0])), (M, m)
+                offsets = [sum(max(0, b + m + 1) for b in source[:j]) for j in range(len(source))]
+                heights = [L for L, c in zip(scale, target) for _ in range(max(0, c + m + 1))]
+                want = [[L * row[offsets[j] + q] for j, q in keys] for L, row in zip(heights, A)]
+                assert rows == want and all(type(x) is int for row in rows for x in row), (M, m)
+
+
+@st.composite
+def one_row_maps(draw):
+    """A one-row map with some zero entries, over Q (coefficients with small
+    denominators) or a small or large prime field; often not onto."""
+    field = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF]))
+    source = draw(st.lists(st.integers(-2, 5), min_size=1, max_size=5))
+    c = max(source) + draw(st.integers(0, 3))
+    if field.p is None:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    entries = {}
+    for j, b in enumerate(source):
+        if draw(st.integers(0, 9)) < 7:
+            entries[(0, j)] = BinaryForm(field, c - b, tuple(draw(st.lists(coeff, min_size=c - b + 1, max_size=c - b + 1))))
+    return GradedSheafMap(field, tuple(source), (c,), entries)
+
+
+def _block_order_basis(M, rows, pivots, keys, m):
+    """The rref nullspace of the block-order section matrix at twist m."""
+    A, C = section_matrix(M, m)
+    return nullspace(A, M.field, C)
+
+
+# dense over GF(32003): a one-row map whose section matrices above twist 8
+# have more than DENSE_NONZEROS nonzeros, so they take the numpy kernel
+_DENSE = GradedSheafMap(
+    GF, (0, 0, 0, 0), (12,), {(0, j): BinaryForm(GF, 12, tuple((7 + 13 * j + 31 * u) ** 3 % GF.p for u in range(13))) for j in range(4)}
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(one_row_maps())
+@example(GradedSheafMap(RATIONALS, (3, 1, 1, -1), (5,), {}))  # the zero row
+@example(GradedSheafMap(FieldSpec(2), (3, 1, 1, -1), (5,), {}))
+@example(from_rows([["s^4*t", "t^5", "s^3*t^2"]], (0, 0, 0), (5,)))  # O(-1) + O(-3), onto nowhere along t
+@example(from_rows([["s^4", "2/3*t^4 + s^2*t^2", "5/7*s^3*t"]], (0, 0, 0), (4,)))  # O(-1) + O(-3)
+@example(from_rows([["s", "3*t", "0"]], (2, 2, -1), (3,), FieldSpec(7)))  # O(1) + O(-1)
+@example(_DENSE)
+def test_kernel_bases_match_block_order_nullspace(M):
+    # the kernel basis at twist m read from the level-ordered elimination at
+    # any twist T >= m is the rref nullspace of the block-order matrix at m,
+    # and kernel_matrix gives the same K as on those nullspaces
+    m_bottom, m_top = sheafmap._scan_window(M)
+    for m in range(m_bottom, m_top + 2):
+        want = _block_order_basis(M, None, None, None, m)
+        for T in (m, m + 1, m + 3):
+            assert sheafmap._kernel_basis(M, *sheafmap._twist_echelon(M, T), m) == want, (M, m, T)
+    K = format_map(kernel_matrix(M))
+    with mock.patch.object(sheafmap, "_kernel_basis", _block_order_basis):
+        assert format_map(kernel_matrix(M)) == K
+
+
+def test_dense_kernel_basis_takes_the_numpy_kernel(monkeypatch):
+    calls = []
+    pivots_mod = linalg._pivots_mod
+
+    def recording(A, p):
+        calls.append(A.shape)
+        return pivots_mod(A, p)
+
+    monkeypatch.setattr(linalg, "_pivots_mod", recording)
+    echelon = sheafmap._twist_echelon(_DENSE, 12)
+    assert calls == [(25, 52)]
+    for m in (9, 12):  # the twist-9 basis from a prefix of the numpy rows
+        assert sheafmap._kernel_basis(_DENSE, *echelon, m) == _block_order_basis(_DENSE, None, None, None, m)
 
 
 # -- the kernel certificate ------------------------------------------------------------
