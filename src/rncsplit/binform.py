@@ -140,13 +140,12 @@ class BinaryForm:
             raise DegreeError("monomial division not exact in t")
         if s_power < 0 and self.s_valuation() < -s_power:
             raise DegreeError("monomial division not exact in s")
-        K = self.field
-        d = self.degree + s_power + t_power
-        out = [K.zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            if not K.is_zero(c):
-                out[i + t_power] = c
-        return BinaryForm(K, d, tuple(out))
+        # coefficient i is that of s^(degree-i) t^i: t^k pads k zeros in front,
+        # s^k k behind, and a negative power drops the zeros it divides out
+        zero = (self.field.zero,)
+        cs = self.coeffs[-t_power:] if t_power < 0 else zero * t_power + self.coeffs
+        cs = cs[: len(cs) + s_power] if s_power < 0 else cs + zero * s_power
+        return BinaryForm(self.field, self.degree + s_power + t_power, cs)
 
     def divexact(self, divisor: "BinaryForm") -> "BinaryForm":
         """Exact quotient self / divisor; raises DegreeError on nonzero remainder."""

@@ -59,9 +59,6 @@ class CurveContext:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __repr__(self) -> str:
-        return f"CurveContext(d={self.d}, e={self.e}, n={self.n}, field={self.field!r})"
-
     @property
     def nvars(self) -> int:
         return self.n + 1

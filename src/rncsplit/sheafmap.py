@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from . import linalg
@@ -290,11 +291,8 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
     w = _width(M, m)
     r = bisect_left(pivots, w)
     rows, pivots = rows[:r], pivots[:r]
-    offsets, off = [], 0
-    for b in M.source:
-        offsets.append(off)
-        off += max(0, b + m + 1)
-    where = [offsets[j] + q for j, q in keys[:w]]
+    offsets = [0, *accumulate(max(0, b + m + 1) for b in M.source)]
+    where = [w - 1 - offsets[j] - q for j, q in keys[:w]]  # block order, reversed
     piv_set = set(pivots)
     reversed_basis = []
     for f in range(w):
@@ -316,7 +314,7 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
             v[c] = -s // g
         vec = [0] * w
         for x, y in v.items():
-            vec[w - 1 - where[x]] = y
+            vec[where[x]] = y
         reversed_basis.append(vec)
     R, _ = linalg.rref(reversed_basis, K, w)
     return [row[::-1] for row in reversed(R)]
@@ -324,11 +322,11 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
 
 def _nullity_scan(M: GradedSheafMap, generators: bool = False):
     """Nullity scan of a one-row map M : ⊕O(b_j) -> O(c).  For ker M ≅ ⊕O(a_i)
-    the section counts N(m) = dim ker of _section_matrix(M, m) obey
+    the section counts N(m) = dim ker of the twist-m section matrix obey
     N(m) = h^0(ker M(m)) and N(m) - N(m-1) = #{i : a_i >= -m}; at each twist
     m where this increment grows, yields (m, new_parts, sections), and
-    sections(m) gives the (basis, width) of the nullspace at m.  Any other
-    map raises MapError.
+    sections(m) gives the (basis, width) of the nullspace at m, in block
+    order (_kernel_basis).  Any other map raises MapError.
 
     One elimination gives every count below a twist T (the single-rref idea
     of Hong, Hough and Kogan, "Algorithm for computing μ-bases of univariate
@@ -339,12 +337,18 @@ def _nullity_scan(M: GradedSheafMap, generators: bool = False):
     c + T - k are zero on them: those columns are the section matrix at
     T - k.  Ordered by level, descending, they are a prefix, and the rank of
     a prefix is the number of pivots in it.  So the pivot levels of one
-    forward elimination give N(T - k) for every k >= 0 (_section_counts).
+    forward elimination give N(T - k) for every k >= 0 (_count), and its
+    pivot rows give the kernel at every T - k as well (_kernel_basis).  Each
+    twist's matrix is built once, as integer rows in level order
+    (_section_rows), and eliminated once (_twist_echelon).
+
     The scan first eliminates at T = m0 + 1 (m0 as in the χ stop below),
     where a balanced kernel meets χ, so one matrix answers the N(m0) = 0
-    check, any step down and the χ stop; it eliminates at a higher twist
-    only when an unbalanced kernel climbs past T.  sections(m) cuts the twist-m matrix, in block order,
-    from a built twist above m, so no twist is built twice.
+    check, any step down and the χ stop.  With generators=True and parts
+    that differ, it eliminates at m0 + 2 instead, where a balanced kernel's
+    last generators appear, so that one elimination serves all of them.  It
+    eliminates at a higher twist only when an unbalanced kernel climbs past
+    T, and sections(m) reads the lowest eliminated twist >= m.
 
     The kernel's rank r and a lower bound D on its degree come from the shape.
     A nonzero row has image O(c - deg g), g the gcd of its entries, so
@@ -399,19 +403,20 @@ def _nullity_scan(M: GradedSheafMap, generators: bool = False):
     while start > m_bottom + 1 and count(start):
         start -= 1
     parts: list[int] = []
-    prev_inc = 0
+    prev_count, prev_inc = count(start - 1), 0
     m_stop = m_top
     chi_met = False
     for m in range(start, m_top + 1):
-        inc = count(m) - count(m - 1)
+        n = count(m)
+        inc = n - prev_count
         if inc < prev_inc:
             raise CertificationError(f"section counts not monotone at twist {m}")
         if inc > prev_inc:
             new_parts = [-m] * (inc - prev_inc)
             parts.extend(new_parts)
             yield m, new_parts, sections
-        prev_inc = inc
-        chi_met = count(m) == rank * (m + 1) + degree
+        prev_count, prev_inc = n, inc
+        chi_met = n == rank * (m + 1) + degree
         if chi_met or inc == rank:
             m_stop = m
             break
@@ -457,9 +462,11 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     compose(M, K) = 0, source twists equal splitting_of_kernel(M) sorted
     descending, and K has full rank at every point of the line.
 
-    Columns of twist a are the scan's nullspace vectors at m = -a that are
-    independent of the shifts of the columns found before.  The scan proves
-    ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
+    Columns of twist a are the scan's nullspace vectors at m = -a (the rref
+    basis of the block-order section matrix, read from the scan's own
+    eliminations) that are independent of the shifts of the columns found
+    before.  The scan proves ker M ≅ ⊕O(a_i), which gives certify_kernel its
+    rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     parts: list[int] = []
     for m, new_parts, sections in _nullity_scan(M, generators=True):
