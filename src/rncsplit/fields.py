@@ -100,7 +100,10 @@ class FieldSpec:
     def format_scalar(self, a) -> str:
         if self.p is None:
             f = Fraction(a)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            try:
+                return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            except ValueError:  # Python prints ints of at most sys.get_int_max_str_digits() digits
+                raise FieldError("a coefficient has too many digits to print") from None
         r = a % self.p
         # balanced representative: small negatives print as negatives
         return str(r - self.p) if r > self.p // 2 else str(r)

@@ -302,18 +302,13 @@ _POLY_TOKEN = re.compile(
 )
 
 
-def _digit_limit() -> int:
-    """Python's limit on the digits of an int read from or printed as text
-    (sys.get_int_max_str_digits; 0 where there is none)."""
-    return getattr(sys, "get_int_max_str_digits", int)()
-
-
 class _PolyParser:
     def __init__(self, text: str, context: CurveContext, degree: int):
         self.tokens: list = []
         self.context = context
         self.degree = degree  # the expected degree, which no power may exceed
-        self.limit = _digit_limit()  # nor any number's digits
+        # the most digits Python reads or prints in one int (0: no limit)
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
         pos = 0
         while pos < len(text):
             if text[pos].isspace():
@@ -423,11 +418,6 @@ def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiP
     if text == "0":
         return MultiPoly.zero(context, expected_degree)
     raw = _PolyParser(text, context, expected_degree).parse()
-    limit = _digit_limit()
-    if limit and context.field.p is None:
-        big = 10**limit
-        if any(abs(c.numerator) >= big or c.denominator >= big for c in raw.terms.values()):
-            raise PolyError(f"a coefficient has more than {limit} digits")
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
     degrees = {sum(exp) for exp in raw.terms}

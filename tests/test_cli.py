@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -113,21 +114,36 @@ def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
     [
         ("2^20000*x0", "power at position 2 has more than 4300 digits"),
         ("7" * 5000 + "*x0", "number at position 0 has more than 4300 digits"),
-        ("10^4000*10^4000*x0", "a coefficient has more than 4300 digits"),
+        ("10^4000*10^4000*x0", "a coefficient has too many digits to print"),
         ("x0^" + "9" * 5000, "number at position 3 has more than 4300 digits"),
     ],
     ids=["power", "literal", "product", "exponent"],
 )
 def test_compute_coefficient_over_digit_limit_exit_2(capsys, tmp_path, body, why):
     # Python reads and prints ints of at most 4300 digits (its default
-    # int_max_str_digits); the parser refuses larger numbers, so no report
-    # fails when it prints one
+    # int_max_str_digits): the parser refuses larger literals and powers, and
+    # a larger coefficient made from smaller ones is refused when printed
     assert sys.get_int_max_str_digits() == 4300
     hsf = tmp_path / "big.hsf"
     hsf.write_text(f"d = 3\ne = 3\nn = 3\nQ 1 2 : {body}\nQ 2 3 : x3\n")
     code, out, err = run(capsys, "compute", "--poly", str(hsf))
     assert (code, out) == (2, "")
     assert why in err
+
+
+def test_compute_report_coefficient_over_digit_limit_exit_2(capsys, tmp_path):
+    # every input coefficient has about 400 digits, but psi sums 13 of them
+    # over distinct denominators into one with about 5200
+    N = 10**399
+    weight12 = [e for e in itertools.product(range(9), repeat=4) if sum(e) == 8 and e[1] + 2 * e[2] + 3 * e[3] == 12]
+    body = " + ".join(
+        f"1/{N + k}*" + "*".join(f"x{v}^{a}" for v, a in enumerate(e) if a) for k, e in enumerate(weight12, 1)
+    )
+    hsf = tmp_path / "sum.hsf"
+    hsf.write_text(f"d = 10\ne = 3\nn = 3\nQ 1 2 : x0^8 + {body}\nQ 2 3 : x3^8\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert "too many digits to print" in err
 
 
 def test_compute_missing_file_exit_2(capsys):
