@@ -51,7 +51,9 @@ class ExtensionStep:
     ("J0" | "J1" | "J2"), the maps J, N1, N2, N and delta_out
     (GradedSheafMap), target_splitting (SplittingType) and g (BinaryForm)."""
 
-    __slots__ = ("input_F", "strategy", "output_F", "J", "N1", "N2", "N", "delta_out", "target_splitting", "g")
+    __slots__ = (
+        "input_F", "strategy", "output_F", "J", "N1", "N2", "N", "delta_out", "target_splitting", "g"
+    )
 
     def __init__(self, **fields):
         for name in self.__slots__:

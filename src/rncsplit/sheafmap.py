@@ -74,7 +74,9 @@ class GradedSheafMap:
             return False
         # entries hold no zero forms, so equal maps have the same keys
         theirs = other.entries
-        return self.entries.keys() == theirs.keys() and all(f.equals(theirs[k]) for k, f in self.entries.items())
+        return self.entries.keys() == theirs.keys() and all(
+            f.equals(theirs[k]) for k, f in self.entries.items()
+        )
 
     def permute_columns(self, perm: list[int]) -> "GradedSheafMap":
         """New map whose column k is the old column perm[k]."""
@@ -227,7 +229,8 @@ def _section_rows(M: GradedSheafMap, T: int) -> tuple[list[list[int]], list[tupl
     canonical coefficients; over Q, each row of M is scaled by the lcm of its
     denominators, which leaves the kernel and the pivots unchanged.  Returns
     (rows, the (j, q) of each column)."""
-    ints = {(i, j): list(cs) for i, (_, line) in _integer_lines(M.entries, M.field, 0).items() for j, cs in line.items()}
+    lines = _integer_lines(M.entries, M.field, 0)
+    ints = {(i, j): list(cs) for i, (_, line) in lines.items() for j, cs in line.items()}
     heights = [max(0, c + T + 1) for c in M.target]
     keys = [
         (j, b + T - level)

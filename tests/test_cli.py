@@ -135,7 +135,8 @@ def test_compute_report_coefficient_over_digit_limit_exit_2(capsys, tmp_path):
     # every input coefficient has about 400 digits, but psi sums 13 of them
     # over distinct denominators into one with about 5200
     N = 10**399
-    weight12 = [e for e in itertools.product(range(9), repeat=4) if sum(e) == 8 and e[1] + 2 * e[2] + 3 * e[3] == 12]
+    monomials = itertools.product(range(9), repeat=4)
+    weight12 = [e for e in monomials if sum(e) == 8 and e[1] + 2 * e[2] + 3 * e[3] == 12]
     body = " + ".join(
         f"1/{N + k}*" + "*".join(f"x{v}^{a}" for v, a in enumerate(e) if a) for k, e in enumerate(weight12, 1)
     )

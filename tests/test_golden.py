@@ -34,7 +34,8 @@ def _kernel_cases():
     from tests.helpers import dense_combination, from_rows
 
     GF = FieldSpec(32003)
-    for d, e, n in ((2, 4, 8), (2, 6, 10), (3, 3, 3), (3, 4, 4), (3, 5, 5), (3, 6, 6), (4, 4, 4), (4, 5, 5), (4, 6, 6)):
+    catalog = [(2, 4, 8), (2, 6, 10), (3, 3, 3), (3, 4, 4), (3, 5, 5), (3, 6, 6), (4, 4, 4), (4, 5, 5), (4, 6, 6)]
+    for d, e, n in catalog:
         yield f"catalog d={d} e={e} n={n} over Q", build_delta(build_chain(d, e, n, RATIONALS)[0])
     quintic = (ROOT / "perfbench" / "inputs" / "quintic.hsf").read_text(encoding="utf-8")
     yield "README quintic over Q", build_delta(parse_hypersurface(quintic))

@@ -515,10 +515,17 @@ def test_section_matrix_matches_per_coefficient_oracle():
             for i, c in enumerate(target):
                 for j, b in enumerate(source):
                     if rnd.random() < 0.7:
-                        coeffs = [rnd.randrange(0, K.p) if K.p else Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 5)) for _ in range(c - b + 1)]
+                        if K.p:
+                            coeffs = [rnd.randrange(0, K.p) for _ in range(c - b + 1)]
+                        else:
+                            coeffs = [Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 5)) for _ in range(c - b + 1)]
                         entries[(i, j)] = BinaryForm(K, c - b, tuple(coeffs))
             M = GradedSheafMap(K, source, target, entries)
-            scale = [math.lcm(*(x.denominator for (i, _), f in M.entries.items() if i == row for x in f.coeffs)) for row in range(len(target))]
+            # over Q each target row is scaled by the lcm of its denominators
+            scale = [
+                math.lcm(*(x.denominator for (i, _), f in M.entries.items() if i == row for x in f.coeffs))
+                for row in range(len(target))
+            ]
             for m in range(-max(source) - 3, 4):
                 A, C = section_matrix(M, m)
                 if K.p:
@@ -547,7 +554,8 @@ def one_row_maps(draw):
     entries = {}
     for j, b in enumerate(source):
         if draw(st.integers(0, 9)) < 7:
-            entries[(0, j)] = BinaryForm(field, c - b, tuple(draw(st.lists(coeff, min_size=c - b + 1, max_size=c - b + 1))))
+            coeffs = draw(st.lists(coeff, min_size=c - b + 1, max_size=c - b + 1))
+            entries[(0, j)] = BinaryForm(field, c - b, tuple(coeffs))
     return GradedSheafMap(field, tuple(source), (c,), entries)
 
 
@@ -560,7 +568,10 @@ def _block_order_basis(M, rows, pivots, keys, m):
 # dense over GF(32003): a one-row map whose section matrices above twist 8
 # have more than DENSE_NONZEROS nonzeros, so they take the numpy kernel
 _DENSE = GradedSheafMap(
-    GF, (0, 0, 0, 0), (12,), {(0, j): BinaryForm(GF, 12, tuple((7 + 13 * j + 31 * u) ** 3 % GF.p for u in range(13))) for j in range(4)}
+    GF,
+    (0, 0, 0, 0),
+    (12,),
+    {(0, j): BinaryForm(GF, 12, tuple((7 + 13 * j + 31 * u) ** 3 % GF.p for u in range(13))) for j in range(4)},
 )
 
 
