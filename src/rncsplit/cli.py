@@ -180,13 +180,18 @@ def _verify_chain_job(job) -> list[dict]:
             for n in range(max(e, 3), n_max + 1):
                 F, _ = build_chain(2, e, n, field_now)
                 psi = build_psi(F)
-                out.append(_verify_case(_delta_from_psi(F.context, psi), 2, e, n, None, psi))
+                T = splitting_of_kernel(_delta_from_psi(F.context, psi))
+                out.append(_verify_case(T, field_now, 2, e, n, None, psi))
             return out
         F, steps = build_chain(d, e, n_max, field_now)
-        out.append(_verify_case(build_delta(steps[0].input_F if steps else F), d, e, e, None))
-        # each step's delta_out is certified equal to build_delta(output_F)
+        T = splitting_of_kernel(build_delta(steps[0].input_F if steps else F))
+        out.append(_verify_case(T, field_now, d, e, e, None))
+        # extend_dimension certified each step's N as the kernel of its
+        # delta_out (= build_delta(output_F)) with the target splitting
         for st in steps:
-            out.append(_verify_case(st.delta_out, d, e, st.output_F.context.n, st.strategy))
+            out.append(
+                _verify_case(st.target_splitting, field_now, d, e, st.output_F.context.n, st.strategy)
+            )
         return out
 
     try:
@@ -223,11 +228,11 @@ def _verify_chain_job(job) -> list[dict]:
     return results
 
 
-def _verify_case(delta, d: int, e: int, n: int, strategy, psi=None) -> dict:
-    """One level of a chain: the scanned splitting of ker delta against the
-    catalog, and for quadrics (psi given) the balance of ker psi."""
+def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, psi=None) -> dict:
+    """One level of a chain: the splitting T of ker delta (scanned, or
+    certified by the extension step) against the catalog, and for quadrics
+    (psi given) the balance of ker psi."""
     pred = predicted_splitting(d, e, n)
-    T = splitting_of_kernel(delta)
     rec = {
         "d": d,
         "e": e,
@@ -235,7 +240,7 @@ def _verify_case(delta, d: int, e: int, n: int, strategy, psi=None) -> dict:
         "got": splitting_to_json(T),
         "want": splitting_to_json(pred.splitting),
         "provenance": pred.provenance,
-        "field": str(delta.field),
+        "field": str(field),
     }
     if strategy:
         rec["strategy"] = strategy
@@ -249,9 +254,7 @@ def _verify_case(delta, d: int, e: int, n: int, strategy, psi=None) -> dict:
 
 
 def _verify_jobs(args) -> list[tuple]:
-    p = None if args.field and parse_field(args.field).p is None else (
-        parse_field(args.field).p if args.field else DEFAULT_PRIME
-    )
+    p = parse_field(args.field).p if args.field else DEFAULT_PRIME
     n_max = args.max_n
     if args.theorem == "quadrics":
         return [("quadrics", 2, e, n_max, p) for e in range(2, n_max + 1)]

@@ -1,34 +1,38 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Matrices are lists of rows at every boundary; numpy arrays are accepted as
-input.  Rational matrices are reduced over the integers in pure Python: each
-row is cleared of denominators once, and elimination cross-multiplies two rows
-and divides out the content of the result (fraction-free, as in Bareiss 1968,
-but dividing by the row content rather than by the previous pivot).  Every
-integer row stays a nonzero multiple of the row rational Gauss-Jordan would
-hold, so dividing each pivot row by its pivot gives the same reduced echelon
-form; ``Fraction`` entries are made only for the output.
+Matrices are lists of rows at every boundary.  Every function works on rows
+of Python ints: over Q each row is cleared of denominators once (a primitive
+integer multiple), over GF(p) its entries are taken mod p.  Each field has one
+row operation, which clears a column of a row by a pivot row: `_eliminate`
+over Q cross-multiplies the two rows and divides out the content of the
+result (fraction-free, as in Bareiss 1968, but dividing by the row content
+rather than by the previous pivot), and `_eliminate_mod` subtracts a multiple
+mod p.  A row stays a nonzero multiple of the row rational elimination would
+hold, so ``Fraction`` entries are made only for the output.
 
-Prime-field matrices are lists of Python ints in 0..p-1, reduced by the same
-list kernels as rational ones (`_pivots`, `_echelon`) with a row operation mod
-p.  Those kernels skip the rows already zero in the pivot column, so a sparse
-matrix costs little more than its fill.  A matrix with more than
-DENSE_NONZEROS nonzero entries goes instead to vectorized numpy row reduction
-mod p, whose results come back as lists; numpy is imported only there.  That
-path is why FieldSpec takes p < 2^31: int64 is safe because all intermediate
-products stay below p^2 < 2^63.
+There is one elimination: `row_echelon` runs forward elimination only (each
+pivot row clears the rows below it) and keeps its pivot rows, each zero left
+of its pivot.  `rank` is the number of its pivots.  `rref` back-substitutes
+by the same elimination, run on the pivot rows and their pivot columns in
+reverse order, and divides each row by its pivot; `solve` is `rref` of the
+augmented matrix.  `RowSpace` reduces each vector by the row operation
+against an echelon basis kept in pivot order.  The nullity scan hands
+`row_echelon` section matrices already built as rows of Python ints and reads
+both the section counts and the kernel generators from the rows it returns,
+so no matrix is eliminated twice.
 
-Rank and the pivot columns need no reduced form.  `row_echelon` runs forward
-elimination only (each pivot row clears the rows below it, with no
-back-substitution) and keeps its pivot rows; `pivot_columns` and `rank` read
-its pivots.  The nullity scan hands it section matrices already built as
-rows of Python ints and reads both the section counts and the kernel
-generators from the rows it returns, so no matrix is eliminated twice.
+The list kernel `_pivots` skips the rows already zero in the pivot column, so
+a sparse matrix costs little more than its fill.  A prime-field matrix with
+more than DENSE_NONZEROS nonzero entries is eliminated instead by vectorized
+numpy row reduction mod p (`_pivots_mod`), whose rows come back as lists;
+numpy is imported only there.  That path is why FieldSpec takes p < 2^31:
+int64 is safe because all intermediate products stay below p^2 < 2^63.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING
@@ -49,14 +53,21 @@ if TYPE_CHECKING:
 DENSE_NONZEROS = 500
 
 
-def _listed(a):
-    """A numpy array as (nested) lists of Python ints; anything else as is."""
-    return a.tolist() if hasattr(a, "tolist") else a
+def _int_row(row, p: int | None) -> list[int]:
+    """A fresh row of Python ints: a primitive integer multiple of a row of
+    Fractions or ints over Q, the entries mod p over GF(p)."""
+    if p is not None:
+        return [x % p for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
-def _mod_rows(rows, p: int) -> list[list[int]]:
-    """A fresh copy of rows as lists of ints in 0..p-1."""
-    return [[x % p for x in row] for row in _listed(rows)]
+def _normalized(row: list[int], c: int, p: int | None) -> list:
+    """row / row[c]: Fractions over Q, ints in 0..p-1 over GF(p)."""
+    if p is None:
+        return [Fraction(x, row[c]) for x in row]
+    inv = pow(row[c], -1, p)
+    return [x * inv % p for x in row]
 
 
 def _is_dense(A: list[list[int]]) -> bool:
@@ -69,64 +80,32 @@ def _to_np(A: list[list[int]], width: int):
     return np.array(A, dtype=np.int64).reshape(len(A), width)
 
 
-def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _pivots_mod(A: np.ndarray, p: int, columns) -> tuple[list[list[int]], list[int]]:
+    """_pivots on an int64 array of entries in 0..p-1, which it consumes:
+    (pivot rows as lists, pivot columns)."""
     import numpy as np
 
-    A = A % p
-    m, n = A.shape
+    m = len(A)
     pivots = []
     r = 0
-    for c in range(n):
+    for c in columns:
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = r + np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        others = np.nonzero(A[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            # the pivot row is zero left of c
-            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _pivots_mod(A: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
-    """Forward elimination of A mod p: (pivot rows as lists, pivot columns)."""
-    import numpy as np
-
-    A = A % p
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
+        # the rows past i that are nonzero in column c; row i now holds row r,
+        # which is zero there
+        below = nz[1:]
         if below.size:
-            f = A[below, c] * pow(int(A[r, c]), p - 2, p) % p
+            f = A[below, c] * pow(int(A[r, c]), -1, p) % p
             A[below, c:] = (A[below, c:] - np.outer(f, A[r, c:])) % p
         pivots.append(c)
         r += 1
     return A[:r].tolist(), pivots
-
-
-def _integer_row(row) -> list[int]:
-    """A primitive integer multiple of a row of Fractions or ints."""
-    den = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -145,16 +124,25 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
 def _eliminate_mod(row: list[int], pivot_row: list[int], c: int, p: int) -> list[int]:
     """row - (row[c] / pivot_row[c]) * pivot_row mod p, for a pivot row that
     is zero left of c (so row keeps its entries there)."""
-    f = row[c] * pow(pivot_row[c], p - 2, p) % p
+    f = row[c] * pow(pivot_row[c], -1, p) % p
     return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], pivot_row[c:])]
 
 
-def _pivots(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]]:
-    """Forward elimination of A (consumes A): each pivot row clears column c
-    of the rows left, skipping those already zero there, and is kept as it
-    is.  Returns (pivot rows, pivot columns)."""
+def _row_op(p: int | None):
+    """The row operation of the field: _eliminate over Q, _eliminate_mod mod p."""
+    return _eliminate if p is None else partial(_eliminate_mod, p=p)
+
+
+def _pivots(A: list[list], columns, eliminate) -> tuple[list[list], list[int]]:
+    """Forward elimination of A (consumes A) over the given columns, in their
+    order: the first row left that is nonzero in column c is its pivot row;
+    it clears column c of the rows left, skipping those already zero there,
+    and is kept as it is.  Returns (pivot rows, pivot columns).  Each pivot
+    row must be zero left of its column, as _eliminate_mod needs: in
+    increasing column order elimination makes it so, and rref's
+    back-substitution hands in rows that are zero left of their pivots."""
     rows, pivots = [], []
-    for c in range(width):
+    for c in columns:
         if not A:
             break
         piv = next((i for i, row in enumerate(A) if row[c]), None)
@@ -167,52 +155,12 @@ def _pivots(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]
     return rows, pivots
 
 
-def _echelon(A: list[list], width: int, eliminate) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan on A in place: returns (A, pivot_columns), where row k is
-    zero in every pivot column but its own, pivots[k], and the rows past the
-    rank are zero.  Row k divided by its pivot is row k of the rref."""
-    m = len(A)
-    pivots = []
-    r = 0
-    for c in range(width):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        P = A[r]
-        for i in range(m):
-            if i != r and A[i][c]:
-                A[i] = eliminate(A[i], P, c)
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _echelon_q(rows, width: int) -> tuple[list[list[int]], list[int]]:
-    """_echelon of a rational matrix on primitive integer rows."""
-    return _echelon([_integer_row(row) for row in rows], width, _eliminate)
-
-
-def rref(rows, field: FieldSpec, width: int | None = None):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    if width is None:
-        width = len(rows[0]) if len(rows) else 0
+def _forward(A: list[list[int]], field: FieldSpec, width: int, columns) -> tuple[list[list[int]], list[int]]:
+    """_pivots over the given columns, or _pivots_mod on a dense GF(p) matrix."""
     p = field.p
-    if p is not None:
-        A = _mod_rows(rows, p)
-        if _is_dense(A):
-            R, pivots = _rref_mod(_to_np(A, width), p)
-            return R.tolist(), pivots
-        A, pivots = _echelon(A, width, partial(_eliminate_mod, p=p))
-        for k, c in enumerate(pivots):
-            inv = pow(A[k][c], p - 2, p)
-            A[k] = [x * inv % p for x in A[k]]
-        return A, pivots
-    A, pivots = _echelon_q(rows, width)
-    R = [[Fraction(x, row[c]) for x in row] for row, c in zip(A, pivots)]
-    return R + [[Fraction(0)] * len(row) for row in A[len(pivots) :]], pivots
+    if p is not None and _is_dense(A):
+        return _pivots_mod(_to_np(A, width), p, columns)
+    return _pivots(A, columns, _row_op(p))
 
 
 def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[list[int]], list[int]]:
@@ -221,99 +169,81 @@ def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[
     a common denominator has the same pivots and kernel.  Returns (rows,
     pivots): pivots increase, row k is zero left of pivots[k], and the rows
     whose pivots lie in the first k columns span the row space of those
-    columns, so they have the same kernel there."""
-    p = field.p
-    if p is None:
-        return _pivots(A, width, _eliminate)
-    if _is_dense(A):
-        return _pivots_mod(_to_np(A, width), p)
-    return _pivots(A, width, partial(_eliminate_mod, p=p))
+    columns, so they have the same kernel there.  The pivots are those of the
+    rref: column k is a pivot iff it is independent of columns 0..k-1."""
+    return _forward(A, field, width, range(width))
 
 
-def pivot_columns(rows, field: FieldSpec, width: int | None = None) -> list[int]:
-    """Pivot columns of the row echelon form (the same as rref's), by forward
-    elimination only: column k is a pivot iff it is independent of columns
-    0..k-1, so the rank of the first k columns is the number of pivots < k."""
+def _width(rows, width: int | None) -> int:
     if width is None:
-        width = len(rows[0]) if len(rows) else 0
-    p = field.p
-    A = [_integer_row(row) for row in rows] if p is None else _mod_rows(rows, p)
-    return row_echelon(A, field, width)[1]
+        return len(rows[0]) if len(rows) else 0
+    return width
 
 
 def rank(rows, field: FieldSpec, width: int | None = None) -> int:
-    return len(pivot_columns(rows, field, width))
+    """The number of pivots of one forward elimination."""
+    p = field.p
+    return len(row_echelon([_int_row(row, p) for row in rows], field, _width(rows, width))[1])
+
+
+def rref(rows, field: FieldSpec, width: int | None = None):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns), with the
+    rows past the rank zero.  One forward elimination, then back-substitution
+    as the same elimination of its pivot rows, last first, over their pivot
+    columns, last first: each pivot row in turn is the first row left that is
+    nonzero in its pivot column, so it clears that column of the rows above
+    it.  Each row is then divided by its pivot."""
+    width = _width(rows, width)
+    p = field.p
+    A, pivots = row_echelon([_int_row(row, p) for row in rows], field, width)
+    A = _forward(A[::-1], field, width, pivots[::-1])[0][::-1]
+    R = [_normalized(row, c, p) for row, c in zip(A, pivots)]
+    return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
 
 
 def solve(rows, rhs, field: FieldSpec, width: int | None = None):
     """One particular solution of A x = rhs (free variables set to 0), or None."""
-    if width is None:
-        width = len(rows[0]) if len(rows) else 0
-    aug = [list(row) + [b] for row, b in zip(_listed(rows), _listed(rhs))]
-    if not aug:
-        return [field.zero] * width
-    p = field.p
-    A, pivots = rref(aug, field, width + 1) if p is not None else _echelon_q(aug, width + 1)
+    width = _width(rows, width)
+    R, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], field, width + 1)
     if width in pivots:
         return None
     x = [field.zero] * width
-    for row, pc in zip(A, pivots):
-        x[pc] = row[width] if p is not None else Fraction(row[width], row[pc])
+    for row, c in zip(R, pivots):
+        x[c] = row[width]
     return x
 
 
 class RowSpace:
     """Incrementally maintained row space with exact reduction.
 
-    Stores an echelon basis kept mutually reduced (each stored row is zero in
-    the pivot columns of the others): lists of ints in 0..p-1 with pivot 1
-    over GF(p), primitive integer rows over Q.  `insert` extends the span
-    when a vector's residual against it is nonzero.  Rows are touched one at
-    a time, so GF(p) rows stay lists whatever their density.
+    Stores an echelon basis in increasing pivot order: each row is the
+    integer residual (primitive over Q, entries mod p over GF(p)) it was
+    inserted as, zero left of its pivot.  `insert` reduces a vector by the
+    rows in that order, which leaves it zero in every pivot column, and
+    extends the span when the result is nonzero.  That residual is unique
+    for the span and its pivots, so the basis needs no back-substitution and
+    the scale of its rows does not show.  Rows are touched one at a time, so
+    GF(p) rows stay lists whatever their density.
     """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self._rows: list = []
+        self._eliminate = _row_op(field.p)
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-
-    def _reduce(self, vec):
-        p = self.field.p
-        if p is not None:
-            v = [x % p for x in _listed(vec)]
-            for piv, row in zip(self._pivots, self._rows):
-                c = v[piv]
-                if c:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-            return v
-        v = _integer_row(vec)
-        for piv, row in zip(self._pivots, self._rows):
-            if v[piv]:
-                v = _eliminate(v, row, piv)
-        return v
 
     def insert(self, vec):
         """Reduce and, if independent, add; returns the residual (zero in
         every earlier pivot column, its own pivot entry 1) or None."""
-        p = self.field.p
-        v = self._reduce(vec)
+        v = _int_row(vec, self.field.p)
+        for piv, row in zip(self._pivots, self._rows):
+            if v[piv]:
+                v = self._eliminate(v, row, piv)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        if p is not None:
-            inv = pow(v[piv], p - 2, p)
-            v = [x * inv % p for x in v]
-            for i, row in enumerate(self._rows):
-                c = row[piv]
-                if c:
-                    self._rows[i] = [(x - c * y) % p for x, y in zip(row, v)]
-            residual = v
-        else:
-            for i, row in enumerate(self._rows):
-                if row[piv]:
-                    self._rows[i] = _eliminate(row, v, piv)
-            residual = [Fraction(x, v[piv]) for x in v]
-        self._rows.append(v)
-        self._pivots.append(piv)
-        return residual
+        k = bisect_left(self._pivots, piv)
+        self._pivots.insert(k, piv)
+        self._rows.insert(k, v)
+        return _normalized(v, piv, self.field.p)

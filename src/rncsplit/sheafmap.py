@@ -309,7 +309,7 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
             if not s:
                 continue
             if p is not None:
-                v[c] = -s * pow(row[c], p - 2, p) % p
+                v[c] = -s * pow(row[c], -1, p) % p
                 continue
             g = gcd(s, row[c])
             if row[c] != g:

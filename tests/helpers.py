@@ -553,6 +553,35 @@ class FractionRowSpace:
         return v
 
 
+def rref_mod(rows: list[list[int]], width: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Vectorized Gauss-Jordan mod p on an int64 numpy copy of rows, returned
+    as lists: the numpy rref linalg used before it back-substituted on its
+    forward elimination, and the dense GF(p) oracle of linalg.rref."""
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), width) % p
+    m, n = A.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        A[r] = (A[r] * inv) % p
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            # the pivot row is zero left of c
+            A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return A.tolist(), pivots
+
+
 class NumpyRowSpace:
     """Row space over GF(p) with int64 numpy rows, pivots normalized to 1:
     the vectorized form of linalg.RowSpace's prime-field path, and its oracle."""
@@ -581,7 +610,7 @@ class NumpyRowSpace:
                 self._rows[i] = (row - c * v) % p
         self._rows.append(v)
         self._pivots.append(piv)
-        return v
+        return v.tolist()
 
 
 # -- map serialization parsers: round-trip oracles for format_map and map_to_json --

@@ -293,6 +293,28 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         assert calls[cut + 1 :] == ["psi"], (d, e)
 
 
+def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):
+    # each extension step's splitting is the one extend_dimension certified
+    # for its delta_out, so verify scans a kernel once per cubic seed, e = 3..7
+    from rncsplit import sheafmap
+    from rncsplit.constructor import seed_example
+    from rncsplit.fields import FieldSpec
+
+    scanned = []
+    real = sheafmap.splitting_of_kernel
+
+    def recording(M):
+        scanned.append(M)
+        return real(M)
+
+    monkeypatch.setattr(sheafmap, "splitting_of_kernel", recording)
+    monkeypatch.setattr(cli, "splitting_of_kernel", recording)
+    code, out, _ = run(capsys, "verify", "--theorem", "cubics", "--max-n", "7", "--workers", "1")
+    assert code == 0 and "15/15 cases ok" in out
+    seeds = [sheafmap.build_delta(seed_example(3, e, FieldSpec(32003))) for e in range(3, 8)]
+    assert len(scanned) == len(seeds) and all(M.equals(seed) for M, seed in zip(scanned, seeds))
+
+
 @pytest.mark.parametrize(
     "theorem, max_n, p, total, backstop",
     [("cubics", 8, 7, 21, ["d=3 e=7 n=7", "d=3 e=7 n=8"]), ("quadrics", 6, 2, 14, ["d=2 e=2 n=3", "d=2 e=6 n=6"])],

@@ -289,6 +289,17 @@ def test_chain_matches_catalog_each_level():
             assert step.target_splitting.parts == predicted_splitting(d, e, lvl).splitting.parts
 
 
+def test_step_splitting_is_the_scanned_kernel_of_delta_out():
+    # verify reports each step's target_splitting, which extend_dimension
+    # certified as the splitting of ker delta_out: scanning delta_out agrees
+    for d, e0 in ((3, 3), (4, 4)):
+        for e in range(e0, 10):
+            _, steps = build_chain(d, e, 9, GF)
+            assert len(steps) == 9 - e
+            for step in steps:
+                assert splitting_of_kernel(step.delta_out) == step.target_splitting, (d, e)
+
+
 @pytest.mark.parametrize("field, e_max", [(GF, 23), (RATIONALS, 11)], ids=["gf32003", "rationals"])
 def test_quartic_family_seeds_match_catalog(field, e_max):
     for e in range(7, e_max + 1):
