@@ -1,8 +1,12 @@
 """Command-line surface: compute splittings, verify the published tables over
 parameter sweeps, run dimension extensions, and expose the splitting algebra.
 
-Exit codes: 0 success, 1 verification mismatch, 2 user/precondition error,
-3 internal certification failure.
+Exit codes: 0 success, 1 verification mismatch, 2 user/precondition error
+(malformed input files included), 3 internal error: a certification failure,
+or a MapError, DegreeError or PolyError raised once the input is parsed.
+
+``verify --workers k`` runs the (d, e) chains in at most min(k, chains)
+processes; k must be at least 1.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .constructor import (
 from .fields import DEFAULT_PRIME, FieldSpec, FieldError, RATIONALS, parse_field
 from .multipoly import (
     CurveContextError,
+    HsfError,
     PolyError,
     format_hypersurface,
     parse_hypersurface,
@@ -62,14 +67,14 @@ USER_ERRORS = (
     PsiLiftError,
     FieldError,
     CurveContextError,
-    PolyError,
+    HsfError,
     SplittingError,
     UsageError,
     OSError,
 )
-# raised only by a bug once the input is parsed: graded maps and binary forms
-# are built from validated input
-INTERNAL_ERRORS = (CertificationError, MapError, DegreeError)
+# raised only by a bug once the input is parsed: polynomials, graded maps and
+# binary forms are built from validated input
+INTERNAL_ERRORS = (CertificationError, MapError, DegreeError, PolyError)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -273,11 +278,15 @@ def _verify_jobs(args) -> list[tuple]:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers {args.workers} must be at least 1")
     jobs = _verify_jobs(args)
-    if args.workers > 1:
+    # one process per chain at most: a fork pool starts all its workers at once
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
         import concurrent.futures  # with logging, 3 ms of import a one-worker run skips
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_verify_chain_job, jobs))
     else:
         chunks = [_verify_chain_job(job) for job in jobs]
@@ -431,84 +440,91 @@ def cmd_predict(args) -> int:
 # -- entry point -----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_COMMON = (
+    _arg("--format", choices=("text", "json"), default="text"),
+    _arg("--output", help="write the report to a file instead of stdout"),
+    _arg("--field", help="rational or prime:<p>"),
+)
+_DEN = tuple(_arg(f"--{x}", type=int) for x in "den")
+
+# name -> (help line, handler, the arguments before the common ones)
+_COMMANDS = {
+    "compute": (
+        "splitting data of a given or generated hypersurface",
+        cmd_compute,
+        (*_DEN, _arg("--poly", help="hypersurface file")),
+    ),
+    "verify": (
+        "sweep a published table and compare every case",
+        cmd_verify,
+        (
+            _arg("--theorem", required=True, choices=("quadrics", "cubics", "quartics", "general")),
+            _arg("--d", type=int, help="hypersurface degree (general theorem only)"),
+            _arg("--max-n", type=int, required=True, dest="max_n"),
+            _arg("--workers", type=int, default=1),
+        ),
+    ),
+    "extend": (
+        "run the dimension-extension engine",
+        cmd_extend,
+        (
+            _arg("--poly", help="hypersurface file to extend"),
+            *_DEN[:2],
+            _arg("--to-n", type=int, required=True, dest="to_n"),
+        ),
+    ),
+    "glue": ("index-wise gluing bound of two splittings", cmd_glue, (_arg("A"), _arg("B"))),
+    "dominates": ("specialization dominance of two splittings", cmd_dominates, (_arg("A"), _arg("B"))),
+    "interp": ("interpolation count of a splitting", cmd_interp, (_arg("splitting"), *_DEN)),
+    "predict": (
+        "catalog prediction for (d, e, n)",
+        cmd_predict,
+        tuple(_arg(f"--{x}", type=int, required=True) for x in "den"),
+    ),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for a run of ``command``.  Every subcommand is registered
+    under its name and help line, so the top-level usage, help and choice
+    errors list them all; only ``command`` gets its arguments and ``-h``.
+    The others are bare, since argparse parses no subcommand but the one
+    named (each argument costs argparse a help formatter)."""
     ap = argparse.ArgumentParser(
         prog="rncsplit",
         description="Splitting types of restricted tangent and normal bundles of "
         "rational normal curves on hypersurfaces (exact arithmetic).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", help="write the report to a file instead of stdout")
-        p.add_argument("--field", help="rational or prime:<p>")
-
-    p = sub.add_parser("compute", help="splitting data of a given or generated hypersurface")
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--poly", help="hypersurface file")
-    common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("verify", help="sweep a published table and compare every case")
-    p.add_argument("--theorem", required=True, choices=("quadrics", "cubics", "quartics", "general"))
-    p.add_argument("--d", type=int, help="hypersurface degree (general theorem only)")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("extend", help="run the dimension-extension engine")
-    p.add_argument("--poly", help="hypersurface file to extend")
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--to-n", type=int, required=True, dest="to_n")
-    common(p)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("glue", help="index-wise gluing bound of two splittings")
-    p.add_argument("A")
-    p.add_argument("B")
-    common(p)
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("dominates", help="specialization dominance of two splittings")
-    p.add_argument("A")
-    p.add_argument("B")
-    common(p)
-    p.set_defaults(func=cmd_dominates)
-
-    p = sub.add_parser("interp", help="interpolation count of a splitting")
-    p.add_argument("splitting")
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--n", type=int)
-    common(p)
-    p.set_defaults(func=cmd_interp)
-
-    p = sub.add_parser("predict", help="catalog prediction for (d, e, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_predict)
+    for name, (help_line, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, add_help=(name == command))
+        if name == command:
+            for flags, options in arguments + _COMMON:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs the subcommand named by the first positional argument,
+    # and every argument before it is an option: no subcommand name starts
+    # with "-", and no top-level option takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
+    except USER_ERRORS as exc:  # first: an HsfError is also a PolyError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except INTERNAL_ERRORS as exc:
         what = "certification failure" if isinstance(exc, CertificationError) else "internal error"
         print(f"{what}: {exc}", file=sys.stderr)
         return 3
-    except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

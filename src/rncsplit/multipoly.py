@@ -28,6 +28,10 @@ class PolyError(ValueError):
     pass
 
 
+class HsfError(PolyError):
+    """Malformed polynomial or hypersurface (``.hsf``) text."""
+
+
 class CurveContext:
     """Ambient data (d, e, n) plus the coefficient field.
 
@@ -316,9 +320,9 @@ class _PolyParser:
                 continue
             m = _POLY_TOKEN.match(text, pos)
             if not m:
-                raise PolyError(f"syntax error at position {pos}: {text[pos:]!r}")
+                raise HsfError(f"syntax error at position {pos}: {text[pos:]!r}")
             if self.limit and any(len(run) > self.limit for run in re.findall(r"\d+", m.group())):
-                raise PolyError(f"number at position {pos} has more than {self.limit} digits")
+                raise HsfError(f"number at position {pos} has more than {self.limit} digits")
             if m.group("num"):
                 self.tokens.append(("num", m.group("num"), pos))
             elif m.group("var") is not None:
@@ -334,7 +338,7 @@ class _PolyParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise PolyError("unexpected end of input")
+            raise HsfError("unexpected end of input")
         self.i += 1
         return tok
 
@@ -342,19 +346,31 @@ class _PolyParser:
         p = self.expr()
         tok = self.peek()
         if tok is not None:
-            raise PolyError(f"unexpected token at position {tok[2]}")
+            raise HsfError(f"unexpected token at position {tok[2]}")
         return p
 
     def expr(self) -> MultiPoly:
-        left = self.term()
+        # the terms add into one dict, as MultiPoly.add would one at a time:
+        # a zero sum takes the degree of the next term
+        first = self.term()
+        K = self.context.field
+        out, degree = dict(first.terms), first.total_degree
         while True:
             tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                right = self.term()
-                left = left.add(right) if tok[1] == "+" else left.sub(right)
-            else:
-                return left
+            if not (tok and tok[0] == "op" and tok[1] in "+-"):
+                return MultiPoly(self.context, degree, out)
+            self.next()
+            right = self.term()
+            if not out:
+                degree = right.total_degree
+            elif right.terms and right.total_degree != degree:
+                raise HsfError(f"degree mismatch: {degree} vs {right.total_degree}")
+            for exp, c in right.terms.items():
+                total = K.add(out.get(exp, K.zero), c if tok[1] == "+" else K.neg(c))
+                if K.is_zero(total):
+                    del out[exp]
+                else:
+                    out[exp] = total
 
     def term(self) -> MultiPoly:
         left = self.factor()
@@ -377,7 +393,7 @@ class _PolyParser:
             self.next()
             exp_tok = self.next()
             if exp_tok[0] != "num" or "/" in exp_tok[1]:
-                raise PolyError(f"expected integer exponent at position {exp_tok[2]}")
+                raise HsfError(f"expected integer exponent at position {exp_tok[2]}")
             power = int(exp_tok[1])
             K = self.context.field
             if base.is_zero() or base.total_degree == 0:  # 0^k and c^k in one step
@@ -385,10 +401,10 @@ class _PolyParser:
                 # |c|^power has at least power * bits + 1 bits, and 10^limit 3.33 * limit
                 bits = 0 if K.p else max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
                 if self.limit and power * bits > 4 * self.limit:
-                    raise PolyError(f"power at position {exp_tok[2]} has more than {self.limit} digits")
+                    raise HsfError(f"power at position {exp_tok[2]} has more than {self.limit} digits")
                 return MultiPoly.constant(self.context, c**power if K.p is None else pow(c, power, K.p))
             if base.total_degree * power > self.degree:
-                raise PolyError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
+                raise HsfError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
             out = MultiPoly.constant(self.context, K.one)
             for _ in range(power):
                 out = out.mul(base)
@@ -401,15 +417,15 @@ class _PolyParser:
             return MultiPoly.constant(self.context, self.context.field.parse_scalar(tok[1]))
         if tok[0] == "var":
             if tok[1] > self.context.n:
-                raise PolyError(f"variable x{tok[1]} exceeds ambient dimension n = {self.context.n}")
+                raise HsfError(f"variable x{tok[1]} exceeds ambient dimension n = {self.context.n}")
             return MultiPoly.variable(self.context, tok[1])
         if tok[1] == "(":
             inner = self.expr()
             close = self.next()
             if close[0] != "op" or close[1] != ")":
-                raise PolyError(f"expected ')' at position {close[2]}")
+                raise HsfError(f"expected ')' at position {close[2]}")
             return inner
-        raise PolyError(f"unexpected token {tok[1]!r} at position {tok[2]}")
+        raise HsfError(f"unexpected token {tok[1]!r} at position {tok[2]}")
 
 
 def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiPoly:
@@ -422,9 +438,9 @@ def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiP
         return MultiPoly.zero(context, expected_degree)
     degrees = {sum(exp) for exp in raw.terms}
     if len(degrees) > 1:
-        raise PolyError(f"non-homogeneous polynomial: term degrees {sorted(degrees)}")
+        raise HsfError(f"non-homogeneous polynomial: term degrees {sorted(degrees)}")
     if raw.total_degree != expected_degree:
-        raise PolyError(
+        raise HsfError(
             f"expected degree {expected_degree}, parsed degree {raw.total_degree}"
         )
     return raw
@@ -469,7 +485,15 @@ def format_poly(p: MultiPoly) -> str:
 
 
 def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombination:
+    """Parse ``.hsf`` text; anything wrong with it raises HsfError (or a
+    FieldError or CurveContextError for the field and header values)."""
     from .fields import parse_field
+
+    def integer(digits: str, lineno: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than Python reads (sys.get_int_max_str_digits())
+            raise HsfError(f"line {lineno}: number has too many digits") from None
 
     header: dict = {}
     body: list[tuple] = []
@@ -479,7 +503,7 @@ def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombin
             continue
         m = re.match(r"^(d|e|n)\s*=\s*(-?\d+)$", line)
         if m:
-            header[m.group(1)] = int(m.group(2))
+            header[m.group(1)] = integer(m.group(2), lineno)
             continue
         m = re.match(r"^field\s*=\s*(\S+)$", line)
         if m:
@@ -487,16 +511,16 @@ def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombin
             continue
         m = re.match(r"^Q\s+(\d+)\s+(\d+)\s*:\s*(.+)$", line)
         if m:
-            body.append(("Q", int(m.group(1)), int(m.group(2)), m.group(3), lineno))
+            body.append(("Q", integer(m.group(1), lineno), integer(m.group(2), lineno), m.group(3), lineno))
             continue
         m = re.match(r"^X\s+(\d+)\s*:\s*(.+)$", line)
         if m:
-            body.append(("X", int(m.group(1)), None, m.group(2), lineno))
+            body.append(("X", integer(m.group(1), lineno), None, m.group(2), lineno))
             continue
-        raise PolyError(f"line {lineno}: cannot parse {raw!r}")
+        raise HsfError(f"line {lineno}: cannot parse {raw!r}")
     for key in ("d", "e", "n"):
         if key not in header:
-            raise PolyError(f"missing header line '{key} = <int>'")
+            raise HsfError(f"missing header line '{key} = <int>'")
     use_field = field if field is not None else header.get("field", FieldSpec())
     ctx = CurveContext(header["d"], header["e"], header["n"], use_field)
     quadric: dict = {}
@@ -509,7 +533,10 @@ def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombin
         else:
             poly = parse_poly(text_part, ctx, ctx.d - 1)
             linear[a] = linear[a].add(poly) if a in linear else poly
-    return IdealCombination(ctx, quadric, linear)
+    try:
+        return IdealCombination(ctx, quadric, linear)
+    except PolyError as exc:  # an index outside the curve's ideal generators
+        raise HsfError(str(exc)) from None
 
 
 def format_hypersurface(F: IdealCombination) -> str:

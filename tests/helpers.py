@@ -1,5 +1,6 @@
 """Shared generators and oracles for the test suite."""
 
+import argparse
 import itertools
 import re
 from fractions import Fraction
@@ -8,6 +9,15 @@ import numpy as np
 
 from rncsplit import linalg
 from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
+from rncsplit.cli import (
+    cmd_compute,
+    cmd_dominates,
+    cmd_extend,
+    cmd_glue,
+    cmd_interp,
+    cmd_predict,
+    cmd_verify,
+)
 from rncsplit.constructor import UnsupportedCaseError, _check_constructive
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_to_curve
@@ -650,3 +660,76 @@ def map_from_json(obj: dict, field: FieldSpec) -> GradedSheafMap:
             text, field, degree=target[int(i) - 1] - source[int(j) - 1]
         )
     return GradedSheafMap(field, source, target, entries)
+
+
+# -- the full argument parser ------------------------------------------------------
+#
+# Every subcommand with all of its arguments, as the CLI built it before it
+# gave arguments to the invoked subcommand only.  Oracle for the CLI's help,
+# usage and error text.
+
+
+def full_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="rncsplit",
+        description="Splitting types of restricted tangent and normal bundles of "
+        "rational normal curves on hypersurfaces (exact arithmetic).",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--output", help="write the report to a file instead of stdout")
+        p.add_argument("--field", help="rational or prime:<p>")
+
+    p = sub.add_parser("compute", help="splitting data of a given or generated hypersurface")
+    p.add_argument("--d", type=int)
+    p.add_argument("--e", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--poly", help="hypersurface file")
+    common(p)
+    p.set_defaults(func=cmd_compute)
+
+    p = sub.add_parser("verify", help="sweep a published table and compare every case")
+    p.add_argument("--theorem", required=True, choices=("quadrics", "cubics", "quartics", "general"))
+    p.add_argument("--d", type=int, help="hypersurface degree (general theorem only)")
+    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--workers", type=int, default=1)
+    common(p)
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("extend", help="run the dimension-extension engine")
+    p.add_argument("--poly", help="hypersurface file to extend")
+    p.add_argument("--d", type=int)
+    p.add_argument("--e", type=int)
+    p.add_argument("--to-n", type=int, required=True, dest="to_n")
+    common(p)
+    p.set_defaults(func=cmd_extend)
+
+    p = sub.add_parser("glue", help="index-wise gluing bound of two splittings")
+    p.add_argument("A")
+    p.add_argument("B")
+    common(p)
+    p.set_defaults(func=cmd_glue)
+
+    p = sub.add_parser("dominates", help="specialization dominance of two splittings")
+    p.add_argument("A")
+    p.add_argument("B")
+    common(p)
+    p.set_defaults(func=cmd_dominates)
+
+    p = sub.add_parser("interp", help="interpolation count of a splitting")
+    p.add_argument("splitting")
+    p.add_argument("--d", type=int)
+    p.add_argument("--e", type=int)
+    p.add_argument("--n", type=int)
+    common(p)
+    p.set_defaults(func=cmd_interp)
+
+    p = sub.add_parser("predict", help="catalog prediction for (d, e, n)")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cmd_predict)
+    return ap

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -11,7 +12,9 @@ import pytest
 
 from rncsplit import cli
 from rncsplit.binform import DegreeError
+from rncsplit.multipoly import PolyError
 from rncsplit.sheafmap import MapError
+from tests.helpers import full_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -147,6 +150,19 @@ def test_compute_report_coefficient_over_digit_limit_exit_2(capsys, tmp_path):
     assert "too many digits to print" in err
 
 
+@pytest.mark.parametrize(
+    "body", ["Q 0 1 : x0", "Q 1 2 : x0 + x1*x2", "X " + "4" * 5000 + " : x0^2", "d = " + "3" * 5000]
+)
+def test_compute_malformed_file_exit_2(capsys, tmp_path, body):
+    # a bad index, a degree mismatch in a sum and an unreadable number are
+    # errors in the file (HsfError), not internal PolyErrors
+    hsf = tmp_path / "bad.hsf"
+    hsf.write_text(f"d = 3\ne = 3\nn = 3\n{body}\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_compute_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--poly", "/nonexistent/q.hsf")
     assert code == 2
@@ -183,10 +199,11 @@ def test_compute_bad_prime_text_exit_2(capsys):
     assert "bad prime" in err
 
 
-@pytest.mark.parametrize("exc", [MapError, DegreeError])
+@pytest.mark.parametrize("exc", [MapError, DegreeError, PolyError])
 def test_internal_error_exits_3(capsys, monkeypatch, exc):
-    # graded maps are built from validated input, so a MapError or
-    # DegreeError after parsing is a bug, not a usage error
+    # polynomials, graded maps and binary forms are built from validated
+    # input, so a PolyError, MapError or DegreeError after parsing is a bug,
+    # not a usage error
     def broken(M):
         raise exc("injected")
 
@@ -217,6 +234,41 @@ def test_verify_workers_byte_identical(capsys):
     code2, out2, _ = run(capsys, "verify", "--theorem", "cubics", "--max-n", "5", "--workers", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_exit_2(capsys, workers):
+    code, out, err = run(capsys, "verify", "--theorem", "cubics", "--max-n", "5", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert err == f"error: --workers {workers} must be at least 1\n"
+
+
+@pytest.mark.parametrize("max_n, workers, pools", [(5, "5000", [3]), (5, "2", [2]), (3, "4", [])])
+def test_verify_pool_has_one_process_per_chain_at_most(capsys, monkeypatch, max_n, workers, pools):
+    # a fork pool starts all max_workers processes at once: cubics to
+    # --max-n 5 are three chains, so 5000 workers start three (and one chain
+    # runs in this process); the recorder runs the chains here
+    import concurrent.futures
+
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    code, out, _ = run(capsys, "verify", "--theorem", "cubics", "--max-n", str(max_n), "--workers", workers)
+    assert seen == pools
+    assert (code, out) == run(capsys, "verify", "--theorem", "cubics", "--max-n", str(max_n))[:2]
 
 
 def test_verify_json_structure(capsys):
@@ -413,3 +465,58 @@ def test_cli_runs_without_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+PREDICT = ["predict", "--d", "2", "--e", "4", "--n", "6"]
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "compute"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["bogus"],
+    ["verify", "--max-n", "5"],
+    ["glue", "[1,2]"],
+    ["verify", "--theorem", "sextics", "--max-n", "5"],
+    ["compute", "--format", "yaml", "--d", "3", "--e", "3", "--n", "3"],
+    ["predict", "--d", "two", "--e", "4", "--n", "6"],
+    ["compute", "--format"],
+    PREDICT + ["--bogus"],
+    PREDICT + ["extra"],
+    ["predict", "--fo", "json", "--d", "2", "--e", "4", "--n", "6"],
+    ["--fo", "json"],
+    PREDICT,
+    ["--", *PREDICT],
+    ["-1", "predict"],
+    ["-", "predict"],
+    ["compute", "compute"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "37"])
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_output_matches_full_parser(capsys, monkeypatch, argv, columns):
+    # the parser that gives arguments to the invoked subcommand only prints
+    # the same help, usage and errors as the one that builds every subcommand
+    monkeypatch.setenv("COLUMNS", columns)
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda command: full_parser())
+    assert got == _outcome(capsys, argv)
+
+
+def test_parser_builds_only_the_invoked_subcommand():
+    for command in (*cli._COMMANDS, None):
+        ap = cli._build_parser(command)
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+        assert {name for name, p in sub.choices.items() if p._actions} == ({command} - {None})
+

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rncsplit import multipoly
 from rncsplit.binform import BinaryForm, parse_binary_form
@@ -18,6 +19,7 @@ from tests.helpers import (
 from rncsplit.multipoly import (
     CurveContext,
     CurveContextError,
+    HsfError,
     IdealCombination,
     PolyError,
     format_hypersurface,
@@ -306,3 +308,78 @@ def test_hypersurface_file_errors():
         parse_hypersurface("d = 3\ne = 3\n")  # missing n
     with pytest.raises(PolyError):
         parse_hypersurface("d = 3\ne = 3\nn = 3\nQ 1 2 : x0^2\n")  # degree != d-2
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("d = 3\ne = 3\n", "missing header line 'n = <int>'"),
+        ("d = 3\ne = 3\nn = 3\nQ 1 2 : x0*x1\n", "expected degree 1, parsed degree 2"),
+        ("d = 3\ne = 3\nn = 3\nQ 1 2 : x0 + x1*x2\n", "degree mismatch: 1 vs 2"),
+        ("d = 3\ne = 3\nn = 3\nQ 0 1 : x0\n", "quadric index (0,1) outside 1 <= i < j <= 3"),
+        ("d = 3\ne = 3\nn = 4\nX 3 : x0^2\n", "linear index 3 outside 4..4"),
+        ("d = " + "3" * 5000 + "\ne = 3\nn = 3\n", "line 1: number has too many digits"),
+        ("d = 3\ne = 3\nn = 3\nX " + "4" * 5000 + " : x0^2\n", "line 4: number has too many digits"),
+        ("d = 3\ne = 3\nn = 3\nthree\n", "line 4: cannot parse 'three'"),
+    ],
+)
+def test_hypersurface_file_error_messages(text, why):
+    # anything wrong in the file is an HsfError (a PolyError), which the CLI
+    # tells from a PolyError raised by a bug
+    with pytest.raises(HsfError) as err:
+        parse_hypersurface(text)
+    assert str(err.value) == why
+
+
+def _fold(texts, signs, context):
+    # the sum as MultiPoly.add and sub build it, one term at a time
+    out = multipoly._PolyParser(texts[0], context, 9).parse()
+    for sign, text in zip(signs, texts[1:]):
+        term = multipoly._PolyParser(text, context, 9).parse()
+        out = out.add(term) if sign == "+" else out.sub(term)
+    return out
+
+
+def _outcome(build):
+    try:
+        p = build()
+    except PolyError as exc:
+        return str(exc)
+    return p.total_degree, p.terms
+
+
+# (coefficient, variables): half of the terms have degree 2, so sums are often homogeneous
+_TERM = st.tuples(
+    st.integers(0, 3),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2) | st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+@given(
+    st.lists(_TERM, min_size=1, max_size=10),
+    st.lists(st.sampled_from("+-"), min_size=9, max_size=9),
+    st.sampled_from([RATIONALS, FieldSpec(5)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_parsed_sum_matches_add_fold(terms, signs, field):
+    # one dict for the whole sum gives the fold's terms, degree (a zero sum
+    # takes the next term's) and degree-mismatch message
+    c = ctx(field=field)
+    texts = ["*".join([str(coeff)] + [f"x{v}" for v in variables]) for coeff, variables in terms]
+    text = texts[0] + "".join(f" {sign} {t}" for sign, t in zip(signs, texts[1:]))
+    assert _outcome(lambda: multipoly._PolyParser(text, c, 9).parse()) == _outcome(lambda: _fold(texts, signs, c))
+
+
+@pytest.mark.parametrize(
+    "text, degree, terms",
+    [
+        ("x0 - x0 + x1^2", 2, {(0, 2, 0, 0): 1}),
+        ("x0 - x0 + 0", 0, {}),
+        ("x0 + 0*x1^2", 1, {(1, 0, 0, 0): 1}),
+        ("2*x0 - x0 - x0", 1, {}),
+        ("-x0 + (x0 + x1)", 1, {(0, 1, 0, 0): 1}),
+    ],
+)
+def test_parsed_sum_edge_cases(text, degree, terms):
+    p = multipoly._PolyParser(text, ctx(), 9).parse()
+    assert (p.total_degree, p.terms) == (degree, terms)
