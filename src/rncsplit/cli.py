@@ -35,11 +35,9 @@ from .sheafmap import (
     CertificationError,
     MapError,
     _delta_from_psi,
-    _onto_everywhere,
     build_delta,
     build_psi,
     format_map,
-    kernel_matrix,
     map_to_json,
     splitting_of_kernel,
 )
@@ -92,13 +90,13 @@ def _emit(args, payload: dict, text: str) -> None:
 def _case_report(F, d: int, e: int, n: int) -> dict:
     psi = build_psi(F)
     delta = _delta_from_psi(F.context, psi)
-    if not _onto_everywhere(delta):
+    T = splitting_of_kernel(delta)
+    # deg ker delta = Σsource - de exactly when delta is onto everywhere (_nullity_scan)
+    if T.degree != sum(delta.source) - d * e:
         raise UsageError(
             "the hypersurface is singular along the curve (delta is not onto O(de) "
             "at every point), so ker delta is not T_X|_C"
         )
-    K = kernel_matrix(delta)
-    T = SplittingType(tuple(sorted(K.source)))
     N = splitting_of_kernel(psi)
     pred = predicted_splitting(d, e, n)
     return {
@@ -113,11 +111,14 @@ def _case_report(F, d: int, e: int, n: int) -> dict:
         "expected": expected_max(d, e, n),
         "provenance": pred.provenance,
         "predicted": splitting_to_json(pred.splitting) if pred.verdict == EXACT else pred.verdict,
+        # smooth_along_curve: the degree test above; the kernel_* keys: the scan's
+        # certified ker delta ≅ ⊕O(a_i), which is a generating matrix with zero
+        # composite, full rank everywhere and source (a_i)
         "certificates": {
             "smooth_along_curve": True,
             "kernel_compose_zero": True,
             "kernel_full_rank": True,
-            "kernel_source": list(K.source),
+            "kernel_source": list(reversed(T.parts)),
         },
     }
 
@@ -177,7 +178,6 @@ def _verify_chain_job(job) -> list[dict]:
     """One (d, e) chain: every level up to n_max, compared to the catalog."""
     theorem, d, e, n_max, p = job
     field = FieldSpec(p) if p else RATIONALS
-    results = []
 
     def run(field_now):
         out = []
@@ -189,29 +189,23 @@ def _verify_chain_job(job) -> list[dict]:
                 out.append(_verify_case(T, field_now, 2, e, n, None, psi))
             return out
         F, steps = build_chain(d, e, n_max, field_now)
-        T = splitting_of_kernel(build_delta(steps[0].input_F if steps else F))
+        # extend_dimension certified the seed's kernel matrix (J's source) and each
+        # step's N as the kernel of its delta_out (= build_delta(output_F))
+        T = SplittingType(steps[0].J.source) if steps else splitting_of_kernel(build_delta(F))
         out.append(_verify_case(T, field_now, d, e, e, None))
-        # extend_dimension certified each step's N as the kernel of its
-        # delta_out (= build_delta(output_F)) with the target splitting
         for st in steps:
             out.append(
                 _verify_case(st.target_splitting, field_now, d, e, st.output_F.context.n, st.strategy)
             )
         return out
 
+    def error(exc, field_now) -> list[dict]:
+        return [{"d": d, "e": e, "n": None, "status": "error", "detail": str(exc), "field": str(field_now)}]
+
     try:
         results = run(field)
     except (CertificationError, UnsupportedCaseError, CurveContextError) as exc:
-        results = [
-            {
-                "d": d,
-                "e": e,
-                "n": None,
-                "status": "error",
-                "detail": str(exc),
-                "field": str(field),
-            }
-        ]
+        results = error(exc, field)
     if field.p is not None and any(r["status"] != "ok" for r in results):
         # modular failures are re-checked over the rationals before reporting
         try:
@@ -220,16 +214,7 @@ def _verify_chain_job(job) -> list[dict]:
                 r["backstop"] = "rational"
             results = rational
         except (CertificationError, UnsupportedCaseError) as exc:
-            results = [
-                {
-                    "d": d,
-                    "e": e,
-                    "n": None,
-                    "status": "error",
-                    "detail": str(exc),
-                    "field": "rational",
-                }
-            ]
+            results = error(exc, RATIONALS)
     return results
 
 

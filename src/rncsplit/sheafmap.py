@@ -355,23 +355,28 @@ def _nullity_scan(M: GradedSheafMap, generators: bool = False):
 
     The kernel's rank r and a lower bound D on its degree come from the shape.
     A nonzero row has image O(c - deg g), g the gcd of its entries, so
-    r = cols - 1 and deg ker M = D + deg g with D = Σb_j - c.  The zero row
-    has kernel ⊕O(b_j): r = cols and D = Σb_j.
+    r = cols - 1 and deg ker M = D + deg g with D = Σb_j - c.  It is onto at
+    a point iff g is nonzero there, and g has a zero (over the algebraic
+    closure) iff deg g > 0: so deg ker M = D iff the row is onto at every
+    point.  The zero row, onto nowhere, has kernel ⊕O(b_j): r = cols and
+    D = Σb_j, which is not Σb_j - c for c != 0.
 
     Euler-characteristic stop: Riemann-Roch gives
     N(m) >= χ(ker M(m)) = r(m+1) + deg ker M >= r(m+1) + D.  So at a twist m
     with N(m) = r(m+1) + D both inequalities are equalities: deg ker M = D
-    and h^1(ker M(m)) = 0, which says every a_i >= -m-1.  The parts a_i >= -m
-    are the ones found so far; the remaining r - inc parts are -m-1, and
-    their generators are yielded at twist m+1.  Multiplication by s injects
-    the sections at m into those at m+1, so N(m) = 0 forces N = 0 below m:
-    the scan starts at m0 = floor(-D/r) - 1 (a balanced kernel of degree D
-    has no sections there, and meets χ at m0 + 1), stepping down only while
-    N(m0) > 0.
+    (a nonzero row is onto everywhere) and h^1(ker M(m)) = 0, which says
+    every a_i >= -m-1.  The parts a_i >= -m are the ones found so far; the
+    remaining r - inc parts are -m-1, and their generators are yielded at
+    twist m+1.  Multiplication by s injects the sections at m into those at
+    m+1, so N(m) = 0 forces N = 0 below m: the scan starts at
+    m0 = floor(-D/r) - 1 (a balanced kernel of degree D has no sections
+    there, and meets χ at m0 + 1), stepping down only while N(m0) > 0.
 
     Increment stop: where the row is not onto at some point, deg ker M > D
     and χ is never met; the scan stops at the first twist where the increment
-    inc = N(m) - N(m-1) equals r, so every part has appeared.
+    inc = N(m) - N(m-1) equals r, so every part has appeared.  Once all parts
+    are in, N(m) = r(m+1) + deg ker M, so a stop here with χ unmet means the
+    row is not onto at some point.
 
     _scan_window bounds the scan: if neither stop is met inside it, the scan
     raises CertificationError.  The final checks run once the generator is
@@ -564,7 +569,8 @@ def check_smooth_along_curve(F: IdealCombination) -> bool:
     C, so dF|_C : T_{P^n}|_C -> O(de) kills T_C and factors through the
     surjection T_{P^n}|_C -> N_{C/P^n} followed by psi; that composite is
     delta.  So dF|_C and delta have the same image in O(de), and they vanish
-    at the same points: exactly where all entries of delta do."""
+    at the same points: exactly where all entries of delta do.  compute
+    decides the same by the degree of the scanned ker delta (_nullity_scan)."""
     return _onto_everywhere(build_delta(F))
 
 

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -53,6 +54,79 @@ def test_compute_singular_along_curve_exit_2(capsys, tmp_path, fmt):
     assert code == 2
     assert out == ""
     assert "singular along the curve" in err
+
+
+QUINTIC_HSF = "d = 5\ne = 3\nn = 3\nQ 1 2 : x0^3\nQ 2 3 : x3^3\n"
+SINGULAR_HSF = "d = 4\ne = 3\nn = 3\nQ 1 2 : x1^2 - x0*x2\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, scans",
+    [(QUINTIC_HSF, 0, 2), ("d = 3\ne = 3\nn = 3\nQ 1 2 : x0\nQ 2 3 : x3\n", 0, 2), (SINGULAR_HSF, 2, 1)],
+    ids=["quintic", "cubic", "singular"],
+)
+def test_compute_scans_delta_and_psi_only(capsys, monkeypatch, tmp_path, body, code, scans):
+    # compute reads smoothness off the degree of the scanned ker delta and
+    # the certificates off its splitting: one scan of delta, one of psi (none
+    # once delta shows X singular), and no kernel matrix or gcd
+    from rncsplit import binform, constructor, sheafmap
+
+    def refused(*args):
+        raise AssertionError("compute must not call this")
+
+    for module, name in [
+        (sheafmap, "kernel_matrix"),
+        (constructor, "kernel_matrix"),
+        (sheafmap, "certify_kernel"),
+        (sheafmap, "_onto_everywhere"),
+        (sheafmap, "bf_gcd"),
+        (binform, "bf_gcd"),
+    ]:
+        monkeypatch.setattr(module, name, refused)
+    scanned = []
+    real = sheafmap._nullity_scan
+
+    def recording(M, *args, **kwargs):
+        scanned.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(sheafmap, "_nullity_scan", recording)
+    hsf = tmp_path / "case.hsf"
+    hsf.write_text(body)
+    assert run(capsys, "compute", "--poly", str(hsf), "--format", "json")[0] == code
+    assert len(scanned) == scans
+
+
+def _kernel_matrix_oracle_cases():
+    from rncsplit.constructor import build_chain
+    from rncsplit.fields import FieldSpec, RATIONALS
+    from rncsplit.multipoly import CurveContext, parse_hypersurface
+    from tests.helpers import dense_combination
+
+    # the benchmark's compute-q catalog seeds, then the README quintic
+    for d, e, n in [(2, 4, 8), (2, 6, 10), (3, 3, 3), (3, 4, 4), (3, 5, 5), (3, 6, 6), (4, 4, 4), (4, 5, 5), (4, 6, 6)]:
+        yield f"{d}-{e}-{n}", build_chain(d, e, n, RATIONALS)[0]
+    yield "quintic", parse_hypersurface(QUINTIC_HSF)
+    rnd = random.Random(16)
+    for field in (RATIONALS, FieldSpec(32003)):
+        for d, e, n in [(3, 3, 3), (3, 4, 4), (3, 3, 5), (4, 3, 4), (2, 5, 6)]:
+            yield f"dense-{field}-{d}-{e}-{n}", dense_combination(rnd, CurveContext(d, e, n, field))
+
+
+def test_compute_kernel_source_matches_kernel_matrix(capsys, tmp_path):
+    # the old path as oracle: the source of the certified kernel matrix of
+    # delta is the kernel_source compute reads off the scanned splitting
+    from rncsplit.multipoly import format_hypersurface
+    from rncsplit.sheafmap import build_delta, check_smooth_along_curve, kernel_matrix
+
+    for label, F in _kernel_matrix_oracle_cases():
+        hsf = tmp_path / f"{label}.hsf"
+        hsf.write_text(format_hypersurface(F))
+        code, out, _ = run(capsys, "compute", "--poly", str(hsf), "--format", "json")
+        assert check_smooth_along_curve(F), label
+        assert code == 0, label
+        certificates = json.loads(out)["certificates"]
+        assert certificates["kernel_source"] == list(kernel_matrix(build_delta(F)).source), label
 
 
 def test_readme_hsf_example(capsys, tmp_path):
@@ -207,7 +281,7 @@ def test_internal_error_exits_3(capsys, monkeypatch, exc):
     def broken(M):
         raise exc("injected")
 
-    monkeypatch.setattr(cli, "kernel_matrix", broken)
+    monkeypatch.setattr(cli, "splitting_of_kernel", broken)
     code, _, err = run(capsys, "compute", "--d", "3", "--e", "3", "--n", "3")
     assert code == 3
     assert "internal error: injected" in err
@@ -312,13 +386,16 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
 
 
 def test_verify_chain_builds_each_delta_once(monkeypatch):
-    # build_chain builds the seed's delta, then one delta per step: the check
-    # of the step's output hypersurface.  verify scans each step's certified
-    # delta_out and builds psi again only for the seed.
+    # build_chain builds the seed's delta and scans it once, inside
+    # kernel_matrix, then builds one delta per step: the check of the step's
+    # output hypersurface.  verify reads the seed's splitting off the first
+    # step and each step's off its certified N, so it builds and scans nothing
+    # after the chain.
     from rncsplit import constructor, sheafmap
 
     calls = []
     build_psi, build_delta, build_chain = sheafmap.build_psi, constructor.build_delta, cli.build_chain
+    scan = sheafmap._nullity_scan
 
     def psi(F):
         calls.append("psi")
@@ -328,39 +405,43 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         calls.append("delta")
         return build_delta(F)
 
+    def scanning(M, *args, **kwargs):
+        calls.append("scan")
+        return scan(M, *args, **kwargs)
+
     def chain(*args):
         out = build_chain(*args)
         calls.append("chain")
         return out
 
     monkeypatch.setattr(sheafmap, "build_psi", psi)
+    monkeypatch.setattr(sheafmap, "_nullity_scan", scanning)
     monkeypatch.setattr(constructor, "build_delta", delta)
     monkeypatch.setattr(cli, "build_chain", chain)
     for d, e in ((3, 3), (4, 4)):
         calls.clear()
         recs = cli._verify_chain_job((None, d, e, 8, 32003))
         assert [r["status"] for r in recs] == ["ok"] * (9 - e)
-        cut = calls.index("chain")
-        assert calls[:cut] == ["delta", "psi"] * (9 - e), (d, e)
-        assert calls[cut + 1 :] == ["psi"], (d, e)
+        assert calls == ["delta", "psi", "scan"] + ["delta", "psi"] * (8 - e) + ["chain"], (d, e)
 
 
 def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):
-    # each extension step's splitting is the one extend_dimension certified
-    # for its delta_out, so verify scans a kernel once per cubic seed, e = 3..7
+    # the seed's splitting is the source of the kernel matrix extend_dimension
+    # certified, and each extension step's is the one it certified for its
+    # delta_out, so verify scans one kernel per cubic seed, e = 3..7: inside
+    # kernel_matrix for e < 7, and directly for e = 7, which has no step
     from rncsplit import sheafmap
     from rncsplit.constructor import seed_example
     from rncsplit.fields import FieldSpec
 
     scanned = []
-    real = sheafmap.splitting_of_kernel
+    real = sheafmap._nullity_scan
 
-    def recording(M):
+    def recording(M, *args, **kwargs):
         scanned.append(M)
-        return real(M)
+        return real(M, *args, **kwargs)
 
-    monkeypatch.setattr(sheafmap, "splitting_of_kernel", recording)
-    monkeypatch.setattr(cli, "splitting_of_kernel", recording)
+    monkeypatch.setattr(sheafmap, "_nullity_scan", recording)
     code, out, _ = run(capsys, "verify", "--theorem", "cubics", "--max-n", "7", "--workers", "1")
     assert code == 0 and "15/15 cases ok" in out
     seeds = [sheafmap.build_delta(seed_example(3, e, FieldSpec(32003))) for e in range(3, 8)]

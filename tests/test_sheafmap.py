@@ -744,11 +744,15 @@ def _equal_up_to_scalar(f, g):
     return f.scale(K.div(g.coeffs[k], f.coeffs[k])).equals(g)
 
 
-@pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7), FieldSpec(5), FieldSpec(3)], ids=str)
+@pytest.mark.parametrize(
+    "field", [RATIONALS, GF, FieldSpec(7), FieldSpec(5), FieldSpec(3), FieldSpec(2)], ids=str
+)
 def test_smoothness_matches_gradient_oracle(field):
     # delta and the restricted gradient have the same image in O(de), so the
-    # gcds of their entries agree up to a scalar; sparse draws with few
-    # linear coefficients make many of them singular along the curve
+    # gcds of their entries agree up to a scalar, and the scanned ker delta
+    # has degree Σsource - de exactly when that gcd is constant (compute's
+    # test); sparse draws with few linear coefficients make many of them
+    # singular along the curve
     rnd = random.Random(67)
     singular = 0
     for trial in range(60):
@@ -759,8 +763,10 @@ def test_smoothness_matches_gradient_oracle(field):
         F = random_combination(rnd, ctx, linear_prob=rnd.choice([0.0, 0.2, 0.6]))
         smooth = check_smooth_along_curve(F)
         assert smooth == gradient_smooth(F), (trial, F)
+        delta = build_delta(F)
+        assert smooth == (splitting_of_kernel(delta).degree == sum(delta.source) - ctx.d * e), (trial, F)
         singular += not smooth
-        by_delta = list(build_delta(F).entries.values())
+        by_delta = list(delta.entries.values())
         by_gradient = list(gradient_map(F).entries.values())
         assert bool(by_delta) == bool(by_gradient), (trial, F)
         if by_delta:
