@@ -75,8 +75,9 @@ USER_ERRORS = (
 INTERNAL_ERRORS = (CertificationError, MapError, DegreeError, PolyError)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    out = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text
+def _emit(args, payload: dict, text) -> None:
+    """Write the payload as JSON, or ``text()`` (built only for text output)."""
+    out = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text()
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -167,7 +168,7 @@ def cmd_compute(args) -> int:
         d, e, n = args.d, args.e, args.n
         F, _ = build_chain(d, e, n, field)
     rep = _case_report(F, d, e, n)
-    _emit(args, rep, _report_text(rep))
+    _emit(args, rep, lambda: _report_text(rep))
     return 0
 
 
@@ -293,25 +294,29 @@ def cmd_verify(args) -> int:
             "by_provenance": {tag: {"ok": ok, "total": tot} for tag, (ok, tot) in sorted(by_tag.items())},
         },
     }
-    lines = []
-    for r in cases:
-        if r["status"] == "ok":
-            extra = f" via {r['strategy']}" if "strategy" in r else ""
-            bs = " (rational backstop)" if r.get("backstop") else ""
-            lines.append(
-                f"ok   d={r['d']} e={r['e']} n={r['n']} {r['got']} [{r['provenance']}]{extra}{bs}"
-            )
-        elif r["status"] == "mismatch":
-            lines.append(
-                f"FAIL d={r['d']} e={r['e']} n={r['n']} got {r['got']} want {r['want']} [{r['provenance']}]"
-            )
-        else:
-            lines.append(f"ERROR d={r['d']} e={r['e']}: {r['detail']}")
-    lines.append("")
-    lines.append(f"{payload['summary']['ok']}/{payload['summary']['total']} cases ok")
-    for tag, (ok, tot) in sorted(by_tag.items()):
-        lines.append(f"  {tag}: {ok}/{tot}")
-    _emit(args, payload, "\n".join(lines) + "\n")
+
+    def text() -> str:
+        lines = []
+        for r in cases:
+            if r["status"] == "ok":
+                extra = f" via {r['strategy']}" if "strategy" in r else ""
+                bs = " (rational backstop)" if r.get("backstop") else ""
+                lines.append(
+                    f"ok   d={r['d']} e={r['e']} n={r['n']} {r['got']} [{r['provenance']}]{extra}{bs}"
+                )
+            elif r["status"] == "mismatch":
+                lines.append(
+                    f"FAIL d={r['d']} e={r['e']} n={r['n']} got {r['got']} want {r['want']} [{r['provenance']}]"
+                )
+            else:
+                lines.append(f"ERROR d={r['d']} e={r['e']}: {r['detail']}")
+        lines.append("")
+        lines.append(f"{payload['summary']['ok']}/{payload['summary']['total']} cases ok")
+        for tag, (ok, tot) in sorted(by_tag.items()):
+            lines.append(f"  {tag}: {ok}/{tot}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, text)
     return 1 if failed else 0
 
 
@@ -353,22 +358,26 @@ def cmd_extend(args) -> int:
         ],
         "output": format_hypersurface(steps[-1].output_F),
     }
-    blocks = ["input hypersurface:", payload["input"]]
-    for st in steps:
-        blocks += [
-            f"-- step to n = {st.output_F.context.n} (strategy {st.strategy}, "
-            f"target {format_splitting(st.target_splitting)})",
-            "J:",
-            format_map(st.J),
-            "N:",
-            format_map(st.N),
-            "delta:",
-            format_map(st.delta_out),
-            f"g = {format_binary_form(st.g)}",
-            "output hypersurface:",
-            format_hypersurface(st.output_F),
-        ]
-    _emit(args, payload, "\n".join(blocks))
+
+    def text() -> str:
+        blocks = ["input hypersurface:", payload["input"]]
+        for st in steps:
+            blocks += [
+                f"-- step to n = {st.output_F.context.n} (strategy {st.strategy}, "
+                f"target {format_splitting(st.target_splitting)})",
+                "J:",
+                format_map(st.J),
+                "N:",
+                format_map(st.N),
+                "delta:",
+                format_map(st.delta_out),
+                f"g = {format_binary_form(st.g)}",
+                "output hypersurface:",
+                format_hypersurface(st.output_F),
+            ]
+        return "\n".join(blocks)
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -378,14 +387,14 @@ def cmd_extend(args) -> int:
 def cmd_glue(args) -> int:
     A, B = parse_splitting(args.A), parse_splitting(args.B)
     out = glue_bound(A, B)
-    _emit(args, {"glued": splitting_to_json(out)}, json.dumps(splitting_to_json(out)) + "\n")
+    _emit(args, {"glued": splitting_to_json(out)}, lambda: json.dumps(splitting_to_json(out)) + "\n")
     return 0
 
 
 def cmd_dominates(args) -> int:
     A, B = parse_splitting(args.A), parse_splitting(args.B)
     res = specializes_to(A, B)
-    _emit(args, {"dominates": res}, ("true" if res else "false") + "\n")
+    _emit(args, {"dominates": res}, lambda: ("true" if res else "false") + "\n")
     return 0
 
 
@@ -398,7 +407,7 @@ def cmd_interp(args) -> int:
         exp = expected_max(args.d, args.e, args.n)
         payload["expected"] = exp
         text = f"interpolates up to {count} point(s); expected max {exp}\n"
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return 0
 
 
@@ -418,7 +427,7 @@ def cmd_predict(args) -> int:
         )
     else:
         text = f"{pred.verdict} [{pred.provenance}]\n"
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return 0
 
 
@@ -473,34 +482,44 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for a run of ``command``.  Every subcommand is registered
-    under its name and help line, so the top-level usage, help and choice
-    errors list them all; only ``command`` gets its arguments and ``-h``.
-    The others are bare, since argparse parses no subcommand but the one
-    named (each argument costs argparse a help formatter)."""
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    _, func, arguments = _COMMANDS[name]
+    for flags, options in arguments + _COMMON:
+        p.add_argument(*flags, **options)
+    p.set_defaults(func=func, command=name)
+
+
+def _full_parser() -> argparse.ArgumentParser:
+    """Every subcommand with all of its arguments: the parser that prints the
+    top-level usage and help, and every error the lone parser leaves over."""
     ap = argparse.ArgumentParser(
         prog="rncsplit",
         description="Splitting types of restricted tangent and normal bundles of "
         "rational normal curves on hypersurfaces (exact arithmetic).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line, add_help=(name == command))
-        if name == command:
-            for flags, options in arguments + _COMMON:
-                p.add_argument(*flags, **options)
-            p.set_defaults(func=func)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return ap
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    # A command named first is parsed by a lone parser with argparse's own
+    # subparser's prog, arguments and -h, so its help and errors are the
+    # subparser's; anything it leaves over, and every other argv, goes to the
+    # full parser (each argument costs argparse a help formatter)
+    if argv and argv[0] in _COMMANDS:
+        ap = argparse.ArgumentParser(prog=f"rncsplit {argv[0]}")
+        _add_arguments(ap, argv[0])
+        args, rest = ap.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _full_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse runs the subcommand named by the first positional argument,
-    # and every argument before it is an option: no subcommand name starts
-    # with "-", and no top-level option takes a value
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except USER_ERRORS as exc:  # first: an HsfError is also a PolyError

@@ -99,9 +99,8 @@ class FieldSpec:
 
     def format_scalar(self, a) -> str:
         if self.p is None:
-            f = Fraction(a)
             try:
-                return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+                return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
             except ValueError:  # Python prints ints of at most sys.get_int_max_str_digits() digits
                 raise FieldError("a coefficient has too many digits to print") from None
         r = a % self.p

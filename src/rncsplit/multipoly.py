@@ -428,12 +428,76 @@ class _PolyParser:
         raise HsfError(f"unexpected token {tok[1]!r} at position {tok[2]}")
 
 
+# One pass over a sum of monomials: signed terms, each a *-product of numbers
+# a or a/b and powers x<k> or x<k>^<m>.  Anything else is _PolyParser's.
+_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*\^\s*\d+)?)"
+_SUM = re.compile(rf"-?\s*{_FACTOR}(?:\s*[-+*]\s*{_FACTOR})*")
+_SUM_TOKEN = re.compile(r"([-+])|(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+def _read_sum(text: str, context: CurveContext, degree: int) -> MultiPoly | None:
+    """The sum of monomials ``text`` (stripped) as _PolyParser reads it, its
+    terms added into one dict; None where _PolyParser must decide: other
+    syntax (parentheses, a sign inside a term, a power of a number), x<k> past
+    n, a term of another degree, a number past Python's digit limit, or a
+    zero coefficient or denominator."""
+    if not _SUM.fullmatch(text):
+        return None
+    K, n, p = context.field, context.n, context.field.p
+    tokens = _SUM_TOKEN.findall(text)
+    neg = text[0] == "-"
+    terms = []  # (negated, numerator, denominator, exponents) per term
+    num, den, exp = 1, 1, [0] * (n + 1)
+    try:
+        for sign, a, b, k, m in tokens[1:] if neg else tokens:
+            if sign:
+                terms.append((neg, num, den, exp))
+                neg, num, den, exp = sign == "-", 1, 1, [0] * (n + 1)
+            elif a:
+                num *= int(a)
+                if b:
+                    den *= int(b)
+            else:
+                k = int(k)
+                if k > n:
+                    return None
+                exp[k] += int(m) if m else 1
+    except ValueError:  # more digits than Python reads
+        return None
+    terms.append((neg, num, den, exp))
+    out: dict = {}
+    for neg, num, den, exp in terms:
+        if sum(exp) != degree:
+            return None
+        if p is None:
+            if not num or not den:
+                return None
+            c = Fraction(-num if neg else num, den)
+        else:
+            if not num % p or not den % p:
+                return None
+            c = (-num if neg else num) * pow(den, p - 2, p) % p
+        key = tuple(exp)
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            total = K.add(prev, c)
+            if K.is_zero(total):
+                del out[key]
+            else:
+                out[key] = total
+    return MultiPoly(context, degree, out)
+
+
 def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiPoly:
     """Parse text into a homogeneous MultiPoly of the expected degree."""
     text = text.strip()
     if text == "0":
         return MultiPoly.zero(context, expected_degree)
-    raw = _PolyParser(text, context, expected_degree).parse()
+    raw = _read_sum(text, context, expected_degree)
+    if raw is None:
+        raw = _PolyParser(text, context, expected_degree).parse()
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
     degrees = {sum(exp) for exp in raw.terms}
@@ -450,38 +514,28 @@ def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     K = p.context.field
-    parts = []
+    out = []
     for exp in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[exp]
-        factors = []
-        for v, a in enumerate(exp):
-            if a == 1:
-                factors.append(f"x{v}")
-            elif a > 1:
-                factors.append(f"x{v}^{a}")
-        txt = K.format_scalar(c)
+        factors = [f"x{v}" if a == 1 else f"x{v}^{a}" for v, a in enumerate(exp) if a]
+        txt = K.format_scalar(p.terms[exp])
         neg = txt.startswith("-")
         if neg:
             txt = txt[1:]
-        if factors and txt == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([txt] + factors)
-        parts.append((neg, body))
-    out = ""
-    for neg, body in parts:
-        if not out:
-            out = ("-" if neg else "") + body
-        else:
-            out += (" - " if neg else " + ") + body
-    return out
+        body = "*".join(factors if factors and txt == "1" else [txt, *factors])
+        out.append((" - " if neg else " + ") + body if out else ("-" if neg else "") + body)
+    return "".join(out)
 
 
 # -- hypersurface files -----------------------------------------------------------
 #
 # UTF-8 text: header lines `d = <int>`, `e = <int>`, `n = <int>`, optional
 # `field = rational | prime:<p>`; body lines `Q <i> <j> : <poly>` and
-# `X <k> : <poly>`; `#` starts a comment.
+# `X <k> : <poly>`; `#` starts a comment.  Each header line appears at most once.
+
+_HEADER = re.compile(r"(d|e|n)\s*=\s*(-?\d+)")
+_FIELD = re.compile(r"(field)\s*=\s*(\S+)")
+_QUADRIC = re.compile(r"Q\s+(\d+)\s+(\d+)\s*:\s*(.+)")
+_LINEAR = re.compile(r"X\s+(\d+)\s*:\s*(.+)")
 
 
 def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombination:
@@ -501,23 +555,22 @@ def parse_hypersurface(text: str, field: FieldSpec | None = None) -> IdealCombin
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.match(r"^(d|e|n)\s*=\s*(-?\d+)$", line)
-        if m:
-            header[m.group(1)] = integer(m.group(2), lineno)
-            continue
-        m = re.match(r"^field\s*=\s*(\S+)$", line)
-        if m:
-            header["field"] = parse_field(m.group(1))
-            continue
-        m = re.match(r"^Q\s+(\d+)\s+(\d+)\s*:\s*(.+)$", line)
+        m = _QUADRIC.fullmatch(line)
         if m:
             body.append(("Q", integer(m.group(1), lineno), integer(m.group(2), lineno), m.group(3), lineno))
             continue
-        m = re.match(r"^X\s+(\d+)\s*:\s*(.+)$", line)
+        m = _LINEAR.fullmatch(line)
         if m:
             body.append(("X", integer(m.group(1), lineno), None, m.group(2), lineno))
             continue
-        raise HsfError(f"line {lineno}: cannot parse {raw!r}")
+        m = _HEADER.fullmatch(line) or _FIELD.fullmatch(line)
+        if not m:
+            raise HsfError(f"line {lineno}: cannot parse {raw!r}")
+        key, value = m.groups()
+        value = parse_field(value) if key == "field" else integer(value, lineno)
+        if key in header:
+            raise HsfError(f"line {lineno}: duplicate header '{key}'")
+        header[key] = value
     for key in ("d", "e", "n"):
         if key not in header:
             raise HsfError(f"missing header line '{key} = <int>'")

@@ -664,9 +664,9 @@ def map_from_json(obj: dict, field: FieldSpec) -> GradedSheafMap:
 
 # -- the full argument parser ------------------------------------------------------
 #
-# Every subcommand with all of its arguments, as the CLI built it before it
-# gave arguments to the invoked subcommand only.  Oracle for the CLI's help,
-# usage and error text.
+# Every subcommand with all of its arguments, written out one by one.  Oracle
+# for the CLI's parse: the Namespace, help, usage and error text of both its
+# lone subcommand parser and its full parser.
 
 
 def full_parser() -> argparse.ArgumentParser:

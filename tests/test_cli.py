@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -10,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import cli
 from rncsplit.binform import DegreeError
@@ -235,6 +238,26 @@ def test_compute_malformed_file_exit_2(capsys, tmp_path, body):
     code, out, err = run(capsys, "compute", "--poly", str(hsf))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line, key, lineno", [("d = 3", "d", 2), ("e = 3", "e", 3), ("field = prime:7", "field", 7)])
+def test_compute_repeated_header_exit_2(capsys, tmp_path, line, key, lineno):
+    # a repeated header line is refused, whichever value comes last
+    hsf = tmp_path / "repeated.hsf"
+    hsf.write_text(f"{line}\n{QUINTIC_HSF}field = rational\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert err == f"error: line {lineno}: duplicate header '{key}'\n"
+
+
+def test_compute_json_builds_no_text_report(capsys, monkeypatch):
+    def refuse(rep):
+        raise AssertionError("text report built for --format json")
+
+    monkeypatch.setattr(cli, "_report_text", refuse)
+    code, out, _ = run(capsys, "compute", "--d", "3", "--e", "3", "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["T_splitting"] == [1, 2]
 
 
 def test_compute_missing_file_exit_2(capsys):
@@ -555,6 +578,9 @@ PARSER_CASES = [
     ["--help"],
     ["-h", "compute"],
     *([name, "-h"] for name in cli._COMMANDS),
+    ["compute", "--format", "-h"],
+    ["compute", "--help"],
+    PREDICT + ["-h"],
     ["bogus"],
     ["verify", "--max-n", "5"],
     ["glue", "[1,2]"],
@@ -571,6 +597,12 @@ PARSER_CASES = [
     ["-1", "predict"],
     ["-", "predict"],
     ["compute", "compute"],
+    ["compute", "--d", "-3", "--e", "3", "--n", "3"],
+    ["compute", "--poly=x.hsf", "--fo", "json"],
+    ["predict", "--d", "3", "--d", "2", "--e", "4", "--n", "6"],
+    ["interp", "-1"],
+    ["glue", "--", "[1]", "[2]"],
+    PREDICT + ["--", "x"],
 ]
 
 
@@ -586,18 +618,50 @@ def _outcome(capsys, argv):
 @pytest.mark.parametrize("columns", ["80", "37"])
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_parser_output_matches_full_parser(capsys, monkeypatch, argv, columns):
-    # the parser that gives arguments to the invoked subcommand only prints
-    # the same help, usage and errors as the one that builds every subcommand
+    # a command named first is parsed by its lone parser, which prints the
+    # same help, usage and errors as the parser with every subcommand, and
+    # the command then runs as it would after that parser
     monkeypatch.setenv("COLUMNS", columns)
     got = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_build_parser", lambda command: full_parser())
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: full_parser().parse_args(argv))
     assert got == _outcome(capsys, argv)
 
 
-def test_parser_builds_only_the_invoked_subcommand():
-    for command in (*cli._COMMANDS, None):
-        ap = cli._build_parser(command)
-        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(cli._COMMANDS)
-        assert {name for name, p in sub.choices.items() if p._actions} == ({command} - {None})
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
 
+
+_ARGV_TOKENS = [
+    *cli._COMMANDS, "-h", "--help", "--", "-", "-1", "-3", "3", "x", "[1]", "[2]", "extra",
+    "--format", "--fo", "json", "yaml", "--format=json", "--d", "--e", "--n", "--poly",
+    "--poly=x.hsf", "--theorem", "cubics", "--max-n", "--workers", "--to-n", "--field", "--bogus",
+]
+
+
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+@example(["glue", "[1]", "[2]"])
+@example(["interp", "-1", "--d", "3", "--fo", "json"])
+@settings(max_examples=100, deadline=None)
+def test_parse_matches_full_parser(argv):
+    # the same Namespace, or the same exit code, stdout and stderr
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(lambda a: full_parser().parse_args(a), argv)
+
+
+def test_well_formed_command_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (PREDICT, ["compute", "--d", "3", "--e", "3", "--n", "3"], ["glue", "[1]", "[2]"]):
+        built.clear()
+        assert cli._parse_args(argv).command == argv[0]
+        assert built == [f"rncsplit {argv[0]}"]

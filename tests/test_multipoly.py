@@ -1,17 +1,20 @@
 import random
 import re
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rncsplit import multipoly
 from rncsplit.binform import BinaryForm, parse_binary_form
-from rncsplit.fields import FieldSpec, RATIONALS
+from rncsplit.fields import FieldError, FieldSpec, RATIONALS
 from tests.helpers import (
     assemble,
     bf_mul,
     build_quadric,
+    dense_combination,
     gradient_on_curve,
     random_combination,
     random_poly,
@@ -21,6 +24,7 @@ from rncsplit.multipoly import (
     CurveContextError,
     HsfError,
     IdealCombination,
+    MultiPoly,
     PolyError,
     format_hypersurface,
     format_poly,
@@ -115,6 +119,7 @@ def test_repository_hsf_files_parse_as_without_the_power_bound(monkeypatch):
     readme = (root / "README.md").read_text(encoding="utf-8").split("Hypersurface files (`.hsf`)", 1)[1]
     texts = [re.search(r"```\n(.*?)```", readme, re.S).group(1)]
     texts += [path.read_text(encoding="utf-8") for path in sorted(root.rglob("*.hsf"))]
+    monkeypatch.setattr(multipoly, "_read_sum", lambda text, context, degree: None)  # _PolyParser reads every line
     bounded = [parse_hypersurface(text) for text in texts]
 
     class Unbounded(multipoly._PolyParser):
@@ -383,3 +388,122 @@ def test_parsed_sum_matches_add_fold(terms, signs, field):
 def test_parsed_sum_edge_cases(text, degree, terms):
     p = multipoly._PolyParser(text, ctx(), 9).parse()
     assert (p.total_degree, p.terms) == (degree, terms)
+
+
+# -- the one-pass reader against _PolyParser ---------------------------------------
+
+HSF_ERRORS = (HsfError, FieldError, CurveContextError)
+
+
+def _result(parse, *args):
+    # what a parse gives, with the reader on (parse_poly) or off (_PolyParser
+    # decides alone): the terms in insertion order, or the error and message
+    try:
+        out = parse(*args)
+    except HSF_ERRORS as exc:
+        return type(exc), str(exc)
+    if isinstance(out, MultiPoly):
+        return out.total_degree, list(out.terms.items())
+    return [(key, _result(lambda: poly)) for key, poly in (*out.quadric_coeffs.items(), *out.linear_coeffs.items())]
+
+
+def _both(parse, *args):
+    on = _result(parse, *args)
+    with mock.patch.object(multipoly, "_read_sum", return_value=None):
+        return on, _result(parse, *args)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7)], ids=str)
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 4), (4, 4, 5), (5, 3, 5)])
+def test_reader_matches_parser_on_dense_files(field, shape):
+    c = ctx(*shape, field=field)
+    text = format_hypersurface(dense_combination(random.Random(sum(shape)), c))
+    on, off = _both(parse_hypersurface, text)
+    assert on == off
+    # every line of a printed hypersurface takes the one-pass route
+    for line in text.splitlines()[4:]:
+        kind, body = line.split(":")
+        degree = c.d - 2 if kind.startswith("Q") else c.d - 1
+        assert multipoly._read_sum(body.strip(), c, degree) is not None, line
+
+
+@pytest.mark.parametrize(
+    "text, degree, field",
+    [
+        ("0*x0", 1, RATIONALS),
+        ("x0 - x0", 1, RATIONALS),
+        ("x0*x0", 2, RATIONALS),
+        ("x0^0", 1, RATIONALS),
+        ("x0^0*x1", 1, RATIONALS),
+        ("x0 + 0*x1^2", 1, RATIONALS),
+        ("x0^1^1", 1, RATIONALS),
+        ("2x0", 1, RATIONALS),
+        ("x0 +", 1, RATIONALS),
+        ("- -x0", 1, RATIONALS),
+        ("-2/4*x0 + 1/2*x0 - x1", 1, RATIONALS),
+        ("x0 ^ 2 -3 * x1*x0+x2 *x2", 2, RATIONALS),
+        ("1/0*x0", 1, RATIONALS),
+        ("1/7*x0", 1, FieldSpec(7)),
+        ("7*x0 + x1 + x0", 1, FieldSpec(7)),
+        ("0*x0 + x1 + x0", 1, RATIONALS),
+        ("x0 - x0 + x1 + x0", 1, RATIONALS),
+        ("x9", 1, RATIONALS),
+        ("7" * 5000 + "*x0", 1, RATIONALS),
+        ("x" + "1" * 5000, 1, RATIONALS),
+        ("x0^5", 1, RATIONALS),
+        ("x0^2*x1^2", 2, RATIONALS),
+        ("(x0 + x1)*x2", 2, RATIONALS),
+        ("x0*-x1", 2, RATIONALS),
+        ("2^2*x0", 1, RATIONALS),
+    ],
+)
+def test_reader_edge_inputs_match_parser(text, degree, field):
+    on, off = _both(parse_poly, text, ctx(field=field), degree)
+    assert on == off
+
+
+_NUMBER = st.integers(1, 12).map(str) | st.tuples(st.integers(1, 12), st.integers(1, 12)).map("{0[0]}/{0[1]}".format)
+
+
+@st.composite
+def _monomial_sums(draw):
+    # homogeneous sums in the reader's grammar: signed terms, each a shuffled
+    # product of numbers and powers of variables, with spaces here and there
+    degree = draw(st.integers(0, 3))
+    text = ""
+    for k in range(draw(st.integers(1, 6))):
+        factors = draw(st.lists(_NUMBER, max_size=2))
+        for v, count in Counter(draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))).items():
+            factors += [f"x{v}^{count}"] if draw(st.booleans()) else [f"x{v}"] * count
+        factors = draw(st.permutations(factors or ["1"]))
+        space = draw(st.sampled_from(["", " ", "  "]))
+        sign = draw(st.sampled_from(["", "-"] if k == 0 else ["+", "-"]))
+        text += f"{' ' if k else ''}{sign}{space if sign else ''}" + f"{space}*{space}".join(factors)
+    return text, degree
+
+
+@given(_monomial_sums(), st.sampled_from([RATIONALS, FieldSpec(7), GF]))
+@settings(max_examples=100, deadline=None)
+def test_reader_matches_parser_on_sums_of_monomials(sum_and_degree, field):
+    text, degree = sum_and_degree
+    on, off = _both(parse_poly, text, ctx(field=field), degree)
+    assert on == off
+
+
+@given(
+    st.text(alphabet="x0123456789+-*/^() ", max_size=30),
+    st.sampled_from(["d = 3\ne = 3\nn = 3", "d = 4\ne = 3\nn = 4", "d = 1\ne = 3\nn = 3", "d = 3\ne = 3\nn = 2"]),
+    st.sampled_from(["rational", "prime:7", "prime:3"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_hsf_fuzz_parses_or_raises_its_errors(body, header, field):
+    on, off = _both(parse_hypersurface, f"{header}\nfield = {field}\nQ 1 2 : {body}\n")
+    assert on == off
+    assert isinstance(on, list) or on[0] in HSF_ERRORS
+
+
+def test_repeated_header_line_refused():
+    with pytest.raises(HsfError, match="^line 4: duplicate header 'd'$"):
+        parse_hypersurface("d = 3\ne = 3\nn = 3\nd = 5\nQ 1 2 : x0\n")
+    with pytest.raises(HsfError, match="^line 3: duplicate header 'field'$"):
+        parse_hypersurface("d = 3\nfield = rational\nfield = prime:7\ne = 3\nn = 3\n")
