@@ -17,6 +17,7 @@ import sys
 
 from .binform import DegreeError, format_binary_form
 from .constructor import (
+    SINGULAR_ALONG_CURVE,
     PsiLiftError,
     UnsupportedCaseError,
     build_chain,
@@ -94,10 +95,7 @@ def _case_report(F, d: int, e: int, n: int) -> dict:
     T = splitting_of_kernel(delta)
     # deg ker delta = Σsource - de exactly when delta is onto everywhere (_nullity_scan)
     if T.degree != sum(delta.source) - d * e:
-        raise UsageError(
-            "the hypersurface is singular along the curve (delta is not onto O(de) "
-            "at every point), so ker delta is not T_X|_C"
-        )
+        raise UsageError(SINGULAR_ALONG_CURVE)
     N = splitting_of_kernel(psi)
     pred = predicted_splitting(d, e, n)
     return {

@@ -42,6 +42,14 @@ class UnsupportedCaseError(ValueError):
     """Requested parameters lie outside the constructive range."""
 
 
+#: Why compute and extend refuse a hypersurface whose ker delta has degree
+#: above Σsource - de (see _nullity_scan).
+SINGULAR_ALONG_CURVE = (
+    "the hypersurface is singular along the curve (delta is not onto O(de) "
+    "at every point), so ker delta is not T_X|_C"
+)
+
+
 class PsiLiftError(ValueError):
     """No ideal combination realizes the requested psi columns."""
 
@@ -521,6 +529,9 @@ def extend_dimension(
     field = ctx.field
     delta_in = delta if delta is not None else build_delta(F)
     K_map = kernel if kernel is not None else kernel_matrix(delta_in)
+    # deg ker delta = Σsource - de exactly when delta is onto everywhere
+    if sum(K_map.source) != sum(delta_in.source) - d * e:
+        raise UnsupportedCaseError(SINGULAR_ALONG_CURVE)
     S = SplittingType(tuple(sorted(K_map.source)))
     if target.rank != S.rank + 1 or target.degree != S.degree + e:
         raise UnsupportedCaseError(

@@ -3,6 +3,7 @@
 A :class:`FieldSpec` is a small immutable value describing the field all other
 objects compute over.  Rational elements are ``fractions.Fraction`` (always
 reduced); prime-field elements are plain ``int`` in canonical range ``0..p-1``.
+Primes are bounded by 2^31 so that `is_prime`'s trial division stays fast.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class FieldSpec:
     def __init__(self, p: int | None = None):
         if p is not None:
             if p >= 2**31:
-                raise FieldError(f"prime {p} too large: int64 row reduction needs p < 2^31")
+                raise FieldError(f"prime {p} too large: p < 2^31 keeps the primality test by trial division fast")
             if not is_prime(p):
                 raise FieldError(f"{p} is not prime")
         self.p = p

@@ -21,12 +21,8 @@ against an echelon basis kept in pivot order.  The nullity scan hands
 both the section counts and the kernel generators from the rows it returns,
 so no matrix is eliminated twice.
 
-The list kernel `_pivots` skips the rows already zero in the pivot column, so
-a sparse matrix costs little more than its fill.  A prime-field matrix with
-more than DENSE_NONZEROS nonzero entries is eliminated instead by vectorized
-numpy row reduction mod p (`_pivots_mod`), whose rows come back as lists;
-numpy is imported only there.  That path is why FieldSpec takes p < 2^31:
-int64 is safe because all intermediate products stay below p^2 < 2^63.
+The one kernel, `_pivots`, skips the rows already zero in the pivot column,
+so a sparse matrix costs little more than its fill.
 """
 
 from __future__ import annotations
@@ -35,22 +31,8 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING
 
 from .fields import FieldSpec
-
-if TYPE_CHECKING:
-    import numpy as np
-
-#: Prime-field matrices with more nonzero entries than this are reduced by
-#: numpy.  On uniform random dense square matrices mod 32003 numpy overtakes
-#: the list kernels at about 40 (rref) to 90 (forward elimination) nonzeros,
-#: and is 3-5 times faster at 625 and 10-13 times faster at 6400.  Section
-#: matrices are sparse, though, and most rows are zero in each pivot column:
-#: `verify` on the published tables up to n = 14, whose matrices have at most
-#: 182 nonzeros, runs 20% faster on lists than on numpy even with numpy
-#: loaded, and loading it costs about 70 ms once per process.
-DENSE_NONZEROS = 500
 
 
 def _int_row(row, p: int | None) -> list[int]:
@@ -68,44 +50,6 @@ def _normalized(row: list[int], c: int, p: int | None) -> list:
         return [Fraction(x, row[c]) for x in row]
     inv = pow(row[c], -1, p)
     return [x * inv % p for x in row]
-
-
-def _is_dense(A: list[list[int]]) -> bool:
-    return sum(len(row) - row.count(0) for row in A) > DENSE_NONZEROS
-
-
-def _to_np(A: list[list[int]], width: int):
-    import numpy as np
-
-    return np.array(A, dtype=np.int64).reshape(len(A), width)
-
-
-def _pivots_mod(A: np.ndarray, p: int, columns) -> tuple[list[list[int]], list[int]]:
-    """_pivots on an int64 array of entries in 0..p-1, which it consumes:
-    (pivot rows as lists, pivot columns)."""
-    import numpy as np
-
-    m = len(A)
-    pivots = []
-    r = 0
-    for c in columns:
-        if r == m:
-            break
-        nz = r + np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        # the rows past i that are nonzero in column c; row i now holds row r,
-        # which is zero there
-        below = nz[1:]
-        if below.size:
-            f = A[below, c] * pow(int(A[r, c]), -1, p) % p
-            A[below, c:] = (A[below, c:] - np.outer(f, A[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return A[:r].tolist(), pivots
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -155,14 +99,6 @@ def _pivots(A: list[list], columns, eliminate) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def _forward(A: list[list[int]], field: FieldSpec, width: int, columns) -> tuple[list[list[int]], list[int]]:
-    """_pivots over the given columns, or _pivots_mod on a dense GF(p) matrix."""
-    p = field.p
-    if p is not None and _is_dense(A):
-        return _pivots_mod(_to_np(A, width), p, columns)
-    return _pivots(A, columns, _row_op(p))
-
-
 def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[list[int]], list[int]]:
     """Forward elimination of a matrix of Python ints (consumed): entries in
     0..p-1 over GF(p), any integers over Q, where a rational matrix scaled by
@@ -171,7 +107,7 @@ def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[
     whose pivots lie in the first k columns span the row space of those
     columns, so they have the same kernel there.  The pivots are those of the
     rref: column k is a pivot iff it is independent of columns 0..k-1."""
-    return _forward(A, field, width, range(width))
+    return _pivots(A, range(width), _row_op(field.p))
 
 
 def _width(rows, width: int | None) -> int:
@@ -196,7 +132,7 @@ def rref(rows, field: FieldSpec, width: int | None = None):
     width = _width(rows, width)
     p = field.p
     A, pivots = row_echelon([_int_row(row, p) for row in rows], field, width)
-    A = _forward(A[::-1], field, width, pivots[::-1])[0][::-1]
+    A = _pivots(A[::-1], pivots[::-1], _row_op(p))[0][::-1]
     R = [_normalized(row, c, p) for row, c in zip(A, pivots)]
     return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
 
@@ -222,8 +158,7 @@ class RowSpace:
     rows in that order, which leaves it zero in every pivot column, and
     extends the span when the result is nonzero.  That residual is unique
     for the span and its pivots, so the basis needs no back-substitution and
-    the scale of its rows does not show.  Rows are touched one at a time, so
-    GF(p) rows stay lists whatever their density.
+    the scale of its rows does not show.
     """
 
     def __init__(self, field: FieldSpec, width: int):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,23 @@ def test_parse_rejects_garbage():
 def test_round_trip_random_forms(coeffs):
     f = BinaryForm(RATIONALS, len(coeffs) - 1, tuple(Fraction(c) for c in coeffs))
     assert parse_binary_form(format_binary_form(f), RATIONALS, degree=f.degree if not f.is_zero() else None).equals(f)
+
+
+@given(
+    # exponents are cut to two digits: the coefficient list has degree + 1
+    # entries, so "s^6254570" alone takes seconds
+    st.text(alphabet="st0123456789/+-*^ x", max_size=30).map(lambda text: re.sub(r"\^(\d\d)\d+", r"^\1", text)),
+    st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(7)]),
+    st.none() | st.integers(-2, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_parses_or_raises_value_error(text, field, degree):
+    # every text parses or raises ValueError (DegreeError for a wrong degree),
+    # and a parsed form prints as text that parses back to it
+    try:
+        f = parse_binary_form(text, field, degree)
+    except ValueError:
+        return
+    assert degree is None or degree < 0 or f.degree == degree
+    again = parse_binary_form(format_binary_form(f), field, f.degree)
+    assert again.equals(f) and again.degree == f.degree

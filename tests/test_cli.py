@@ -514,6 +514,17 @@ def test_extend_from_file(capsys, tmp_path):
     assert "strategy J1" in out
 
 
+def test_extend_singular_along_curve_exit_2(capsys, tmp_path):
+    # singular along C at the zeros of x1|_C = s^2*t: ker delta is not T_X|_C,
+    # so there is no splitting to extend
+    hsf = tmp_path / "singular.hsf"
+    hsf.write_text("d = 4\ne = 3\nn = 3\nQ 1 2 : x1^2\n")
+    code, out, err = run(capsys, "extend", "--poly", str(hsf), "--to-n", "4")
+    assert code == 2
+    assert out == ""
+    assert "singular along the curve" in err
+
+
 def test_glue_dominates_interp_predict(capsys):
     code, out, _ = run(capsys, "glue", "[0,1,1,2]", "[1,1,1,1]")
     assert code == 0 and out.strip() == "[1, 2, 2, 3]"
@@ -550,25 +561,39 @@ def test_output_file(capsys, tmp_path):
     assert rep["splitting"] == [4, 4, 4, 4, 4]
 
 
-def test_cli_runs_without_numpy():
-    # numpy is imported only for dense prime-field matrices, and a table
-    # sweep has none: neither the import nor the sweep may load it.  Nor
-    # dataclasses (which pulls in inspect and ast) or concurrent.futures (for
-    # --workers > 1 only): each is milliseconds of start-up
+def test_cli_runs_without_numpy(capsys, tmp_path):
+    # numpy is not a dependency: neither the import nor a table sweep may load
+    # it, and a dense prime-field file computes with numpy unimportable.  Nor
+    # may they load dataclasses (which pulls in inspect and ast) or
+    # concurrent.futures (for --workers > 1 only): each is milliseconds of
+    # start-up
+    from rncsplit.fields import FieldSpec
+    from rncsplit.multipoly import CurveContext, format_hypersurface
+    from tests.helpers import dense_combination
+
+    hsf = tmp_path / "dense.hsf"
+    F = dense_combination(random.Random(1), CurveContext(5, 5, 7, FieldSpec(32003)))
+    hsf.write_text(format_hypersurface(F))
+    code, want, _ = run(capsys, "compute", "--poly", str(hsf))
+    assert code == 0
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "heavy = ('numpy', 'dataclasses', 'concurrent.futures')\n"
         "from rncsplit import cli\n"
         "assert not [m for m in heavy if m in sys.modules], 'imported with rncsplit.cli'\n"
-        "code = cli.main(['verify', '--theorem', 'cubics', '--max-n', '6', '--workers', '1'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--theorem', 'cubics', '--max-n', '6', '--workers', '1'])\n"
         "assert code == 0, code\n"
         "assert not [m for m in heavy if m in sys.modules], 'imported by verify'\n"
+        "sys.modules['numpy'] = None  # import numpy now raises ImportError\n"
+        "sys.exit(cli.main(['compute', '--poly', sys.argv[1]]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, str(hsf)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 PREDICT = ["predict", "--d", "2", "--e", "4", "--n", "6"]

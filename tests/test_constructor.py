@@ -14,7 +14,7 @@ from rncsplit.constructor import (
     seed_example,
 )
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, parse_poly
+from rncsplit.multipoly import CurveContext, parse_hypersurface, parse_poly
 from rncsplit.sheafmap import (
     build_delta,
     build_psi,
@@ -267,6 +267,13 @@ def test_extend_rejects_unreachable_target():
         extend_dimension(F, SplittingType((0, 2, 4)))
     with pytest.raises(UnsupportedCaseError):
         extend_dimension(F, SplittingType((2, 2)))
+
+
+def test_extend_rejects_hypersurface_singular_along_curve():
+    F = parse_hypersurface("d = 4\ne = 3\nn = 3\nQ 1 2 : x1^2\n")
+    assert not check_smooth_along_curve(F)
+    with pytest.raises(UnsupportedCaseError, match="singular along the curve"):
+        extend_dimension(F, predicted_splitting(4, 3, 4).splitting)
 
 
 def test_extension_certificates_along_chain():

@@ -14,8 +14,8 @@ def test_prime_validation():
         FieldSpec(91)  # 7 * 13
     with pytest.raises(FieldError):
         FieldSpec(1)
-    # int64 row reduction is exact for p < 2^31; larger p is refused before
-    # the primality test, which would take minutes by trial division
+    # p >= 2^31 is refused before the primality test, which would take
+    # minutes by trial division
     FieldSpec(2**31 - 1)
     for p in (4294967291, 2**61 - 1, 2**31):
         with pytest.raises(FieldError, match="too large"):

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,39 +117,21 @@ def _rank_mod_p(rows, p):
     return r
 
 
-def _record_pivots_mod(monkeypatch) -> list:
-    """Record the shape of every matrix linalg hands to its numpy kernel."""
-    calls = []
-    kernel = linalg._pivots_mod
-
-    def recording(A, p, columns):
-        calls.append(A.shape)
-        return kernel(A, p, columns)
-
-    monkeypatch.setattr(linalg, "_pivots_mod", recording)
-    return calls
-
-
-def test_numpy_rank_at_largest_allowed_prime(monkeypatch):
+def test_rank_at_largest_allowed_prime():
     # products of random m x k and k x n factors with full-size entries mod
-    # p = 2^31 - 1, large enough for the numpy kernel: its int64 elimination
-    # must match Python-int elimination
+    # p = 2^31 - 1, dense enough that every row is nonzero in every column
     p = 2**31 - 1
     K = FieldSpec(p)
-    calls = _record_pivots_mod(monkeypatch)
     rnd = random.Random(2**31)
     for _ in range(8):
         m, n, k = rnd.randrange(24, 33), rnd.randrange(24, 33), rnd.randrange(1, 24)
         U = [[rnd.randrange(p) for _ in range(k)] for _ in range(m)]
         V = [[rnd.randrange(p) for _ in range(n)] for _ in range(k)]
         A = [[sum(U[i][l] * V[l][j] for l in range(k)) % p for j in range(n)] for i in range(m)]
-        assert linalg._is_dense(A)
         r = _rank_mod_p(A, p)
-        del calls[:]
         assert linalg.rank(A, K, n) == r
-        assert calls == [(m, n)]
+        assert linalg.rref(A, K, n) == rref_mod(A, n, p)
         basis = nullspace(A, K, n)
-        assert calls[1] == (m, n)  # rref's forward elimination
         assert len(basis) == n - r
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
@@ -287,9 +268,8 @@ def test_pivot_columns_match_rref(system, mod_system):
 def _mod_matrix(p, dense, seed):
     """(rows, width, rhs, x): a random matrix mod p whose rows are its first r
     rows and random combinations of them, a right-hand side and a vector.
-    Dense ones have uniform entries, at least 36 x 36 of them and r >= m/2,
-    so more than DENSE_NONZEROS of them are nonzero even mod 2; sparse ones
-    have at most 12 x 12."""
+    Dense ones have uniform entries, at least 36 x 36 of them and r >= m/2;
+    sparse ones have at most 12 x 12."""
     rnd = random.Random(seed)
     lo, hi, share = (36, 44, 1.0) if dense else (0, 12, rnd.choice([0.15, 0.5]))
     m, width = rnd.randint(lo, hi), rnd.randint(lo, hi)
@@ -303,6 +283,18 @@ def _mod_matrix(p, dense, seed):
     return rows, width, [rnd.randrange(p) for _ in range(m)], [rnd.randrange(p) for _ in range(width)]
 
 
+def _solve_mod(rows, rhs, width, p):
+    """linalg.solve's answer (free variables 0) read off rref_mod of the
+    augmented matrix."""
+    R, pivots = rref_mod([row + [b] for row, b in zip(rows, rhs)], width + 1, p)
+    if width in pivots:
+        return None
+    x = [0] * width
+    for row, c in zip(R, pivots):
+        x[c] = row[width]
+    return x
+
+
 def _all_ints(*matrices):
     return all(type(x) is int for A in matrices for row in A for x in row)
 
@@ -313,51 +305,26 @@ def _all_ints(*matrices):
 @example(2**31 - 1, True, 1)
 @example(3, False, 2)
 def test_list_kernels_match_numpy_kernels(p, dense, seed):
+    # the list kernels against the numpy Gauss-Jordan and row-space oracles
     K = FieldSpec(p)
     rows, width, rhs, x = _mod_matrix(p, dense, seed)
-    assert linalg._is_dense(rows) == dense
     R, pivots = rref_mod(rows, width, p)
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    echelon, forward_pivots = linalg._pivots_mod(A, p, range(width))
-    assert forward_pivots == pivots and linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
     assert not rows or len(pivots) == _rank_mod_p(rows, p)
+    echelon, forward_pivots = linalg.row_echelon([list(row) for row in rows], K, width)
+    assert forward_pivots == pivots and linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
+    assert linalg.rank(rows, K, width) == len(pivots)
+    assert linalg.rref(rows, K, width) == (R, pivots) and _all_ints(R)
 
-    # the public functions, with every matrix sent to numpy and then none
     image = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
-    results = []
-    for bound in (-1, math.inf):
-        with mock.patch.object(linalg, "DENSE_NONZEROS", bound):
-            out = (
-                linalg.rank(rows, K, width),
-                linalg.rref(rows, K, width),
-                nullspace(rows, K, width),
-                linalg.solve(rows, rhs, K, width),
-                linalg.solve(rows, image, K, width),
-            )
-        assert out[0] == len(pivots) and out[1] == (R, pivots) and out[4] is not None
-        assert _all_ints(out[1][0], out[2], [out[3] or []], [out[4]])
-        results.append(out)
-    assert results[0] == results[1]
+    assert linalg.solve(rows, rhs, K, width) == _solve_mod(rows, rhs, width, p)
+    solution = linalg.solve(rows, image, K, width)
+    assert solution is not None and _all_ints([solution])
+    assert solution == _solve_mod(rows, image, width, p)
 
+    basis = nullspace(rows, K, width)
+    assert len(basis) == width - len(pivots) and _all_ints(basis)
     span, oracle = linalg.RowSpace(K, width), NumpyRowSpace(K)
-    for v in rows + results[0][2]:
+    for v in rows + basis:
         res, want = span.insert(v), oracle.insert(v)
         assert (res is None) == (want is None)
         assert res is None or (_all_ints([res]) and res == want)
-
-
-def test_dense_matrices_take_the_numpy_branch(monkeypatch):
-    calls = _record_pivots_mod(monkeypatch)
-    rnd = random.Random(5)
-    A = [[rnd.randrange(1, GF.p) for _ in range(25)] for _ in range(20)]
-    assert linalg.DENSE_NONZEROS == 500
-    # 500 nonzeros: the list kernels
-    assert linalg.rank(A, GF) == 20 and len(nullspace(A, GF)) == 5
-    assert calls == []
-    # 501: numpy, with lists of Python ints out
-    A.append([0] * 24 + [1])
-    assert linalg.rank(A, GF) == 21
-    R, pivots = linalg.rref(A, GF)
-    assert calls == [(21, 25), (21, 25)]
-    assert type(R) is list and _all_ints(R) and pivots == list(range(20)) + [24]
-    assert (R, pivots) == rref_mod(A, 25, GF.p)
