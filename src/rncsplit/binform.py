@@ -246,7 +246,8 @@ def _poly_mod(K: FieldSpec, a: list, b: list) -> list:
 
 # -- text grammar --------------------------------------------------------------
 #
-# Terms `c*s^a*t^b` joined by + / -, exponent omitted when 1, `*` optional,
+# Terms `c*s^a*t^b` joined by + / -, with one optional leading sign; factors are
+# joined by `*`, and the exponent is omitted when 1,
 # e.g. `-s^11+t^11`, `s^10*t`, `3*s*t^2`.
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[st])(?:\^(?P<exp>\d+))?|(?P<op>[+*-]))")
@@ -264,44 +265,38 @@ def parse_binary_form(text: str, field: FieldSpec, degree: int | None = None) ->
             return BinaryForm.zero(field)
         return BinaryForm.zero_of_degree(field, degree)
 
-    def flush():
-        nonlocal cur, sign
-        if cur is not None:
-            terms.append(cur)
-        cur = None
-        sign = 1
-
+    after_factor = False  # whether the last token was a number or a variable
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"syntax error in binary form at position {pos}: {text[pos:]!r}")
         pos = m.end()
-        if m.group("op"):
-            op = m.group("op")
-            if op == "*":
-                if cur is None:
-                    raise ValueError(f"unexpected '*' at position {m.start()}")
-                continue
-            flush()
-            if op == "-":
-                sign = -1
-        elif m.group("num"):
-            c = field.parse_scalar(m.group("num"))
-            if sign < 0:
-                c = field.neg(c)
-            if cur is None:
-                cur = (c, 0, 0)
-            else:
-                cur = (field.mul(cur[0], c), cur[1], cur[2])
+        token = m.group().lstrip()
+        at = pos - len(token)
+        op = m.group("op")
+        # operators and factors alternate; a sign may also open the text
+        if after_factor != bool(op) and not (at == 0 and op in ("+", "-")):
+            raise ValueError(f"unexpected {token!r} at position {at} in binary form")
+        after_factor = not op
+        if op == "*":
+            continue
+        if op:
+            if cur is not None:
+                terms.append(cur)
+            cur = None
+            sign = -1 if op == "-" else 1
+            continue
+        if cur is None:
+            cur = (field.one if sign > 0 else field.neg(field.one), 0, 0)
+        c, a, b = cur
+        if m.group("num"):
+            cur = (field.mul(c, field.parse_scalar(m.group("num"))), a, b)
         else:
-            var, exp = m.group("var"), int(m.group("exp") or 1)
-            if cur is None:
-                c = field.one if sign > 0 else field.neg(field.one)
-                cur = (c, 0, 0)
-            cur = (cur[0], cur[1] + exp, cur[2]) if var == "s" else (cur[0], cur[1], cur[2] + exp)
-    flush()
-    if not terms:
-        raise ValueError("empty binary form")
+            exp = int(m.group("exp") or 1)
+            cur = (c, a + exp, b) if m.group("var") == "s" else (c, a, b + exp)
+    if not after_factor:
+        raise ValueError(f"binary form ends in an operator at position {at}")
+    terms.append(cur)
     deg = terms[0][1] + terms[0][2]
     for _, a, b in terms:
         if a + b != deg:

@@ -7,6 +7,10 @@ or a MapError, DegreeError or PolyError raised once the input is parsed.
 
 ``verify --workers k`` runs the (d, e) chains in at most min(k, chains)
 processes; k must be at least 1.
+
+A well-formed command line (a subcommand, its positionals, then each option
+in full with its value) is read in one pass with no parser built; argparse
+reads every other one and prints all help, usage and errors.
 """
 
 from __future__ import annotations
@@ -245,20 +249,20 @@ def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, psi=None
 def _verify_jobs(args) -> list[tuple]:
     p = parse_field(args.field).p if args.field else DEFAULT_PRIME
     n_max = args.max_n
-    if args.theorem == "quadrics":
-        return [("quadrics", 2, e, n_max, p) for e in range(2, n_max + 1)]
-    if args.theorem == "cubics":
-        return [("cubics", 3, e, n_max, p) for e in range(3, n_max + 1)]
-    if args.theorem == "quartics":
-        return [("quartics", 4, e, n_max, p) for e in range(4, n_max + 1)]
     if args.theorem == "general":
         if not args.d or args.d < 5:
             raise UsageError("verify --theorem general needs --d >= 5")
         lo = 2 * args.d - 2
-        if lo > n_max:
-            raise UsageError(f"--max-n {n_max} below the first case e = n = {lo}")
-        return [("general", args.d, n, n, p) for n in range(lo, n_max + 1)]
-    raise UsageError(f"unknown theorem {args.theorem!r}")
+        first = f"e = n = {lo}"
+        jobs = [("general", args.d, n, n, p) for n in range(lo, n_max + 1)]
+    else:
+        d = {"quadrics": 2, "cubics": 3, "quartics": 4}[args.theorem]
+        lo = max(d, 3)  # the quadric chains start at e = 2, their cases at n = 3
+        first = "e = 2, n = 3" if d == 2 else f"e = n = {d}"
+        jobs = [(args.theorem, d, e, n_max, p) for e in range(d, n_max + 1)]
+    if n_max < lo:
+        raise UsageError(f"--max-n {n_max} below the first case {first}")
+    return jobs
 
 
 def cmd_verify(args) -> int:
@@ -480,39 +484,64 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
-    _, func, arguments = _COMMANDS[name]
-    for flags, options in arguments + _COMMON:
-        p.add_argument(*flags, **options)
-    p.set_defaults(func=func, command=name)
-
-
 def _full_parser() -> argparse.ArgumentParser:
-    """Every subcommand with all of its arguments: the parser that prints the
-    top-level usage and help, and every error the lone parser leaves over."""
+    """Every subcommand with all of its arguments: the parser that prints all
+    help, usage and errors, for every argv that _read_command leaves over."""
     ap = argparse.ArgumentParser(
         prog="rncsplit",
         description="Splitting types of restricted tangent and normal bundles of "
         "rational normal curves on hypersurfaces (exact arithmetic).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flags, options in arguments + _COMMON:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func, command=name)
     return ap
 
 
+def _read_command(argv: list) -> argparse.Namespace | None:
+    """The Namespace the full parser makes of a well-formed command, read in
+    one pass with no parser built; None for any other argv.  Well formed: a
+    subcommand, exactly its positionals, then ``--option value`` pairs, each
+    option named in full at most once; no word after the subcommand starts
+    with ``-`` save the option names; every value passes its type and
+    choices, and every required option is given."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    arguments += _COMMON
+    positionals = [flags[0] for flags, _ in arguments if not flags[0].startswith("-")]
+    words, pairs = argv[1 : len(positionals) + 1], argv[len(positionals) + 1 :]
+    given = dict(zip(positionals, words))
+    given.update(zip(pairs[::2], pairs[1::2]))
+    # a short or odd argv, a repeated option, or one named like a positional
+    if len(words) < len(positionals) or 2 * len(given) != 2 * len(positionals) + len(pairs):
+        return None
+    if any(w.startswith("-") for w in words + pairs[1::2]):
+        return None
+    args = argparse.Namespace(func=func, command=argv[0])
+    for (flag,), options in arguments:
+        if flag in given:
+            try:
+                value = options.get("type", str)(given.pop(flag))
+            except ValueError:
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default")
+        # argparse's dest: a positional's name, an option's name less "--"
+        # with "-" read as "_" (no positional name holds a "-")
+        setattr(args, options.get("dest", flag.lstrip("-").replace("-", "_")), value)
+    return None if given else args  # what is left is an unknown option
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
-    # A command named first is parsed by a lone parser with argparse's own
-    # subparser's prog, arguments and -h, so its help and errors are the
-    # subparser's; anything it leaves over, and every other argv, goes to the
-    # full parser (each argument costs argparse a help formatter)
-    if argv and argv[0] in _COMMANDS:
-        ap = argparse.ArgumentParser(prog=f"rncsplit {argv[0]}")
-        _add_arguments(ap, argv[0])
-        args, rest = ap.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _full_parser().parse_args(argv)
+    return _read_command(argv) or _full_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

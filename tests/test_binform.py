@@ -197,6 +197,35 @@ def test_parse_rejects_garbage():
         parse_binary_form("s^2 + t", RATIONALS)  # non-homogeneous
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("s+", "ends in an operator at position 1"),
+        ("s*", "ends in an operator at position 1"),
+        ("-", "ends in an operator at position 0"),
+        ("2 3 s", "unexpected '3' at position 2"),
+        ("2s", "unexpected 's' at position 1"),
+        ("s t", "unexpected 't' at position 2"),
+        ("s t^2", "unexpected 't^2' at position 2"),
+        ("s - - t", "unexpected '-' at position 4"),
+        ("- - s", "unexpected '-' at position 2"),
+        ("s*-t", "unexpected '-' at position 2"),
+        ("s+*t", "unexpected '*' at position 2"),
+        ("*s", "unexpected '*' at position 0"),
+    ],
+)
+def test_parse_refuses_text_outside_the_grammar(text, where):
+    # a trailing or repeated operator, or factors side by side without "*"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        parse_binary_form(text, RATIONALS)
+
+
+@pytest.mark.parametrize("text, want", [("-2*3*s", "-6*s"), ("-s*2", "-2*s"), ("+s - 2*t", "s-2*t")])
+def test_parse_signs_a_term_once(text, want):
+    # the sign belongs to the term, not to each of its numbers
+    assert format_binary_form(parse_binary_form(text, RATIONALS)) == want
+
+
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=9))
 @settings(max_examples=80, deadline=None)
 def test_round_trip_random_forms(coeffs):

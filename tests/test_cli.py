@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from perfbench import workloads
 from rncsplit import cli
 from rncsplit.binform import DegreeError
 from rncsplit.multipoly import PolyError
@@ -340,6 +341,38 @@ def test_verify_workers_below_one_exit_2(capsys, workers):
     assert err == f"error: --workers {workers} must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "theorem, max_n, first",
+    [
+        (["quadrics"], "2", "e = 2, n = 3"),
+        (["quadrics"], "-5", "e = 2, n = 3"),
+        (["cubics"], "2", "e = n = 3"),
+        (["quartics"], "3", "e = n = 4"),
+        (["general", "--d", "5"], "7", "e = n = 8"),
+    ],
+)
+def test_verify_empty_sweep_exit_2(capsys, theorem, max_n, first):
+    # a sweep with no case is refused, not reported as "0/0 cases ok"
+    code, out, err = run(capsys, "verify", "--theorem", *theorem, "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-n {max_n} below the first case {first}\n"
+
+
+@pytest.mark.parametrize(
+    "theorem, max_n, case",
+    [
+        (["quadrics"], 3, "d=2 e=2 n=3"),
+        (["cubics"], 3, "d=3 e=3 n=3"),
+        (["quartics"], 4, "d=4 e=4 n=4"),
+        (["general", "--d", "5"], 8, "d=5 e=8 n=8"),
+    ],
+)
+def test_verify_runs_from_the_first_case(capsys, theorem, max_n, case):
+    code, out, _ = run(capsys, "verify", "--theorem", *theorem, "--max-n", str(max_n))
+    assert code == 0
+    assert out.startswith(f"ok   {case} ")
+
+
 @pytest.mark.parametrize("max_n, workers, pools", [(5, "5000", [3]), (5, "2", [2]), (3, "4", [])])
 def test_verify_pool_has_one_process_per_chain_at_most(capsys, monkeypatch, max_n, workers, pools):
     # a fork pool starts all max_workers processes at once: cubics to
@@ -643,9 +676,9 @@ def _outcome(capsys, argv):
 @pytest.mark.parametrize("columns", ["80", "37"])
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_parser_output_matches_full_parser(capsys, monkeypatch, argv, columns):
-    # a command named first is parsed by its lone parser, which prints the
-    # same help, usage and errors as the parser with every subcommand, and
-    # the command then runs as it would after that parser
+    # a well-formed command is read with no parser built, and every other
+    # argv goes to the parser with every subcommand: the help, usage, errors
+    # and the command's run are what that parser alone gives
     monkeypatch.setenv("COLUMNS", columns)
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: full_parser().parse_args(argv))
@@ -665,19 +698,43 @@ _ARGV_TOKENS = [
     *cli._COMMANDS, "-h", "--help", "--", "-", "-1", "-3", "3", "x", "[1]", "[2]", "extra",
     "--format", "--fo", "json", "yaml", "--format=json", "--d", "--e", "--n", "--poly",
     "--poly=x.hsf", "--theorem", "cubics", "--max-n", "--workers", "--to-n", "--field", "--bogus",
+    # values the one-pass reader judges: types, choices, names and odd text
+    "quadrics", "14", " 4", "+5", "1_0", "", "text", "rational", "prime:7", "--output", "o.txt",
+    "[1,2]", "--max_n", "--d=3",
+]
+# every command the benchmark runs, the random inputs at their seed-1 paths
+_BENCH_ARGV = [
+    *(argv for name in workloads.NAMES for argv in workloads.fixed_commands(name)),
+    *(
+        ["compute", "--poly", f"perfbench/out/compute-q-seed1-trace0/inputs/random-{d}-{e}-{n}.hsf", "--format", "json"]
+        for d, e, n in workloads.RANDOM_SHAPES
+    ),
 ]
 
 
+def _parse_examples(test):
+    for argv in _BENCH_ARGV + [
+        ["glue", "[1]", "[2]"],
+        ["interp", "-1", "--d", "3", "--fo", "json"],
+        PREDICT + ["--format", "json", "--format", "text"],
+        ["verify", "--theorem", "cubics", "--max-n", "5", "--max-n", "6"],
+        ["verify", "--theorem", "cubics"],
+        ["extend", "--d", "3", "--e", "3"],
+        ["compute", "--d", "-3", "--e", "3", "--n", "3"],
+    ]:
+        test = example(argv)(test)
+    return test
+
+
 @given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
-@example(["glue", "[1]", "[2]"])
-@example(["interp", "-1", "--d", "3", "--fo", "json"])
+@_parse_examples
 @settings(max_examples=100, deadline=None)
 def test_parse_matches_full_parser(argv):
     # the same Namespace, or the same exit code, stdout and stderr
     assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(lambda a: full_parser().parse_args(a), argv)
 
 
-def test_well_formed_command_builds_one_parser(monkeypatch):
+def _count_parsers(monkeypatch) -> list:
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -686,7 +743,30 @@ def test_well_formed_command_builds_one_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (PREDICT, ["compute", "--d", "3", "--e", "3", "--n", "3"], ["glue", "[1]", "[2]"]):
-        built.clear()
-        assert cli._parse_args(argv).command == argv[0]
-        assert built == [f"rncsplit {argv[0]}"]
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        PREDICT,
+        ["compute", "--d", "3", "--e", "3", "--n", "3", "--format", "json"],
+        ["verify", "--theorem", "general", "--d", "5", "--max-n", "14", "--workers", "1"],
+        ["extend", "--d", "3", "--e", "3", "--to-n", "5", "--field", "prime:7"],
+        ["glue", "[1]", "[2]"],
+    ],
+    ids=" ".join,
+)
+def test_well_formed_command_builds_no_parser(monkeypatch, argv):
+    built = _count_parsers(monkeypatch)
+    args = cli._parse_args(argv)
+    assert built == []
+    assert args == full_parser().parse_args(argv)
+
+
+def test_abbreviated_option_builds_the_full_parser(monkeypatch):
+    # the full parser: its own ArgumentParser and one per subcommand
+    built = _count_parsers(monkeypatch)
+    args = cli._parse_args(PREDICT + ["--fo", "json"])
+    assert args.format == "json"
+    assert built == ["rncsplit", *(f"rncsplit {name}" for name in cli._COMMANDS)]
