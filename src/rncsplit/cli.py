@@ -38,10 +38,10 @@ from .multipoly import (
 )
 from .sheafmap import (
     CertificationError,
+    GradedSheafMap,
     MapError,
-    _delta_from_psi,
+    _psi_and_delta,
     build_delta,
-    build_psi,
     format_map,
     map_to_json,
     splitting_of_kernel,
@@ -93,9 +93,9 @@ def _emit(args, payload: dict, text) -> None:
 # -- compute -----------------------------------------------------------------------
 
 
-def _case_report(F, d: int, e: int, n: int) -> dict:
-    psi = build_psi(F)
-    delta = _delta_from_psi(F.context, psi)
+def _case_report(F) -> dict:
+    d, e, n = F.context.d, F.context.e, F.context.n
+    psi, delta = _psi_and_delta(F)
     T = splitting_of_kernel(delta)
     # deg ker delta = Σsource - de exactly when delta is onto everywhere (_nullity_scan)
     if T.degree != sum(delta.source) - d * e:
@@ -154,22 +154,26 @@ def _row_text(mjson: dict) -> str:
     return "( " + ", ".join(by_col.get(j + 1, "0") for j in range(mjson["cols"])) + " )"
 
 
+def _read_poly(args, field: FieldSpec, names: str):
+    """The hypersurface in --poly; refuses a --d/--e/--n in names that disagrees with it."""
+    with open(args.poly, encoding="utf-8") as fh:
+        F = parse_hypersurface(fh.read(), field if args.field else None)
+    for name in names:
+        got, want = getattr(args, name), getattr(F.context, name)
+        if got is not None and got != want:
+            raise UsageError(f"--{name} {got} disagrees with the input file ({want})")
+    return F
+
+
 def cmd_compute(args) -> int:
     field = parse_field(args.field) if args.field else RATIONALS
     if args.poly:
-        with open(args.poly, encoding="utf-8") as fh:
-            F = parse_hypersurface(fh.read(), field if args.field else None)
-        ctx = F.context
-        for name, got in (("d", args.d), ("e", args.e), ("n", args.n)):
-            if got is not None and got != getattr(ctx, name):
-                raise UsageError(f"--{name} {got} disagrees with the input file ({getattr(ctx, name)})")
-        d, e, n = ctx.d, ctx.e, ctx.n
+        F = _read_poly(args, field, "den")
+    elif None in (args.d, args.e, args.n):
+        raise UsageError("compute needs --poly FILE or all of --d/--e/--n")
     else:
-        if None in (args.d, args.e, args.n):
-            raise UsageError("compute needs --poly FILE or all of --d/--e/--n")
-        d, e, n = args.d, args.e, args.n
-        F, _ = build_chain(d, e, n, field)
-    rep = _case_report(F, d, e, n)
+        F, _ = build_chain(args.d, args.e, args.n, field)
+    rep = _case_report(F)
     _emit(args, rep, lambda: _report_text(rep))
     return 0
 
@@ -178,29 +182,39 @@ def cmd_compute(args) -> int:
 
 
 def _verify_chain_job(job) -> list[dict]:
-    """One (d, e) chain: every level up to n_max, compared to the catalog."""
+    """One (d, e) chain: every level up to n_max, compared to the catalog.
+
+    A quadric chain's polynomial is Σ Q_{i,i+1} at every level (constructor.
+    _seed_quadric_chain), so at level n, delta = [M | 0] and psi = [P | 0]
+    with n - e zero columns of twist e, M and P the first e and e - 1
+    columns.  Zero-column lemma: a one-row map [M | 0] has kernel
+    ker M ⊕ ⊕O(b_j) over its zero columns.  So M and P, built once at n_max,
+    are scanned once each: T_n = ker M ⊕ O(e)^(n-e), N_n = ker P ⊕ O(e)^(n-e).
+    A linear part would fill the zero columns: it raises CertificationError.
+    A d >= 3 chain reads its splittings off the certified extension steps."""
     theorem, d, e, n_max, p = job
     field = FieldSpec(p) if p else RATIONALS
 
     def run(field_now):
-        out = []
         if d == 2:
-            for n in range(max(e, 3), n_max + 1):
-                F, _ = build_chain(2, e, n, field_now)
-                psi = build_psi(F)
-                T = splitting_of_kernel(_delta_from_psi(F.context, psi))
-                out.append(_verify_case(T, field_now, 2, e, n, None, psi))
-            return out
+            F, _ = build_chain(2, e, n_max, field_now)
+            if F.linear_coeffs:
+                raise CertificationError("the quadric chain polynomial has a linear part")
+            psi, delta = _psi_and_delta(F)
+            T = splitting_of_kernel(GradedSheafMap(field_now, delta.source[:e], delta.target, delta.entries))
+            N = splitting_of_kernel(GradedSheafMap(field_now, psi.source[: e - 1], psi.target, psi.entries))
+            return [
+                _verify_case(SplittingType(T.parts + (e,) * (n - e)), field_now, 2, e, n, None,
+                             SplittingType(N.parts + (e,) * (n - e)))
+                for n in range(max(e, 3), n_max + 1)
+            ]
         F, steps = build_chain(d, e, n_max, field_now)
         # extend_dimension certified the seed's kernel matrix (J's source) and each
         # step's N as the kernel of its delta_out (= build_delta(output_F))
         T = SplittingType(steps[0].J.source) if steps else splitting_of_kernel(build_delta(F))
-        out.append(_verify_case(T, field_now, d, e, e, None))
-        for st in steps:
-            out.append(
-                _verify_case(st.target_splitting, field_now, d, e, st.output_F.context.n, st.strategy)
-            )
-        return out
+        return [_verify_case(T, field_now, d, e, e, None)] + [
+            _verify_case(st.target_splitting, field_now, d, e, st.output_F.context.n, st.strategy) for st in steps
+        ]
 
     def error(exc, field_now) -> list[dict]:
         return [{"d": d, "e": e, "n": None, "status": "error", "detail": str(exc), "field": str(field_now)}]
@@ -221,10 +235,11 @@ def _verify_chain_job(job) -> list[dict]:
     return results
 
 
-def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, psi=None) -> dict:
-    """One level of a chain: the splitting T of ker delta (scanned, or
-    certified by the extension step) against the catalog, and for quadrics
-    (psi given) the balance of ker psi."""
+def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, N=None) -> dict:
+    """One level of a chain, with no scan of its own: the splitting T of
+    ker delta (read off a scan, or certified by the extension step) against
+    the catalog, and for quadrics (N given) the balance of the splitting N
+    of ker psi."""
     pred = predicted_splitting(d, e, n)
     rec = {
         "d": d,
@@ -238,8 +253,7 @@ def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, psi=None
     if strategy:
         rec["strategy"] = strategy
     ok = T.parts == pred.splitting.parts
-    if psi is not None:
-        N = splitting_of_kernel(psi)
+    if N is not None:
         rec["N_balanced"] = N.is_balanced()
         ok = ok and N.is_balanced()
     rec["status"] = "ok" if ok else "mismatch"
@@ -328,8 +342,7 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     field = parse_field(args.field) if args.field else RATIONALS
     if args.poly:
-        with open(args.poly, encoding="utf-8") as fh:
-            F = parse_hypersurface(fh.read(), field if args.field else None)
+        F = _read_poly(args, field, "de")
     else:
         if None in (args.d, args.e):
             raise UsageError("extend needs --poly FILE or --d/--e (seed at n = e)")
@@ -405,7 +418,10 @@ def cmd_interp(args) -> int:
     count = interpolation_count(S)
     payload = {"interpolation": count}
     text = f"interpolates up to {count} point(s)\n"
-    if args.d is not None and args.e is not None and args.n is not None:
+    missing = [f"--{x}" for x in "den" if getattr(args, x) is None]
+    if 0 < len(missing) < 3:
+        raise UsageError(f"interp needs all of --d/--e/--n or none of them; missing {', '.join(missing)}")
+    if not missing:
         exp = expected_max(args.d, args.e, args.n)
         payload["expected"] = exp
         text = f"interpolates up to {count} point(s); expected max {exp}\n"

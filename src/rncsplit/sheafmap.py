@@ -16,6 +16,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import add, sub
 
 from . import linalg
 from .binform import BinaryForm, bf_gcd
@@ -165,55 +166,51 @@ def normal_twists(ctx: CurveContext) -> TwistSum:
 
 
 def build_psi(F: IdealCombination) -> GradedSheafMap:
-    """Induced map N_{C/P^n} -> O(de) of a hypersurface F through the curve.
-
-    Column l (1-based, l <= e-1) collects s^(e-j-i+l) t^(j+i-l-2) restrict(F_{i,j})
-    over stored pairs with i <= l < j; trailing columns are the restrictions of
-    the linear coefficients G_k.
-    """
-    ctx = F.context
-    K = ctx.field
-    e = ctx.e
-    entries: dict = {}
-    restr = {key: restrict_to_curve(poly) for key, poly in F.quadric_coeffs.items()}
-    for l in range(1, e):
-        acc = BinaryForm.zero(K)
-        for (i, j), r in restr.items():
-            if i <= l < j and not r.is_zero():
-                acc = acc.add(r.shift(e - j - i + l, j + i - l - 2))
-        if not acc.is_zero():
-            entries[(0, l - 1)] = acc
-    for k, poly in F.linear_coeffs.items():
-        r = restrict_to_curve(poly)
-        if not r.is_zero():
-            entries[(0, e - 1 + (k - e - 1))] = r
-    return GradedSheafMap(K, normal_twists(ctx), (ctx.d * e,), entries)
+    """Induced map N_{C/P^n} -> O(de) of F through the curve (_restriction_maps)."""
+    return _psi_and_delta(F)[0]
 
 
 def build_delta(F: IdealCombination) -> GradedSheafMap:
-    """delta = psi ∘ beta, where beta : T_{P^n}|_C -> N_{C/P^n} is the quotient
-    map (bidiagonal (t, -s) block on the tangent part, identity on O(e)^(n-e)).
-    In closed form: (tC_1, -sC_1 + tC_2, ..., -sC_(e-1); G_(e+1)|_C, ..., G_n|_C)."""
-    return _delta_from_psi(F.context, build_psi(F))
+    """delta = psi ∘ beta : T_{P^n}|_C -> O(de) (_restriction_maps)."""
+    return _psi_and_delta(F)[1]
 
 
-def _delta_from_psi(ctx: CurveContext, psi: GradedSheafMap) -> GradedSheafMap:
-    """build_delta of a hypersurface whose psi is already built."""
-    K = ctx.field
-    e = ctx.e
-    C = [psi.entry(0, l) for l in range(e - 1)]
-    cols: list[BinaryForm] = []
-    for j in range(e):
-        acc = BinaryForm.zero(K)
-        if j < e - 1 and not C[j].is_zero():
-            acc = acc.add(C[j].shift(0, 1))  # t * C_(j+1)
-        if j > 0 and not C[j - 1].is_zero():
-            acc = acc.sub(C[j - 1].shift(1, 0))  # s * C_j
-        cols.append(acc)
-    for k in range(e - 1, psi.ncols):
-        cols.append(psi.entry(0, k))
-    entries = {(0, j): f for j, f in enumerate(cols) if not f.is_zero()}
-    return GradedSheafMap(K, tangent_twists(ctx), (ctx.d * e,), entries)
+def _psi_and_delta(F: IdealCombination) -> tuple[GradedSheafMap, GradedSheafMap]:
+    """psi and delta of F: one _restriction_maps call on its restricted coefficients."""
+    quadric, linear = ({k: restrict_to_curve(p) for k, p in c.items()} for c in (F.quadric_coeffs, F.linear_coeffs))
+    return _restriction_maps(F.context, quadric, linear)
+
+
+def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[GradedSheafMap, GradedSheafMap]:
+    """psi and delta from the restrictions quadric[(i, j)] = F_{i,j}|_C and
+    linear[k] = G_k|_C, in one pass.
+
+    Column l (1-based, l <= e-1) of psi is C_l, the sum of
+    s^(e-j-i+l) t^(j+i-l-2) F_{i,j}|_C over pairs with i <= l < j.  beta :
+    T_{P^n}|_C -> N_{C/P^n} is the quotient map (bidiagonal (t, -s) block on
+    the tangent part, identity on O(e)^(n-e)), so delta = psi ∘ beta has
+    tangent columns t C_l - s C_(l-1) for l = 1..e (C_0 = C_e = 0).  The
+    trailing columns of both are the G_k|_C.  Each C_l is one list of Python
+    ints, over Q numerators over the lcm of the F_{i,j}|_C denominators (as in
+    compose), and each coefficient of psi and delta is reduced once."""
+    K, e, de = ctx.field, ctx.e, ctx.d * ctx.e
+    L, ints = _integer_lines({(0, key): r for key, r in quadric.items()}, K, 0).get(0, (1, {}))
+    C = [[0] * (de - e - 1) for _ in range(e + 1)]
+    for (i, j), cs in ints.items():
+        for l in range(i, j):
+            u = j + i - l - 2
+            C[l][u : u + len(cs)] = map(add, C[l][u : u + len(cs)], cs)
+
+    def form(acc: list) -> BinaryForm:
+        coeffs = [Fraction(c, L) for c in acc] if K.p is None else [c % K.p for c in acc]
+        return BinaryForm(K, len(acc) - 1, tuple(coeffs))
+
+    psi = {(0, l - 1): form(C[l]) for l in range(1, e)}
+    delta = {(0, l - 1): form(list(map(sub, [0, *C[l]], [*C[l - 1], 0]))) for l in range(1, e + 1)}
+    psi.update(((0, k - 2), r) for k, r in linear.items())
+    delta.update(((0, k - 1), r) for k, r in linear.items())
+    maps = ((normal_twists(ctx), psi), (tangent_twists(ctx), delta))
+    return tuple(GradedSheafMap(K, source, (de,), entries) for source, entries in maps)
 
 
 # -- sections and the nullity scan ---------------------------------------------

@@ -340,6 +340,29 @@ def h0_euler_crosscheck(F: IdealCombination, m: int) -> bool:
     return left == right
 
 
+def build_psi_forms(F: IdealCombination) -> GradedSheafMap:
+    """psi by BinaryForm.shift and BinaryForm.add on each restriction:
+    column l (1-based, l <= e-1) collects s^(e-j-i+l) t^(j+i-l-2) F_{i,j}|_C
+    over stored pairs with i <= l < j; trailing columns are the G_k|_C.
+    Oracle for the integer builder behind sheafmap.build_psi."""
+    ctx = F.context
+    K, e = ctx.field, ctx.e
+    entries: dict = {}
+    restr = {key: restrict_to_curve(poly) for key, poly in F.quadric_coeffs.items()}
+    for l in range(1, e):
+        acc = BinaryForm.zero(K)
+        for (i, j), r in restr.items():
+            if i <= l < j and not r.is_zero():
+                acc = acc.add(r.shift(e - j - i + l, j + i - l - 2))
+        if not acc.is_zero():
+            entries[(0, l - 1)] = acc
+    for k, poly in F.linear_coeffs.items():
+        r = restrict_to_curve(poly)
+        if not r.is_zero():
+            entries[(0, k - 2)] = r
+    return GradedSheafMap(K, normal_twists(ctx), (ctx.d * e,), entries)
+
+
 def build_beta(ctx) -> GradedSheafMap:
     """Comparison map T_{P^n}|_C -> N_{C/P^n}: bidiagonal (t, -s) block on the
     tangent part, identity on the O(e) part."""

@@ -444,9 +444,10 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
 def test_verify_chain_builds_each_delta_once(monkeypatch):
     # build_chain builds the seed's delta and scans it once, inside
     # kernel_matrix, then builds one delta per step: the check of the step's
-    # output hypersurface.  verify reads the seed's splitting off the first
-    # step and each step's off its certified N, so it builds and scans nothing
-    # after the chain.
+    # output hypersurface.  build_delta reads the restrictions itself and
+    # builds no psi.  verify reads the seed's splitting off the first step and
+    # each step's off its certified N, so it builds and scans nothing after
+    # the chain.
     from rncsplit import constructor, sheafmap
 
     calls = []
@@ -478,7 +479,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         calls.clear()
         recs = cli._verify_chain_job((None, d, e, 8, 32003))
         assert [r["status"] for r in recs] == ["ok"] * (9 - e)
-        assert calls == ["delta", "psi", "scan"] + ["delta", "psi"] * (8 - e) + ["chain"], (d, e)
+        assert calls == ["delta", "scan"] + ["delta"] * (8 - e) + ["chain"], (d, e)
 
 
 def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):
@@ -502,6 +503,79 @@ def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):
     assert code == 0 and "15/15 cases ok" in out
     seeds = [sheafmap.build_delta(seed_example(3, e, FieldSpec(32003))) for e in range(3, 8)]
     assert len(scanned) == len(seeds) and all(M.equals(seed) for M, seed in zip(scanned, seeds))
+
+
+@pytest.mark.parametrize("p, n_max", [(32003, 14), (None, 8), (7, 8)])
+def test_verify_quadric_levels_match_per_level_scans(monkeypatch, p, n_max):
+    # the old per-level path as oracle: at every level n, the T and N verify
+    # reads off its one scan per chain by the zero-column lemma are the
+    # splittings of ker delta and ker psi of that level's own chain polynomial
+    from rncsplit.fields import FieldSpec, RATIONALS
+    from rncsplit.sheafmap import build_delta, build_psi, splitting_of_kernel
+
+    field = FieldSpec(p) if p else RATIONALS
+    seen = {}
+    real = cli._verify_case
+
+    def recording(T, field_now, d, e, n, strategy, N=None):
+        seen[(e, n)] = (T, N)
+        return real(T, field_now, d, e, n, strategy, N)
+
+    monkeypatch.setattr(cli, "_verify_case", recording)
+    for e in range(2, n_max + 1):
+        if p and e % p == 0:
+            continue  # no curve of degree e over GF(p)
+        recs = cli._verify_chain_job(("quadrics", 2, e, n_max, p))
+        assert [r["status"] for r in recs] == ["ok"] * (n_max + 1 - max(e, 3)), e
+    assert len(seen) == sum(n_max + 1 - max(e, 3) for e in range(2, n_max + 1) if not (p and e % p == 0))
+    for (e, n), (T, N) in seen.items():
+        F, _ = cli.build_chain(2, e, n, field)
+        assert T == splitting_of_kernel(build_delta(F)), (e, n)
+        assert N == splitting_of_kernel(build_psi(F)), (e, n)
+
+
+def test_verify_quadrics_scans_each_chain_once(capsys, monkeypatch):
+    # one scan of delta and one of psi per chain e = 2..14: 26 scans for the
+    # 90 cases, where a scan of both maps at every level takes 180
+    from rncsplit import sheafmap
+
+    calls = []
+    real = sheafmap._nullity_scan
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(sheafmap, "_nullity_scan", counting)
+    code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "14", "--workers", "1")
+    assert code == 0 and "90/90 cases ok" in out
+    assert len(calls) == 26
+
+
+def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
+    # the zero-column lemma needs the chain polynomial to have no linear
+    # part: one G_k fills a zero column, and the chain is reported as an
+    # error over GF(p) and again over the rational backstop
+    from rncsplit.multipoly import IdealCombination, MultiPoly
+
+    build_chain = cli.build_chain
+
+    def with_linear_part(d, e, n, field):
+        F, steps = build_chain(d, e, n, field)
+        ctx = F.context
+        linear = {n: MultiPoly.variable(ctx, 0)} if n > e else {}  # G_k needs e < k <= n
+        return IdealCombination(ctx, F.quadric_coeffs, linear), steps
+
+    monkeypatch.setattr(cli, "build_chain", with_linear_part)
+    for p in (32003, None):
+        recs = cli._verify_chain_job(("quadrics", 2, 3, 6, p))
+        assert [(r["status"], r["field"]) for r in recs] == [("error", "rational")]
+        assert "linear part" in recs[0]["detail"]
+    code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "5", "--workers", "1")
+    assert code == 1
+    for e in (2, 3, 4):
+        assert f"ERROR d=2 e={e}: the quadric chain polynomial has a linear part" in out
+    assert "ok   d=2 e=5 n=5" in out
 
 
 @pytest.mark.parametrize(
@@ -547,6 +621,20 @@ def test_extend_from_file(capsys, tmp_path):
     assert "strategy J1" in out
 
 
+@pytest.mark.parametrize("command", ["compute", "extend"])
+@pytest.mark.parametrize("option, value", [("--d", "9"), ("--e", "8")])
+def test_poly_file_refuses_disagreeing_options(capsys, tmp_path, command, option, value):
+    hsf = tmp_path / "cubic.hsf"
+    hsf.write_text("d = 3\ne = 3\nn = 3\nQ 1 2 : x0\nQ 2 3 : x3\n")
+    argv = [command, "--poly", str(hsf), option, value] + (["--to-n", "4"] if command == "extend" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {option} {value} disagrees with the input file (3)" in err
+    # options that agree with the file are accepted
+    argv[4] = "3"
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_extend_singular_along_curve_exit_2(capsys, tmp_path):
     # singular along C at the zeros of x1|_C = s^2*t: ker delta is not T_X|_C,
     # so there is no splitting to extend
@@ -577,6 +665,17 @@ def test_glue_dominates_interp_predict(capsys):
 
     code, out, _ = run(capsys, "predict", "--d", "5", "--e", "2", "--n", "7")
     assert code == 0 and "not-balanced" in out
+
+
+@pytest.mark.parametrize(
+    "given", [subset for k in (1, 2) for subset in itertools.combinations("den", k)], ids="".join
+)
+def test_interp_refuses_partial_den(capsys, given):
+    argv = ["interp", "[1,2]"] + [w for x in given for w in (f"--{x}", "3")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    missing = ", ".join(f"--{x}" for x in "den" if x not in given)
+    assert err == f"error: interp needs all of --d/--e/--n or none of them; missing {missing}\n"
 
 
 def test_malformed_splitting_exit_2(capsys):

@@ -32,6 +32,7 @@ from tests.helpers import (
     bf_mul,
     build_beta,
     build_df,
+    build_psi_forms,
     build_quadric,
     compose_forms,
     dense_combination,
@@ -188,6 +189,21 @@ def test_compose_reproduces_delta_closed_form():
         ctx = CurveContext(rnd.randrange(2, 5), e, n, GF)
         F = random_combination(rnd, ctx)
         assert compose(build_psi(F), build_beta(ctx)).equals(build_delta(F))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7), FieldSpec(2)], ids=str)
+@pytest.mark.parametrize("d", range(2, 7))
+def test_builder_matches_binary_form_oracle(field, d):
+    # psi and delta from one pass of integer columns against psi by
+    # BinaryForm shift/add and delta = psi ∘ beta by compose; dense
+    # coefficients, so every column sums several restrictions
+    rnd = random.Random(100 * d + (field.p or 0))
+    for e, n in [(3, 3), (3, 5), (5, 6)] if d <= 4 else [(3, 4)]:
+        ctx = CurveContext(d, e, n, field)
+        F = dense_combination(rnd, ctx)
+        psi = build_psi_forms(F)
+        assert build_psi(F).equals(psi), (e, n)
+        assert build_delta(F).equals(compose(psi, build_beta(ctx))), (e, n)
 
 
 def test_compose_identity_and_mismatch():
