@@ -106,13 +106,10 @@ class BinaryForm:
 
     def equals(self, other: "BinaryForm") -> bool:
         """Equality of values: all zero forms are equal regardless of degree slot."""
-        if self.is_zero() and other.is_zero():
-            return True
         if self.is_zero() or other.is_zero():
-            return False
-        return self.degree == other.degree and all(
-            self.field.eq(a, b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+            return self.is_zero() and other.is_zero()
+        # coefficients are canonical (reduced Fractions, ints in 0..p-1)
+        return self.coeffs == other.coeffs
 
     # -- valuations and division ----------------------------------------------
 
@@ -136,12 +133,12 @@ class BinaryForm:
         if self.is_zero():
             d = self.degree + s_power + t_power
             return BinaryForm.zero_of_degree(self.field, d) if d >= 0 else BinaryForm.zero(self.field)
-        if t_power < 0 and self.t_valuation() < -t_power:
-            raise DegreeError("monomial division not exact in t")
-        if s_power < 0 and self.s_valuation() < -s_power:
-            raise DegreeError("monomial division not exact in s")
         # coefficient i is that of s^(degree-i) t^i: t^k pads k zeros in front,
         # s^k k behind, and a negative power drops the zeros it divides out
+        if t_power < 0 and any(self.coeffs[:-t_power]):
+            raise DegreeError("monomial division not exact in t")
+        if s_power < 0 and any(self.coeffs[max(0, self.degree + 1 + s_power) :]):
+            raise DegreeError("monomial division not exact in s")
         zero = (self.field.zero,)
         cs = self.coeffs[-t_power:] if t_power < 0 else zero * t_power + self.coeffs
         cs = cs[: len(cs) + s_power] if s_power < 0 else cs + zero * s_power

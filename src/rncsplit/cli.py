@@ -2,8 +2,9 @@
 parameter sweeps, run dimension extensions, and expose the splitting algebra.
 
 Exit codes: 0 success, 1 verification mismatch, 2 user/precondition error
-(malformed input files included), 3 internal error: a certification failure,
-or a MapError, DegreeError or PolyError raised once the input is parsed.
+(malformed input files included), 3 internal error: a certification failure
+(in `verify`, a chain whose reported error is one), or a MapError,
+DegreeError or PolyError raised once the input is parsed.
 
 ``verify --workers k`` runs the (d, e) chains in at most min(k, chains)
 processes; k must be at least 1.
@@ -217,7 +218,8 @@ def _verify_chain_job(job) -> list[dict]:
         ]
 
     def error(exc, field_now) -> list[dict]:
-        return [{"d": d, "e": e, "n": None, "status": "error", "detail": str(exc), "field": str(field_now)}]
+        return [{"d": d, "e": e, "n": None, "status": "error", "detail": str(exc), "field": str(field_now),
+                 "error": type(exc).__name__}]
 
     try:
         results = run(field)
@@ -333,6 +335,9 @@ def cmd_verify(args) -> int:
         return "\n".join(lines) + "\n"
 
     _emit(args, payload, text)
+    # a reported error comes from the last field tried: over GF(p), the rational backstop
+    if any(r.get("error") == "CertificationError" for r in failed):
+        return 3
     return 1 if failed else 0
 
 

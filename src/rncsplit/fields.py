@@ -93,9 +93,6 @@ class FieldSpec:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def eq(self, a, b) -> bool:
-        return a == b if self.p is None else (a - b) % self.p == 0
-
     # -- text ----------------------------------------------------------------
 
     def format_scalar(self, a) -> str:

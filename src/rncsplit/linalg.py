@@ -3,12 +3,13 @@
 Matrices are lists of rows at every boundary.  Every function works on rows
 of Python ints: over Q each row is cleared of denominators once (a primitive
 integer multiple), over GF(p) its entries are taken mod p.  Each field has one
-row operation, which clears a column of a row by a pivot row: `_eliminate`
-over Q cross-multiplies the two rows and divides out the content of the
-result (fraction-free, as in Bareiss 1968, but dividing by the row content
-rather than by the previous pivot), and `_eliminate_mod` subtracts a multiple
-mod p.  A row stays a nonzero multiple of the row rational elimination would
-hold, so ``Fraction`` entries are made only for the output.
+row operation, which clears a column of a row by a pivot row (`_row_op`):
+over Q, `_eliminate` cross-multiplies the two rows and divides out the
+content of the result (fraction-free, as in Bareiss 1968, but dividing by the
+row content rather than by the previous pivot); mod p, it subtracts a
+multiple of the pivot row.  A row stays a nonzero multiple of the row
+rational elimination would hold, so ``Fraction`` entries are made only for
+the output.
 
 There is one elimination: `row_echelon` runs forward elimination only (each
 pivot row clears the rows below it) and keeps its pivot rows, each zero left
@@ -21,8 +22,11 @@ against an echelon basis kept in pivot order.  The nullity scan hands
 both the section counts and the kernel generators from the rows it returns,
 so no matrix is eliminated twice.
 
-The one kernel, `_pivots`, skips the rows already zero in the pivot column,
-so a sparse matrix costs little more than its fill.
+The one kernel, `_pivots`, touches only the rows nonzero in the pivot
+column.  Over GF(p) it finds the pivot row's nonzero columns and its pivot's
+inverse once per pivot, and updates each such row in place at those columns
+only: a multiply-add per nonzero of the pivot row.  The public functions
+eliminate fresh copies of the caller's rows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 
 from .fields import FieldSpec
 
@@ -65,26 +70,29 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     return _primitive([b * x - a * y for x, y in zip(row, pivot_row)])
 
 
-def _eliminate_mod(row: list[int], pivot_row: list[int], c: int, p: int) -> list[int]:
-    """row - (row[c] / pivot_row[c]) * pivot_row mod p, for a pivot row that
-    is zero left of c (so row keeps its entries there)."""
-    f = row[c] * pow(pivot_row[c], -1, p) % p
-    return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], pivot_row[c:])]
+def _row_op(P: list[int], c: int, p: int | None):
+    """The function that clears column c of a row by pivot row P (P[c] != 0)
+    and returns it: _eliminate over Q; mod p, row -= (row[c] / P[c]) * P in
+    place, at the nonzero columns of P, found here once."""
+    if p is None:
+        return partial(_eliminate, pivot_row=P, c=c)
+    inv = pow(P[c], -1, p)
+    nonzero = [(k, P[k]) for k in compress(range(len(P)), P)]
+
+    def clear(row: list[int]) -> list[int]:
+        f = row[c] * inv % p
+        for k, x in nonzero:
+            row[k] = (row[k] - f * x) % p
+        return row
+
+    return clear
 
 
-def _row_op(p: int | None):
-    """The row operation of the field: _eliminate over Q, _eliminate_mod mod p."""
-    return _eliminate if p is None else partial(_eliminate_mod, p=p)
-
-
-def _pivots(A: list[list], columns, eliminate) -> tuple[list[list], list[int]]:
+def _pivots(A: list[list], columns, p: int | None) -> tuple[list[list], list[int]]:
     """Forward elimination of A (consumes A) over the given columns, in their
     order: the first row left that is nonzero in column c is its pivot row;
-    it clears column c of the rows left, skipping those already zero there,
-    and is kept as it is.  Returns (pivot rows, pivot columns).  Each pivot
-    row must be zero left of its column, as _eliminate_mod needs: in
-    increasing column order elimination makes it so, and rref's
-    back-substitution hands in rows that are zero left of their pivots."""
+    it clears column c of the rows left (_row_op), skipping those already
+    zero there, and is kept as it is.  Returns (pivot rows, pivot columns)."""
     rows, pivots = [], []
     for c in columns:
         if not A:
@@ -93,7 +101,11 @@ def _pivots(A: list[list], columns, eliminate) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         P = A.pop(piv)
-        A = [eliminate(row, P, c) if row[c] else row for row in A]
+        hits = [i for i, row in enumerate(A) if row[c]]
+        if hits:
+            clear = _row_op(P, c, p)
+            for i in hits:
+                A[i] = clear(A[i])
         rows.append(P)
         pivots.append(c)
     return rows, pivots
@@ -107,7 +119,7 @@ def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[
     whose pivots lie in the first k columns span the row space of those
     columns, so they have the same kernel there.  The pivots are those of the
     rref: column k is a pivot iff it is independent of columns 0..k-1."""
-    return _pivots(A, range(width), _row_op(field.p))
+    return _pivots(A, range(width), field.p)
 
 
 def _width(rows, width: int | None) -> int:
@@ -132,7 +144,7 @@ def rref(rows, field: FieldSpec, width: int | None = None):
     width = _width(rows, width)
     p = field.p
     A, pivots = row_echelon([_int_row(row, p) for row in rows], field, width)
-    A = _pivots(A[::-1], pivots[::-1], _row_op(p))[0][::-1]
+    A = _pivots(A[::-1], pivots[::-1], p)[0][::-1]
     R = [_normalized(row, c, p) for row, c in zip(A, pivots)]
     return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
 
@@ -154,31 +166,31 @@ class RowSpace:
 
     Stores an echelon basis in increasing pivot order: each row is the
     integer residual (primitive over Q, entries mod p over GF(p)) it was
-    inserted as, zero left of its pivot.  `insert` reduces a vector by the
-    rows in that order, which leaves it zero in every pivot column, and
-    extends the span when the result is nonzero.  That residual is unique
-    for the span and its pivots, so the basis needs no back-substitution and
-    the scale of its rows does not show.
+    inserted as, zero left of its pivot, kept as its row operation.
+    `insert` reduces a vector by the rows in that order, which leaves it
+    zero in every pivot column, and extends the span when the result is
+    nonzero.  That residual is unique for the span and its pivots, so the
+    basis needs no back-substitution and the scale of its rows does not show.
     """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self._eliminate = _row_op(field.p)
-        self._rows: list[list[int]] = []
+        self._ops: list = []
         self._pivots: list[int] = []
 
     def insert(self, vec):
         """Reduce and, if independent, add; returns the residual (zero in
         every earlier pivot column, its own pivot entry 1) or None."""
-        v = _int_row(vec, self.field.p)
-        for piv, row in zip(self._pivots, self._rows):
+        p = self.field.p
+        v = _int_row(vec, p)
+        for piv, clear in zip(self._pivots, self._ops):
             if v[piv]:
-                v = self._eliminate(v, row, piv)
+                v = clear(v)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
         k = bisect_left(self._pivots, piv)
         self._pivots.insert(k, piv)
-        self._rows.insert(k, v)
-        return _normalized(v, piv, self.field.p)
+        self._ops.insert(k, _row_op(v, piv, p))
+        return _normalized(v, piv, p)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -217,11 +218,8 @@ def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
             f"cannot lift degree {h.degree} to a degree-{k} form on a degree-{e} curve: "
             f"expected binary degree {e * k}"
         )
-    K = context.field
     terms = {}
-    for i, c in enumerate(h.coeffs):
-        if K.is_zero(c):
-            continue
+    for i in compress(range(len(h.coeffs)), h.coeffs):
         exp = [0] * context.nvars
         if i == e * k:
             exp[e] = k
@@ -230,7 +228,7 @@ def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:
             exp[e] += q
             exp[r] += 1
             exp[0] += k - q - 1
-        terms[tuple(exp)] = c  # restricts to s^(ek-i) t^i: no two i collide
+        terms[tuple(exp)] = h.coeffs[i]  # restricts to s^(ek-i) t^i: no two i collide
     return MultiPoly(context, k, terms)
 
 
@@ -244,9 +242,12 @@ class IdealCombination:
     1 <= i < j <= e), linear coefficients G_k of degree d-1 (e+1 <= k <= n).
     F is homogeneous of degree d and vanishes on the curve by construction;
     the maps psi and delta read it off the restrictions of its coefficients.
+    It is immutable: nothing changes its coefficients or its maps once it is
+    built, so its psi and delta are built once, on first use, and kept in
+    `maps` (sheafmap._psi_and_delta).
     """
 
-    __slots__ = ("context", "quadric_coeffs", "linear_coeffs")
+    __slots__ = ("context", "quadric_coeffs", "linear_coeffs", "maps")
 
     def __init__(self, context: CurveContext, quadric_coeffs: dict, linear_coeffs: dict):
         self.context = context
@@ -274,6 +275,7 @@ class IdealCombination:
             clean_l[k] = poly
         self.quadric_coeffs = clean_q
         self.linear_coeffs = clean_l
+        self.maps = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealCombination):

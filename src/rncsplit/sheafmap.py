@@ -176,9 +176,12 @@ def build_delta(F: IdealCombination) -> GradedSheafMap:
 
 
 def _psi_and_delta(F: IdealCombination) -> tuple[GradedSheafMap, GradedSheafMap]:
-    """psi and delta of F: one _restriction_maps call on its restricted coefficients."""
-    quadric, linear = ({k: restrict_to_curve(p) for k, p in c.items()} for c in (F.quadric_coeffs, F.linear_coeffs))
-    return _restriction_maps(F.context, quadric, linear)
+    """psi and delta of F: one _restriction_maps call on its restricted
+    coefficients, made on first use and kept on F (F.maps)."""
+    if F.maps is None:
+        quadric, linear = ({k: restrict_to_curve(p) for k, p in c.items()} for c in (F.quadric_coeffs, F.linear_coeffs))
+        F.maps = _restriction_maps(F.context, quadric, linear)
+    return F.maps
 
 
 def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[GradedSheafMap, GradedSheafMap]:

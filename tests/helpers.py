@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -644,6 +645,82 @@ class NumpyRowSpace:
         self._rows.append(v)
         self._pivots.append(piv)
         return v.tolist()
+
+
+# The GF(p) elimination linalg ran before its row operation updated rows in
+# place: each row operation builds a new row from every column at or right of
+# the pivot, with the pivot's inverse taken per row.  The oracle of the mod-p
+# kernel, in the same pivot order, so linalg must agree with it exactly.
+
+
+def eliminate_mod(row: list[int], pivot_row: list[int], c: int, p: int) -> list[int]:
+    """row - (row[c] / pivot_row[c]) * pivot_row mod p, for a pivot row that
+    is zero left of c (so row keeps its entries there)."""
+    f = row[c] * pow(pivot_row[c], -1, p) % p
+    return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], pivot_row[c:])]
+
+
+def pivots_mod(A: list[list[int]], columns, p: int) -> tuple[list[list[int]], list[int]]:
+    """linalg._pivots by eliminate_mod: a new list of rows after each pivot."""
+    rows, pivots = [], []
+    for c in columns:
+        if not A:
+            break
+        piv = next((i for i, row in enumerate(A) if row[c]), None)
+        if piv is None:
+            continue
+        P = A.pop(piv)
+        A = [eliminate_mod(row, P, c, p) if row[c] else row for row in A]
+        rows.append(P)
+        pivots.append(c)
+    return rows, pivots
+
+
+def row_echelon_list_mod(rows, width: int, p: int) -> tuple[list[list[int]], list[int]]:
+    return pivots_mod([[x % p for x in row] for row in rows], range(width), p)
+
+
+def rref_list_mod(rows, width: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """linalg.rref by pivots_mod: forward elimination, then back-substitution
+    on the pivot rows in reverse order, each row divided by its pivot."""
+    A, pivots = row_echelon_list_mod(rows, width, p)
+    A = pivots_mod(A[::-1], pivots[::-1], p)[0][::-1]
+    R = [[x * pow(row[c], -1, p) % p for x in row] for row, c in zip(A, pivots)]
+    return R + [[0] * width for _ in range(len(rows) - len(R))], pivots
+
+
+def solve_list_mod(rows, rhs, width: int, p: int):
+    R, pivots = rref_list_mod([list(row) + [b] for row, b in zip(rows, rhs)], width + 1, p)
+    if width in pivots:
+        return None
+    x = [0] * width
+    for row, c in zip(R, pivots):
+        x[c] = row[width]
+    return x
+
+
+class ListRowSpaceMod:
+    """linalg.RowSpace over GF(p) by eliminate_mod against stored rows."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []
+
+    def insert(self, vec):
+        p = self.p
+        v = [x % p for x in vec]
+        for piv, row in zip(self._pivots, self._rows):
+            if v[piv]:
+                v = eliminate_mod(v, row, piv, p)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        k = bisect_left(self._pivots, piv)
+        self._pivots.insert(k, piv)
+        self._rows.insert(k, v)
+        inv = pow(v[piv], -1, p)
+        return [x * inv % p for x in v]
 
 
 # -- map serialization parsers: round-trip oracles for format_map and map_to_json --

@@ -178,6 +178,84 @@ def test_shift_and_divexact():
         bf("s^2+t^2").divexact(bf("s-t"))
 
 
+def _shift_oracle(f, s_power, t_power):
+    """f * s^s_power * t^t_power one coefficient at a time: the term
+    s^(deg-i) t^i moves to slot i + t_power, and a negative exponent on a
+    nonzero term is a division that is not exact."""
+    K = f.field
+    if f.degree == -1:
+        return f
+    d = f.degree + s_power + t_power
+    if f.is_zero():
+        return BinaryForm.zero_of_degree(K, d) if d >= 0 else BinaryForm.zero(K)
+    out = [K.zero] * max(d + 1, 0)
+    for i, c in enumerate(f.coeffs):
+        if K.is_zero(c):
+            continue
+        if i + t_power < 0 or f.degree - i + s_power < 0:
+            raise DegreeError("not exact")
+        out[i + t_power] = c
+    return BinaryForm(K, d, tuple(out))
+
+
+def _equals_oracle(f, g):
+    """Equality of values by one field subtraction per coefficient pair."""
+    K = f.field
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    return f.degree == g.degree and all(K.is_zero(K.sub(a, b)) for a, b in zip(f.coeffs, g.coeffs))
+
+
+@st.composite
+def sparse_forms(draw, field):
+    """A form of degree -1..7 whose coefficients are mostly zero, so that
+    exact and inexact monomial divisions both occur."""
+    degree = draw(st.integers(-1, 7))
+    nonzero = st.integers(1, 40).map(field.from_int)
+    coeffs = draw(st.lists(st.one_of(st.just(field.zero), st.just(field.zero), nonzero),
+                           min_size=degree + 1, max_size=degree + 1))
+    return BinaryForm(field, degree, tuple(coeffs))
+
+
+FIELDS = [RATIONALS, FieldSpec(2), GF101, FieldSpec(32003)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(FIELDS).flatmap(lambda K: st.tuples(sparse_forms(K), sparse_forms(K))),
+       st.integers(-9, 6), st.integers(-9, 6))
+def test_shift_and_equals_match_per_coefficient_oracle(forms, s_power, t_power):
+    # shift checks exactness on tuple slices and equals compares tuples: the
+    # same answers as one field operation per coefficient
+    f, g = forms
+    try:
+        want = _shift_oracle(f, s_power, t_power)
+    except DegreeError:
+        with pytest.raises(DegreeError):
+            f.shift(s_power, t_power)
+    else:
+        got = f.shift(s_power, t_power)
+        assert (got.degree, got.coeffs) == (want.degree, want.coeffs)
+    for a, b in ((f, g), (f, f), (f, f.shift(1, 0)), (f, BinaryForm(f.field, f.degree, f.coeffs))):
+        assert a.equals(b) == b.equals(a) == _equals_oracle(a, b)
+
+
+def test_shift_and_equals_edge_cases():
+    for K in (RATIONALS, GF101):
+        f = bf("s^2", K)
+        # a negative power larger than the degree, beside a positive one
+        with pytest.raises(DegreeError):
+            f.shift(-4, 5)
+        with pytest.raises(DegreeError):
+            f.shift(0, -1)
+        assert f.shift(-2, 1).equals(bf("t", K))
+        zero3 = BinaryForm.zero_of_degree(K, 3)
+        assert zero3.shift(-5, 1).degree == -1 and zero3.shift(-1, 1).degree == 3
+        assert zero3.equals(BinaryForm.zero(K)) and not zero3.equals(f)
+        # equal coefficients, different degrees: not equal
+        assert not bf("s", K).equals(bf("s^2", K))
+        assert not bf("s^2", K).equals(bf("s*t", K))
+
+
 # -- text grammar --------------------------------------------------------------------
 
 

@@ -555,7 +555,8 @@ def test_verify_quadrics_scans_each_chain_once(capsys, monkeypatch):
 def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
     # the zero-column lemma needs the chain polynomial to have no linear
     # part: one G_k fills a zero column, and the chain is reported as an
-    # error over GF(p) and again over the rational backstop
+    # error over GF(p) and again over the rational backstop.  A certification
+    # failure is an internal error: verify exits 3, not 1 (a mismatch)
     from rncsplit.multipoly import IdealCombination, MultiPoly
 
     build_chain = cli.build_chain
@@ -570,12 +571,37 @@ def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
     for p in (32003, None):
         recs = cli._verify_chain_job(("quadrics", 2, 3, 6, p))
         assert [(r["status"], r["field"]) for r in recs] == [("error", "rational")]
-        assert "linear part" in recs[0]["detail"]
+        assert "linear part" in recs[0]["detail"] and recs[0]["error"] == "CertificationError"
     code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "5", "--workers", "1")
-    assert code == 1
+    assert code == 3
     for e in (2, 3, 4):
         assert f"ERROR d=2 e={e}: the quadric chain polynomial has a linear part" in out
     assert "ok   d=2 e=5 n=5" in out
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        # three seeds (e = n = 8, 9, 10), each lifted from its psi ladder,
+        # whose check builds the maps that verify then reads
+        (["verify", "--theorem", "general", "--d", "5", "--max-n", "10", "--workers", "1"], 3),
+        (["compute", "--d", "5", "--e", "8", "--n", "8"], 1),
+    ],
+)
+def test_each_hypersurface_builds_its_maps_once(capsys, monkeypatch, argv, calls):
+    from rncsplit import sheafmap
+
+    built = []
+    restriction_maps = sheafmap._restriction_maps
+
+    def counted(ctx, quadric, linear):
+        built.append((ctx.d, ctx.e, ctx.n))
+        return restriction_maps(ctx, quadric, linear)
+
+    monkeypatch.setattr(sheafmap, "_restriction_maps", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(built) == calls == len(set(built))
 
 
 @pytest.mark.parametrize(

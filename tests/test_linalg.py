@@ -10,13 +10,17 @@ from rncsplit import linalg
 from rncsplit.fields import FieldSpec, RATIONALS
 from tests.helpers import (
     FractionRowSpace,
+    ListRowSpaceMod,
     NumpyRowSpace,
     det,
     nullspace,
     nullspace_frac,
     rref_frac,
+    rref_list_mod,
     rref_mod,
+    row_echelon_list_mod,
     solve_frac,
+    solve_list_mod,
 )
 
 GF = FieldSpec(32003)
@@ -328,3 +332,46 @@ def test_list_kernels_match_numpy_kernels(p, dense, seed):
         res, want = span.insert(v), oracle.insert(v)
         assert (res is None) == (want is None)
         assert res is None or (_all_ints([res]) and res == want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([2, 3, 32003, 2**31 - 1]), st.booleans(), st.integers(0, 2**32))
+@example(2, True, 3)
+@example(2**31 - 1, True, 4)
+@example(3, False, 5)
+@example(32003, False, 6)
+def test_in_place_kernel_matches_list_oracle(p, dense, seed):
+    # the in-place row operation, at the pivot row's nonzero columns, against
+    # the list-rebuilding one, on the same rows in the same pivot order
+    K = FieldSpec(p)
+    rows, width, rhs, x = _mod_matrix(p, dense, seed)
+    echelon = row_echelon_list_mod(rows, width, p)
+    assert linalg.row_echelon([list(row) for row in rows], K, width) == echelon
+    assert linalg.rank(rows, K, width) == len(echelon[1])
+    assert linalg.rref(rows, K, width) == rref_list_mod(rows, width, p)
+    image = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+    for b in (rhs, image):
+        assert linalg.solve(rows, b, K, width) == solve_list_mod(rows, b, width, p)
+    span, oracle = linalg.RowSpace(K, width), ListRowSpaceMod(p)
+    for v in rows + nullspace(rows, K, width) + [x]:
+        assert span.insert(v) == oracle.insert(v)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2), GF, FieldSpec(2**31 - 1)])
+def test_public_functions_leave_the_callers_rows_unchanged(field):
+    # the mod-p row operation writes into rows: every public function must
+    # eliminate copies, never the rows or vectors it was handed
+    rnd = random.Random(31)
+    for _ in range(20):
+        m, n = rnd.randrange(1, 7), rnd.randrange(1, 7)
+        rows = rand_matrix(rnd, field, m, n)
+        rows += [list(rows[0])]  # a dependent row, so that a row is cleared
+        rhs = [field.from_int(rnd.randrange(-9, 10)) for _ in rows]
+        before = [list(row) for row in rows], list(rhs)
+        linalg.rank(rows, field, n)
+        linalg.rref(rows, field, n)
+        linalg.solve(rows, rhs, field, n)
+        span = linalg.RowSpace(field, n)
+        for row in rows:
+            span.insert(row)
+        assert (rows, rhs) == before
