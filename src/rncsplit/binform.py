@@ -9,7 +9,6 @@ and both answer ``is_zero()``.
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
 from .fields import FieldSpec
 
@@ -119,12 +118,6 @@ class BinaryForm:
             raise ValueError("zero form has no valuation")
         return next(i for i, c in enumerate(self.coeffs) if not self.field.is_zero(c))
 
-    def s_valuation(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero form has no valuation")
-        last = max(i for i, c in enumerate(self.coeffs) if not self.field.is_zero(c))
-        return self.degree - last
-
     def shift(self, s_power: int, t_power: int) -> "BinaryForm":
         """Multiply by the monomial s^s_power * t^t_power (powers may be negative
         when the corresponding valuation allows exact division)."""
@@ -172,73 +165,6 @@ class BinaryForm:
 
     def __repr__(self) -> str:
         return f"BinaryForm({format_binary_form(self)!r})"
-
-
-def bf_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Greatest common divisor, monic in the dehomogenization at s = 1.
-
-    Common powers of s and t are split off first; the remaining parts are
-    reduced by the Euclidean algorithm on their dehomogenizations.
-    """
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        raise ValueError("gcd of strictly zero forms")
-    K = nonzero[0].field
-    s_val = min(f.s_valuation() for f in nonzero)
-    t_val = min(f.t_valuation() for f in nonzero)
-
-    def core(f: BinaryForm) -> list:
-        # dehomogenization at s=1 of f stripped of its s- and t-power factors
-        lo, hi = f.t_valuation(), f.degree - f.s_valuation()
-        return list(f.coeffs[lo : hi + 1])
-
-    g = core(nonzero[0])
-    for f in nonzero[1:]:
-        g = _poly_gcd(K, g, core(f))
-        if len(g) == 1:
-            break
-    g = _poly_monic(K, g)
-    deg = s_val + t_val + len(g) - 1
-    coeffs = [K.zero] * (deg + 1)
-    for i, c in enumerate(g):
-        coeffs[t_val + i] = c
-    return BinaryForm(K, deg, tuple(coeffs))
-
-
-def _poly_trim(K: FieldSpec, a: list) -> list:
-    while len(a) > 1 and K.is_zero(a[-1]):
-        a.pop()
-    if not a:
-        a.append(K.zero)
-    return a
-
-
-def _poly_monic(K: FieldSpec, a: list) -> list:
-    inv = K.inv(a[-1])
-    return [K.mul(inv, c) for c in a]
-
-
-def _poly_gcd(K: FieldSpec, a: list, b: list) -> list:
-    a = _poly_trim(K, list(a))
-    b = _poly_trim(K, list(b))
-    while not (len(b) == 1 and K.is_zero(b[0])):
-        a, b = b, _poly_mod(K, a, b)
-    return a
-
-
-def _poly_mod(K: FieldSpec, a: list, b: list) -> list:
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and not (len(r) == 1 and K.is_zero(r[0])):
-        c = K.div(r[-1], lead)
-        off = len(r) - 1 - db
-        for i in range(db + 1):
-            r[off + i] = K.sub(r[off + i], K.mul(c, b[i]))
-        r.pop()
-        _poly_trim(K, r)
-        if len(r) == 1 and K.is_zero(r[0]):
-            break
-    return _poly_trim(K, r)
 
 
 # -- text grammar --------------------------------------------------------------

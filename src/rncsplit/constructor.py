@@ -12,8 +12,6 @@ G_(n+1).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .binform import BinaryForm, DegreeError
 from .fields import RATIONALS, FieldSpec
 from .multipoly import (
@@ -26,7 +24,6 @@ from .multipoly import (
 from .sheafmap import (
     CertificationError,
     GradedSheafMap,
-    _onto_everywhere,
     build_delta,
     build_psi,
     certify_kernel,
@@ -361,7 +358,7 @@ def extend_chain(F: IdealCombination, n: int) -> list[ExtensionStep]:
                 f"no exact predicted splitting at (d={ctx.d}, e={ctx.e}, n={m}); "
                 f"the catalog gives {pred.verdict} [{pred.provenance}]"
             )
-        step = extend_dimension(F, pred.splitting, kernel=kernel, delta=delta)
+        step = extend_dimension(F, pred.splitting, _kernel=kernel, _delta=delta)
         steps.append(step)
         F, kernel, delta = step.output_F, step.N, step.delta_out
     return steps
@@ -371,14 +368,16 @@ def extend_chain(F: IdealCombination, n: int) -> list[ExtensionStep]:
 
 
 def _select_strategy(S: SplittingType, T: SplittingType, e: int) -> str:
-    cS, cT = Counter(S.parts), Counter(T.parts)
-    if cT == cS + Counter({e: 1}):
+    # the parts of T each strategy makes from S: append e; or trade the least
+    # part a for (a+1)^2 (J1), or two of them for (a+1)^3 (J2)
+    parts = S.parts
+    if T.parts == tuple(sorted(parts + (e,))):
         return "J0"
-    a = min(S.parts)
-    if set(S.parts) <= {a, a + 1}:
-        if cS[a] >= 1 and cT == cS - Counter({a: 1}) + Counter({a + 1: 2}):
+    if parts and parts[-1] <= parts[0] + 1:
+        a = parts[0]
+        if T.parts == parts[1:] + (a + 1,) * 2:
             return "J1"
-        if cS[a] >= 2 and cT == cS - Counter({a: 2}) + Counter({a + 1: 3}):
+        if parts[1:2] == (a,) and T.parts == parts[2:] + (a + 1,) * 3:
             return "J2"
     raise UnsupportedCaseError(
         f"target {list(T.parts)} unreachable from {list(S.parts)} by a single "
@@ -509,26 +508,36 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
 def extend_dimension(
     F: IdealCombination,
     target: SplittingType,
-    kernel: GradedSheafMap | None = None,
-    delta: GradedSheafMap | None = None,
+    *,
+    _kernel: GradedSheafMap | None = None,
+    _delta: GradedSheafMap | None = None,
 ) -> ExtensionStep:
     """One inductive step n -> n+1: realize `target` as the splitting of the
     restricted tangent bundle of an extension F + G_(n+1) x_(n+1).
 
-    `delta` and `kernel`, if given, are build_delta(F) and its certified
-    kernel matrix, as a previous step hands them on.  The strategy is
-    selected by shape and stacks N = (N1; N2).  The new entry g of delta_out
-    = (delta_in, g) is read off (delta_in, g)·N = 0 by one exact division in
-    a column j of N2, from delta_in times column j of N1; for N of corank
-    one that row is unique up to a scalar.  certify_kernel then proves N
-    generates ker delta_out (so N has full rank everywhere), and the
-    splitting of N's source equals the target.
+    The strategy is selected by shape and stacks N = (N1; N2).  The new
+    entry g of delta_out = (delta_in, g) is read off (delta_in, g)·N = 0 by
+    one exact division in a column j of N2, from delta_in times column j of
+    N1; for N of corank one that row is unique up to a scalar.
+    certify_kernel then proves N generates ker delta_out (so N has full rank
+    everywhere), and the splitting of N's source equals the target.
+
+    certify_kernel is given the degree Σtarget - de of ker delta_out, which
+    holds iff delta_out is onto O(de) at every point (_nullity_scan); no gcd
+    checks that.  The step refuses a delta_in whose certified kernel degree
+    is not Σsource - de, which proves delta_in onto at every point, and
+    delta_out = (delta_in, g) has an image at least as large.  Along a chain
+    this runs by induction from the seed's scanned kernel: extend_chain
+    hands each step's delta_out and N, certified with that degree, to the
+    next step as `_delta` and `_kernel`, which are private to it and are not
+    certified again.  Without them the step builds delta and
+    kernel_matrix(delta) from F.
     """
     ctx = F.context
     e, n, d = ctx.e, ctx.n, ctx.d
     field = ctx.field
-    delta_in = delta if delta is not None else build_delta(F)
-    K_map = kernel if kernel is not None else kernel_matrix(delta_in)
+    delta_in = _delta if _delta is not None else build_delta(F)
+    K_map = _kernel if _kernel is not None else kernel_matrix(delta_in)
     # deg ker delta = Σsource - de exactly when delta is onto everywhere
     if sum(K_map.source) != sum(delta_in.source) - d * e:
         raise UnsupportedCaseError(SINGULAR_ALONG_CURVE)
@@ -569,9 +578,7 @@ def extend_dimension(
     if not g.is_zero():
         entries[(0, n)] = g
     delta_out = GradedSheafMap(field, N.target, delta_in.target, entries)
-    # onto at every point, so ker delta_out has rank n and degree sum(N.target) - de
-    if not _onto_everywhere(delta_out):
-        raise CertificationError("delta_out is not onto at every point")
+    # onto at every point, as delta_in is: ker delta_out has rank n and degree Σ - de
     certify_kernel(delta_out, N, n, sum(N.target) - d * e)
 
     quadric = {key: _embed_poly(p, ctx_out) for key, p in F.quadric_coeffs.items()}
@@ -580,8 +587,10 @@ def extend_dimension(
         linear[n + 1] = lift_binary_form(g, ctx_out, d - 1)
     output_F = IdealCombination(ctx_out, quadric, linear)
 
-    if not build_delta(output_F).equals(delta_out):
+    induced = build_delta(output_F)
+    if not induced.equals(delta_out):
         raise CertificationError("extended hypersurface does not induce delta_out")
+    delta_out = induced  # one delta per step: the one output_F keeps
     if tuple(sorted(N.source)) != target.parts:
         raise CertificationError(
             f"extension produced splitting {sorted(N.source)}, wanted {list(target.parts)}"

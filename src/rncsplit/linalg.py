@@ -22,11 +22,12 @@ against an echelon basis kept in pivot order.  The nullity scan hands
 both the section counts and the kernel generators from the rows it returns,
 so no matrix is eliminated twice.
 
-The one kernel, `_pivots`, touches only the rows nonzero in the pivot
-column.  Over GF(p) it finds the pivot row's nonzero columns and its pivot's
-inverse once per pivot, and updates each such row in place at those columns
-only: a multiply-add per nonzero of the pivot row.  The public functions
-eliminate fresh copies of the caller's rows.
+The one kernel, `_pivots`, makes one pass over the rows left per pivot
+column to find the rows nonzero there; the first is the pivot row, and only
+the others are touched.  Over GF(p) it finds the pivot row's nonzero columns
+and its pivot's inverse once per pivot, and updates each such row in place
+at those columns only: a multiply-add per nonzero of the pivot row.  The
+public functions eliminate fresh copies of the caller's rows.
 """
 
 from __future__ import annotations
@@ -90,22 +91,23 @@ def _row_op(P: list[int], c: int, p: int | None):
 
 def _pivots(A: list[list], columns, p: int | None) -> tuple[list[list], list[int]]:
     """Forward elimination of A (consumes A) over the given columns, in their
-    order: the first row left that is nonzero in column c is its pivot row;
-    it clears column c of the rows left (_row_op), skipping those already
-    zero there, and is kept as it is.  Returns (pivot rows, pivot columns)."""
+    order.  One pass over the rows left finds those nonzero in column c: the
+    first is its pivot row, which clears column c of the others (_row_op)
+    and is then deleted from A and kept as it is.  Returns (pivot rows,
+    pivot columns)."""
     rows, pivots = [], []
     for c in columns:
         if not A:
             break
-        piv = next((i for i, row in enumerate(A) if row[c]), None)
-        if piv is None:
-            continue
-        P = A.pop(piv)
         hits = [i for i, row in enumerate(A) if row[c]]
-        if hits:
+        if not hits:
+            continue
+        P = A[hits[0]]
+        if len(hits) > 1:
             clear = _row_op(P, c, p)
-            for i in hits:
+            for i in hits[1:]:
                 A[i] = clear(A[i])
+        del A[hits[0]]
         rows.append(P)
         pivots.append(c)
     return rows, pivots

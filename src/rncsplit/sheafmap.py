@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from . import linalg
-from .binform import BinaryForm, bf_gcd
+from .binform import BinaryForm
 from .fields import FieldSpec
 from .multipoly import CurveContext, IdealCombination, restrict_to_curve
 from .splitting import SplittingType
@@ -97,33 +97,40 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
     """Matrix product outer ∘ inner, as one integer convolution per entry.
 
     Each outer row and each inner column is cleared of denominators once, by
-    their lcm (over GF(p) there is nothing to clear).  Every product of
-    entry (i, j) adds into one list of Python ints, and each coefficient is
-    reduced once: mod p, or to one Fraction over the row and column lcms."""
+    their lcm (over GF(p) there is nothing to clear), and the inner entries
+    are grouped by row once.  Entry (i, k) of outer is multiplied by entry
+    (k, j) of inner only where both are nonzero; each product adds into one
+    list of Python ints per (i, j), and each coefficient is reduced once:
+    mod p, or to one Fraction over the row and column lcms."""
     if inner.target != outer.source:
         raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
-    K = outer.field
-    cols = _integer_lines(inner.entries, K, 1)
+    K, p = outer.field, outer.field.p
+    col_dens, by_row = {}, {}
+    for j, (col_den, col) in _integer_lines(inner.entries, K, 1).items():
+        col_dens[j] = col_den
+        for k, b in col.items():
+            by_row.setdefault(k, []).append((j, b))
     entries = {}
     for i, (row_den, row) in _integer_lines(outer.entries, K, 0).items():
-        for j, (col_den, col) in cols.items():
-            pairs = [(a, col[k]) for k, a in row.items() if k in col]
-            if not pairs:
-                continue
-            acc = [0] * (outer.target[i] - inner.source[j] + 1)
-            for a, b in pairs:
-                if len(a) > len(b):
-                    a, b = b, a
-                for u, x in enumerate(a):
+        accs: dict = {}
+        for k, a in row.items():
+            for j, b in by_row.get(k, ()):
+                acc = accs.get(j)
+                if acc is None:
+                    acc = accs[j] = [0] * (outer.target[i] - inner.source[j] + 1)
+                short, long = (a, b) if len(a) <= len(b) else (b, a)
+                for u, x in enumerate(short):
                     if x:
-                        for v, y in enumerate(b, u):
+                        for v, y in enumerate(long, u):
                             acc[v] += x * y
-            if K.p is None:
-                coeffs = tuple(Fraction(c, row_den * col_den) for c in acc)
+        for j, acc in accs.items():
+            if p is None:
+                den = row_den * col_dens[j]
+                coeffs = [Fraction(c, den) for c in acc]
             else:
-                coeffs = tuple(c % K.p for c in acc)
+                coeffs = [c % p for c in acc]
             if any(coeffs):
-                entries[(i, j)] = BinaryForm(K, len(acc) - 1, coeffs)
+                entries[(i, j)] = BinaryForm(K, len(acc) - 1, tuple(coeffs))
     return GradedSheafMap(K, inner.source, outer.target, entries)
 
 
@@ -555,23 +562,19 @@ def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> 
 # -- hypersurface-level checks -----------------------------------------------------
 
 
-def _onto_everywhere(M: GradedSheafMap) -> bool:
-    """True iff the one-row map M is onto its target at every point of the
-    line: its row is nonzero and the gcd of its entries is constant."""
-    return bool(M.entries) and bf_gcd(list(M.entries.values())).degree == 0
-
-
 def check_smooth_along_curve(F: IdealCombination) -> bool:
     """True iff X = V(F) is smooth at every point of the curve C, that is,
-    iff delta is onto O(de) at every point of C.
+    iff delta is onto O(de) at every point of C, decided as compute decides
+    it: by the degree of the scanned ker delta.
 
     X is smooth at a point of C iff dF|_C is nonzero there.  F vanishes on
     C, so dF|_C : T_{P^n}|_C -> O(de) kills T_C and factors through the
     surjection T_{P^n}|_C -> N_{C/P^n} followed by psi; that composite is
     delta.  So dF|_C and delta have the same image in O(de), and they vanish
-    at the same points: exactly where all entries of delta do.  compute
-    decides the same by the degree of the scanned ker delta (_nullity_scan)."""
-    return _onto_everywhere(build_delta(F))
+    at the same points.  deg ker delta = Σsource - de exactly when delta is
+    onto at every point (_nullity_scan)."""
+    delta = build_delta(F)
+    return splitting_of_kernel(delta).degree == sum(delta.source) - F.context.d * F.context.e
 
 
 # -- serialization -----------------------------------------------------------------

@@ -4,12 +4,13 @@ import argparse
 import itertools
 import re
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from rncsplit import linalg
-from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
+from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.cli import (
     cmd_compute,
     cmd_dominates,
@@ -26,7 +27,7 @@ from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
     MapError,
-    _onto_everywhere,
+    _integer_lines,
     _scan_window,
     build_delta,
     normal_twists,
@@ -79,6 +80,136 @@ def compose_forms(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMa
             entries[(i, j)] = prod if cur is None else cur.add(prod)
     entries = {k: f for k, f in entries.items() if not f.is_zero()}
     return GradedSheafMap(outer.field, inner.source, outer.target, entries)
+
+
+def compose_lines(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
+    """Matrix product outer ∘ inner over every outer row and inner column,
+    each cleared of denominators by its lcm, one integer convolution per
+    entry over the intersection of the row with the column.  Oracle for the
+    sparse sheafmap.compose."""
+    if inner.target != outer.source:
+        raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
+    K = outer.field
+    cols = _integer_lines(inner.entries, K, 1)
+    entries = {}
+    for i, (row_den, row) in _integer_lines(outer.entries, K, 0).items():
+        for j, (col_den, col) in cols.items():
+            pairs = [(a, col[k]) for k, a in row.items() if k in col]
+            if not pairs:
+                continue
+            acc = [0] * (outer.target[i] - inner.source[j] + 1)
+            for a, b in pairs:
+                if len(a) > len(b):
+                    a, b = b, a
+                for u, x in enumerate(a):
+                    if x:
+                        for v, y in enumerate(b, u):
+                            acc[v] += x * y
+            if K.p is None:
+                coeffs = tuple(Fraction(c, row_den * col_den) for c in acc)
+            else:
+                coeffs = tuple(c % K.p for c in acc)
+            if any(coeffs):
+                entries[(i, j)] = BinaryForm(K, len(acc) - 1, coeffs)
+    return GradedSheafMap(K, inner.source, outer.target, entries)
+
+
+def select_strategy_counter(S, T, e: int) -> str:
+    """The extension strategy by multiset arithmetic on the parts.  Oracle
+    for constructor._select_strategy."""
+    cS, cT = Counter(S.parts), Counter(T.parts)
+    if cT == cS + Counter({e: 1}):
+        return "J0"
+    a = min(S.parts)
+    if set(S.parts) <= {a, a + 1}:
+        if cS[a] >= 1 and cT == cS - Counter({a: 1}) + Counter({a + 1: 2}):
+            return "J1"
+        if cS[a] >= 2 and cT == cS - Counter({a: 2}) + Counter({a + 1: 3}):
+            return "J2"
+    raise UnsupportedCaseError(f"target {list(T.parts)} unreachable from {list(S.parts)}")
+
+
+# -- the gcd of binary forms -----------------------------------------------------
+#
+# Smoothness along the curve by the gcd of delta's entries.  Oracles for
+# check_smooth_along_curve, which decides by the scanned degree of ker delta.
+
+
+def bf_gcd(forms) -> BinaryForm:
+    """Greatest common divisor, monic in the dehomogenization at s = 1.
+
+    Common powers of s and t are split off first; the remaining parts are
+    reduced by the Euclidean algorithm on their dehomogenizations.
+    """
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        raise ValueError("gcd of strictly zero forms")
+    K = nonzero[0].field
+
+    def s_valuation(f: BinaryForm) -> int:
+        return f.degree - max(i for i, c in enumerate(f.coeffs) if not K.is_zero(c))
+
+    s_val = min(s_valuation(f) for f in nonzero)
+    t_val = min(f.t_valuation() for f in nonzero)
+
+    def core(f: BinaryForm) -> list:
+        # dehomogenization at s=1 of f stripped of its s- and t-power factors
+        lo, hi = f.t_valuation(), f.degree - s_valuation(f)
+        return list(f.coeffs[lo : hi + 1])
+
+    g = core(nonzero[0])
+    for f in nonzero[1:]:
+        g = _poly_gcd(K, g, core(f))
+        if len(g) == 1:
+            break
+    g = _poly_monic(K, g)
+    deg = s_val + t_val + len(g) - 1
+    coeffs = [K.zero] * (deg + 1)
+    for i, c in enumerate(g):
+        coeffs[t_val + i] = c
+    return BinaryForm(K, deg, tuple(coeffs))
+
+
+def _poly_trim(K: FieldSpec, a: list) -> list:
+    while len(a) > 1 and K.is_zero(a[-1]):
+        a.pop()
+    if not a:
+        a.append(K.zero)
+    return a
+
+
+def _poly_monic(K: FieldSpec, a: list) -> list:
+    inv = K.inv(a[-1])
+    return [K.mul(inv, c) for c in a]
+
+
+def _poly_gcd(K: FieldSpec, a: list, b: list) -> list:
+    a = _poly_trim(K, list(a))
+    b = _poly_trim(K, list(b))
+    while not (len(b) == 1 and K.is_zero(b[0])):
+        a, b = b, _poly_mod(K, a, b)
+    return a
+
+
+def _poly_mod(K: FieldSpec, a: list, b: list) -> list:
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and not (len(r) == 1 and K.is_zero(r[0])):
+        c = K.div(r[-1], lead)
+        off = len(r) - 1 - db
+        for i in range(db + 1):
+            r[off + i] = K.sub(r[off + i], K.mul(c, b[i]))
+        r.pop()
+        _poly_trim(K, r)
+        if len(r) == 1 and K.is_zero(r[0]):
+            break
+    return _poly_trim(K, r)
+
+
+def onto_everywhere(M: GradedSheafMap) -> bool:
+    """True iff the one-row map M is onto its target at every point of the
+    line: its row is nonzero and the gcd of its entries is constant."""
+    return bool(M.entries) and bf_gcd(list(M.entries.values())).degree == 0
 
 
 def extension_schedule(d, e, n_target):
@@ -161,7 +292,7 @@ def random_surjective_map(rnd, field=GF, max_rank=6, spread=8):
             if not f.is_zero():
                 entries[(0, j)] = f
         M = GradedSheafMap(field, source, (c,), entries)
-        if _onto_everywhere(M):
+        if onto_everywhere(M):
             return M
 
 

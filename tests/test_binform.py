@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from rncsplit.binform import (
     BinaryForm,
     DegreeError,
-    bf_gcd,
     format_binary_form,
     parse_binary_form,
 )
 from rncsplit.fields import FieldSpec, RATIONALS
-from tests.helpers import bf_mul, det, evaluate
+from tests.helpers import bf_gcd, bf_mul, det, evaluate
 
 GF101 = FieldSpec(101)
 

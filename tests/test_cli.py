@@ -72,8 +72,10 @@ SINGULAR_HSF = "d = 4\ne = 3\nn = 3\nQ 1 2 : x1^2 - x0*x2\n"
 def test_compute_scans_delta_and_psi_only(capsys, monkeypatch, tmp_path, body, code, scans):
     # compute reads smoothness off the degree of the scanned ker delta and
     # the certificates off its splitting: one scan of delta, one of psi (none
-    # once delta shows X singular), and no kernel matrix or gcd
-    from rncsplit import binform, constructor, sheafmap
+    # once delta shows X singular), no kernel matrix, no second smoothness
+    # scan and no gcd (the gcd oracle lives in the tests only)
+    from rncsplit import constructor, sheafmap
+    from tests import helpers
 
     def refused(*args):
         raise AssertionError("compute must not call this")
@@ -82,9 +84,9 @@ def test_compute_scans_delta_and_psi_only(capsys, monkeypatch, tmp_path, body, c
         (sheafmap, "kernel_matrix"),
         (constructor, "kernel_matrix"),
         (sheafmap, "certify_kernel"),
-        (sheafmap, "_onto_everywhere"),
-        (sheafmap, "bf_gcd"),
-        (binform, "bf_gcd"),
+        (sheafmap, "check_smooth_along_curve"),
+        (helpers, "bf_gcd"),
+        (helpers, "onto_everywhere"),
     ]:
         monkeypatch.setattr(module, name, refused)
     scanned = []

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rncsplit import sheafmap
+from rncsplit import constructor, sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.constructor import (
     PsiLiftError,
@@ -24,7 +25,7 @@ from rncsplit.sheafmap import (
     splitting_of_kernel,
 )
 from rncsplit.splitting import SplittingType, predicted_splitting
-from tests.helpers import extension_schedule, full_rank_everywhere
+from tests.helpers import extension_schedule, full_rank_everywhere, select_strategy_counter
 
 GF = FieldSpec(32003)
 
@@ -315,8 +316,9 @@ def test_quartic_family_seeds_match_catalog(field, e_max):
 
 
 def test_extend_step_builds_no_section_matrix(monkeypatch):
-    # with the kernel passed in, a step runs no nullity scan: g comes from one
-    # exact division and N is certified by certify_kernel
+    # with the previous step's kernel and delta handed on, a step runs no
+    # nullity scan: g comes from one exact division and N is certified by
+    # certify_kernel
     built = []
     section_rows = sheafmap._section_rows
 
@@ -327,12 +329,13 @@ def test_extend_step_builds_no_section_matrix(monkeypatch):
     monkeypatch.setattr(sheafmap, "_section_rows", recording)
     for d, e, field in ((3, 3, RATIONALS), (4, 5, GF)):
         F = seed_example(d, e, field)
-        kernel = kernel_matrix(build_delta(F))
+        delta = build_delta(F)
+        kernel = kernel_matrix(delta)
         for target in extension_schedule(d, e, e + 3)[1:]:
             built.clear()
-            step = extend_dimension(F, target, kernel=kernel)
+            step = extend_dimension(F, target, _kernel=kernel, _delta=delta)
             assert built == [], (d, e, target)
-            F, kernel = step.output_F, step.N
+            F, kernel, delta = step.output_F, step.N, step.delta_out
 
 
 def test_kernel_served_by_chain_is_kernel_matrix():
@@ -342,3 +345,60 @@ def test_kernel_served_by_chain_is_kernel_matrix():
     K_direct = kernel_matrix(step.delta_out)
     assert tuple(sorted(K_direct.source)) == tuple(sorted(step.N.source))
     assert compose(step.delta_out, step.N).is_zero_map()
+
+
+def test_step_keeps_one_delta():
+    # the check that output_F induces delta_out leaves delta_out as the one
+    # delta output_F keeps, and the chain hands that object on
+    for d, e, n, field in ((3, 3, 6, RATIONALS), (4, 5, 8, GF)):
+        _, steps = build_chain(d, e, n, field)
+        for step in steps:
+            assert step.delta_out is build_delta(step.output_F), (d, e, step.output_F.context.n)
+
+
+def test_extend_kernel_handoff_is_private():
+    # a kernel reaches extend_dimension only through extend_chain's private
+    # keywords, which are not certified again
+    F = seed_example(3, 3)
+    K = kernel_matrix(build_delta(F))
+    with pytest.raises(TypeError):
+        extend_dimension(F, SplittingType((2, 2, 2)), kernel=K)
+    with pytest.raises(TypeError):
+        extend_dimension(F, SplittingType((2, 2, 2)), K)
+
+
+@st.composite
+def strategy_cases(draw):
+    """(S, T, e): S of rank <= 8 with parts in 0..6, and T either the image
+    of S under one strategy's shape or drawn at random."""
+    parts = draw(st.lists(st.integers(0, 6), max_size=8))
+    e = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["J0", "J1", "J2", "random"]))
+    rest = sorted(parts)
+    if kind == "J0":
+        image = parts + [e]
+    elif kind == "J1" and rest:
+        image = rest[1:] + [rest[0] + 1] * 2
+    elif kind == "J2" and len(rest) >= 2:
+        image = rest[2:] + [rest[0] + 1] * 3
+    else:
+        image = draw(st.lists(st.integers(0, 7), max_size=9))
+    return SplittingType(tuple(parts)), SplittingType(tuple(image)), e
+
+
+@given(case=strategy_cases())
+@example(case=(SplittingType((2, 2, 3)), SplittingType((2, 2, 3, 3)), 3))  # J0
+@example(case=(SplittingType((2, 2, 3)), SplittingType((2, 3, 3, 3)), 3))  # J1
+@example(case=(SplittingType((2, 2, 3)), SplittingType((3, 3, 3, 3)), 4))  # J2
+@example(case=(SplittingType((1, 3)), SplittingType((2, 2, 3)), 9))  # parts too far apart
+@example(case=(SplittingType(()), SplittingType((1,)), 2))  # empty S, not J0
+@settings(max_examples=400, deadline=None)
+def test_select_strategy_matches_counter_oracle(case):
+    S, T, e = case
+    try:
+        want = select_strategy_counter(S, T, e)
+    except ValueError:  # UnsupportedCaseError, or min() of an empty S
+        with pytest.raises(UnsupportedCaseError):
+            constructor._select_strategy(S, T, e)
+    else:
+        assert constructor._select_strategy(S, T, e) == want

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import sheafmap
-from rncsplit.binform import BinaryForm, bf_gcd, parse_binary_form
+from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
     CertificationError,
-    _onto_everywhere,
     GradedSheafMap,
     MapError,
     build_delta,
@@ -29,12 +28,14 @@ from rncsplit.sheafmap import (
 )
 from tests.helpers import (
     GF,
+    bf_gcd,
     bf_mul,
     build_beta,
     build_df,
     build_psi_forms,
     build_quadric,
     compose_forms,
+    compose_lines,
     dense_combination,
     from_rows,
     full_rank_everywhere,
@@ -47,6 +48,7 @@ from tests.helpers import (
     random_combination,
     random_surjective_map,
     nullspace,
+    onto_everywhere,
     section_kernel_dim,
     section_matrix,
     section_matrix_loop,
@@ -216,10 +218,13 @@ def test_compose_identity_and_mismatch():
 
 
 @st.composite
-def composable_maps(draw, K):
+def composable_maps(draw, K, fill=st.just(3)):
     """(outer, inner) over K, with empty maps, zero rows and columns,
     rationals with large denominators, and optionally an inner column that
-    row 0 of outer annihilates: (g·h, -f·h) against the row's (f, g)."""
+    row 0 of outer annihilates: (g·h, -f·h) against the row's (f, g).  An
+    entry that degrees allow is drawn with probability fill/(fill+1) (every
+    one at fill None)."""
+    fill = draw(fill)
     if K.p is None:
         big = st.integers(-(10**30), 10**30)
         coeff = st.one_of(
@@ -241,7 +246,7 @@ def composable_maps(draw, K):
             (i, j): form(c - b)
             for i, c in enumerate(target)
             for j, b in enumerate(source)
-            if c >= b and draw(st.integers(0, 3))
+            if c >= b and (fill is None or draw(st.integers(0, fill)))
         }
         return GradedSheafMap(K, source, target, entries)
 
@@ -273,6 +278,48 @@ def test_integer_compose_matches_form_oracle(K, data):
             assert all(type(c) is Fraction for c in f.coeffs)
         else:
             assert all(type(c) is int and 0 <= c < K.p for c in f.coeffs)
+
+
+def _same_map(got, want):
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.entries.keys() == want.entries.keys()
+    for key, f in got.entries.items():
+        assert (f.degree, f.coeffs) == (want.entries[key].degree, want.entries[key].coeffs)
+
+
+@pytest.mark.parametrize(
+    "K", [RATIONALS, FieldSpec(2), FieldSpec(32003), FieldSpec(2**31 - 1)], ids=str
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_compose_matches_row_column_oracle(K, data):
+    # only pairs of nonzero entries are multiplied; the row x column product
+    # is the oracle, on sparse (one entry in four) and dense (every entry) maps
+    outer, inner = data.draw(composable_maps(K, st.sampled_from([0, 1, 3, None])))
+    _same_map(compose(outer, inner), compose_lines(outer, inner))
+
+
+@pytest.mark.parametrize("K", [RATIONALS, FieldSpec(2), GF, FieldSpec(2**31 - 1)], ids=str)
+def test_sparse_compose_edge_cases(K):
+    def form(text, degree):
+        return parse_binary_form(text, K, degree)
+
+    f, g, h = form("s^2 + 3*t^2", 2), form("s*t + t^2", 2), form("s - t", 1)
+    row = GradedSheafMap(K, (1, 1, 0), (3,), {(0, 0): f, (0, 1): g})
+    # a column the row annihilates, a zero column, and a column of twist 0
+    # meeting only the row's zero entry
+    col = GradedSheafMap(
+        K, (-2, 1, -1), (1, 1, 0),
+        {(0, 0): bf_mul(g, h), (1, 0): bf_mul(f, h).neg(), (2, 2): form("s", 1)},
+    )
+    for outer, inner in [(row, col), (GradedSheafMap(K, (1, 1, 0), (3, 2), {}), col)]:
+        got = compose(outer, inner)
+        assert got.is_zero_map()
+        _same_map(got, compose_lines(outer, inner))
+    with pytest.raises(MapError, match="twist mismatch"):
+        compose(col, row)
+    with pytest.raises(MapError, match="twist mismatch"):
+        compose_lines(col, row)
 
 
 def test_delta_annihilates_df_random():
@@ -507,7 +554,7 @@ def test_level_ordered_counts_match_per_twist_oracle(field):
     maps += [build_delta(chain_hypersurface(2, 5, 9, field)), build_psi(chain_hypersurface(2, 5, 9, field))]
     kinds = set()
     for M in maps:
-        kinds.add("zero" if M.is_zero_map() else "onto" if _onto_everywhere(M) else "not onto")
+        kinds.add("zero" if M.is_zero_map() else "onto" if onto_everywhere(M) else "not onto")
         kinds.add("balanced" if splitting_of_kernel(M).is_balanced() else "unbalanced")
         m_bottom, m_top = sheafmap._scan_window(M)
         want = {m: section_kernel_dim(M, m) for m in range(m_bottom - 1, m_top + 2)}
@@ -756,9 +803,9 @@ def _equal_up_to_scalar(f, g):
 def test_smoothness_matches_gradient_oracle(field):
     # delta and the restricted gradient have the same image in O(de), so the
     # gcds of their entries agree up to a scalar, and the scanned ker delta
-    # has degree Σsource - de exactly when that gcd is constant (compute's
-    # test); sparse draws with few linear coefficients make many of them
-    # singular along the curve
+    # (check_smooth_along_curve, compute's test) has degree Σsource - de
+    # exactly when the gcd of delta's entries is constant; sparse draws with
+    # few linear coefficients make many of them singular along the curve
     rnd = random.Random(67)
     singular = 0
     for trial in range(60):
@@ -770,7 +817,7 @@ def test_smoothness_matches_gradient_oracle(field):
         smooth = check_smooth_along_curve(F)
         assert smooth == gradient_smooth(F), (trial, F)
         delta = build_delta(F)
-        assert smooth == (splitting_of_kernel(delta).degree == sum(delta.source) - ctx.d * e), (trial, F)
+        assert smooth == onto_everywhere(delta), (trial, F)
         singular += not smooth
         by_delta = list(delta.entries.values())
         by_gradient = list(gradient_map(F).entries.values())
