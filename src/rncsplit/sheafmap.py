@@ -105,9 +105,9 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
     if inner.target != outer.source:
         raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
     K, p = outer.field, outer.field.p
-    col_dens, by_row = {}, {}
-    for j, (col_den, col) in _integer_lines(inner.entries, K, 1).items():
-        col_dens[j] = col_den
+    cols = _integer_lines(inner.entries, K, 1)
+    by_row: dict = {}
+    for j, (_, col) in cols.items():
         for k, b in col.items():
             by_row.setdefault(k, []).append((j, b))
     entries = {}
@@ -125,7 +125,7 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
                             acc[v] += x * y
         for j, acc in accs.items():
             if p is None:
-                den = row_den * col_dens[j]
+                den = row_den * cols[j][0]
                 coeffs = [Fraction(c, den) for c in acc]
             else:
                 coeffs = [c % p for c in acc]
