@@ -184,23 +184,24 @@ class MultiPoly:
 # -- curve interaction ------------------------------------------------------------
 
 
-def restrict_to_curve(p: MultiPoly) -> BinaryForm:
+def restrict_to_curve(poly: MultiPoly) -> BinaryForm:
     """Substitute x_m -> s^(e-m) t^m for m <= e and x_m -> 0 for m > e.
 
     A degree-k form restricts to a binary form of degree e*k (or strictly zero).
     The coefficients are summed as integers: over Q, numerators over the lcm
     of the denominators; each is reduced once.
     """
-    K, e = p.context.field, p.context.e
-    terms = [(exp, c) for exp, c in p.terms.items() if not any(exp[e + 1 :])]
-    den = lcm(*(c.denominator for _, c in terms)) if K.p is None else 1
-    acc = [0] * (e * p.total_degree + 1)
+    K, e = poly.context.field, poly.context.e
+    p = K.p
+    terms = [(exp, c) for exp, c in poly.terms.items() if not any(exp[e + 1 :])]
+    den = lcm(*(c.denominator for _, c in terms)) if p is None else 1
+    acc = [0] * (e * poly.total_degree + 1)
     for exp, c in terms:
         # monomial prod x_m^{a_m} -> s^(sum a_m (e-m)) t^(sum a_m m)
-        acc[sum(map(mul, range(e + 1), exp))] += c if K.p else c.numerator * (den // c.denominator)
+        acc[sum(map(mul, range(e + 1), exp))] += c if p else c.numerator * (den // c.denominator)
     if not any(acc):
         return BinaryForm.zero(K)
-    coeffs = tuple(x % K.p for x in acc) if K.p else tuple(Fraction(x, den) for x in acc)
+    coeffs = tuple([x % p for x in acc]) if p else tuple([Fraction(x, den) for x in acc])
     return BinaryForm(K, len(acc) - 1, coeffs)
 
 

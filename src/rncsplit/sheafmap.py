@@ -203,7 +203,7 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
     trailing columns of both are the G_k|_C.  Each C_l is one list of Python
     ints, over Q numerators over the lcm of the F_{i,j}|_C denominators (as in
     compose), and each coefficient of psi and delta is reduced once."""
-    K, e, de = ctx.field, ctx.e, ctx.d * ctx.e
+    K, p, e, de = ctx.field, ctx.field.p, ctx.e, ctx.d * ctx.e
     L, ints = _integer_lines({(0, key): r for key, r in quadric.items()}, K, 0).get(0, (1, {}))
     C = [[0] * (de - e - 1) for _ in range(e + 1)]
     for (i, j), cs in ints.items():
@@ -212,7 +212,7 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
             C[l][u : u + len(cs)] = map(add, C[l][u : u + len(cs)], cs)
 
     def form(acc: list) -> BinaryForm:
-        coeffs = [Fraction(c, L) for c in acc] if K.p is None else [c % K.p for c in acc]
+        coeffs = [Fraction(c, L) for c in acc] if p is None else [c % p for c in acc]
         return BinaryForm(K, len(acc) - 1, tuple(coeffs))
 
     psi = {(0, l - 1): form(C[l]) for l in range(1, e)}
@@ -234,25 +234,28 @@ def _section_rows(M: GradedSheafMap, T: int) -> tuple[list[list[int]], list[tupl
     columns run in level order: by level b_j + T - q, descending, ties in
     block order (see _nullity_scan).  Over GF(p) the entries are the
     canonical coefficients; over Q, each row of M is scaled by the lcm of its
-    denominators, which leaves the kernel and the pivots unchanged.  Returns
+    denominators, which leaves the kernel and the pivots unchanged.  It
+    allocates the zero rows once, then writes each nonzero of the matrix
+    once: a nonzero coefficient of M_ij once per column of block j.  Returns
     (rows, the (j, q) of each column)."""
-    lines = _integer_lines(M.entries, M.field, 0)
-    ints = {(i, j): list(cs) for i, (_, line) in lines.items() for j, cs in line.items()}
     heights = [max(0, c + T + 1) for c in M.target]
+    starts = [0, *accumulate(heights)]
     keys = [
         (j, b + T - level)
         for level in range(max(M.source, default=-1) + T, -1, -1)
         for j, b in enumerate(M.source)
         if b + T >= level
     ]
-    cols = []
-    for j, q in keys:
-        col = []
-        for i, h in enumerate(heights):
-            f = ints.get((i, j))
-            col += [0] * h if f is None else [0] * q + f + [0] * (h - q - len(f))
-        cols.append(col)
-    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(heights))]
+    # block j's nonzero coefficients, as (row at q = 0, value)
+    hits: dict = {}
+    for i, (_, line) in _integer_lines(M.entries, M.field, 0).items():
+        start = starts[i]
+        for j, cs in line.items():
+            hits.setdefault(j, []).extend([(start + u, x) for u, x in enumerate(cs) if x])
+    rows = [[0] * len(keys) for _ in range(starts[-1])]
+    for k, (j, q) in enumerate(keys):
+        for r, x in hits.get(j, ()):
+            rows[r + q][k] = x
     return rows, keys
 
 

@@ -21,7 +21,7 @@ class SplittingType:
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
-        self.parts = tuple(sorted(int(a) for a in parts))
+        self.parts = tuple(sorted(map(int, parts)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SplittingType) and self.parts == other.parts

@@ -321,6 +321,31 @@ def section_matrix(M: GradedSheafMap, m: int):
     return A, len(cols)
 
 
+def section_rows_by_column(M: GradedSheafMap, T: int):
+    """sheafmap._section_rows built one column at a time, every cell of the
+    column as a Python int, then transposed: (rows, the (j, q) of each
+    column).  Oracle for the scatter build, which writes only the nonzero
+    coefficients."""
+    lines = _integer_lines(M.entries, M.field, 0)
+    ints = {(i, j): list(cs) for i, (_, line) in lines.items() for j, cs in line.items()}
+    heights = [max(0, c + T + 1) for c in M.target]
+    keys = [
+        (j, b + T - level)
+        for level in range(max(M.source, default=-1) + T, -1, -1)
+        for j, b in enumerate(M.source)
+        if b + T >= level
+    ]
+    cols = []
+    for j, q in keys:
+        col = []
+        for i, h in enumerate(heights):
+            f = ints.get((i, j))
+            col += [0] * h if f is None else [0] * q + f + [0] * (h - q - len(f))
+        cols.append(col)
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(sum(heights))]
+    return rows, keys
+
+
 def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
     """Basis of the right kernel, one vector per free column of the rref:
     1 there, 0 at the other free columns, minus the rref entries at the

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
+from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly, restrict_to_curve
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
@@ -52,6 +52,7 @@ from tests.helpers import (
     section_kernel_dim,
     section_matrix,
     section_matrix_loop,
+    section_rows_by_column,
 )
 
 
@@ -206,6 +207,51 @@ def test_builder_matches_binary_form_oracle(field, d):
         psi = build_psi_forms(F)
         assert build_psi(F).equals(psi), (e, n)
         assert build_delta(F).equals(compose(psi, build_beta(ctx))), (e, n)
+
+
+def _unreduced_columns(F):
+    """psi's columns C_1..C_(e-1) and delta's t·C_l − s·C_(l−1), l = 1..e,
+    as integer sums of the canonical F_{i,j}|_C coefficients, before any
+    reduction mod p."""
+    e = F.context.e
+    C = [[0] * (F.context.d * e - e - 1) for _ in range(e + 1)]
+    for (i, j), poly in F.quadric_coeffs.items():
+        for l in range(i, j):
+            for u, x in enumerate(restrict_to_curve(poly).coeffs, j + i - l - 2):
+                C[l][u] += x
+    delta = [[a - b for a, b in zip([0, *C[l]], [*C[l - 1], 0])] for l in range(1, e + 1)]
+    return C[1:e], delta
+
+
+@pytest.mark.parametrize(
+    "field, draw",
+    [(GF, "superdiagonal"), (FieldSpec(2**31 - 1), "superdiagonal"), (FieldSpec(2), "dense"), (FieldSpec(3), "dense")],
+    ids=str,
+)
+def test_builder_output_is_canonical_mod_p(field, draw):
+    # every coefficient of psi and delta comes out in [0, p), equal to the
+    # oracle's.  Superdiagonal F (the shape of the general seeds) fills each
+    # psi column from one pair F_(l,l+1), so those sums are in [0, p)
+    # already; dense F over GF(2) and GF(3) sums several pairs past p.  In
+    # both, delta's t·C_l − s·C_(l−1) goes negative.  A builder that skips
+    # the reduction of some lists, or reduces only past p, fails here
+    rnd = random.Random(31 + field.p % 1000)
+    p = field.p
+    wrapped = negative = False
+    for d, e, n in [(2, 5, 6), (3, 5, 5), (4, 7, 7), (6, 5, 5)]:  # e prime to p
+        ctx = CurveContext(d, e, n, field)
+        F = random_combination(rnd, ctx) if draw == "superdiagonal" else dense_combination(rnd, ctx)
+        psi_cols, delta_cols = _unreduced_columns(F)
+        if draw == "superdiagonal":
+            assert all(0 <= x < p for col in psi_cols for x in col), (d, e, n)
+        wrapped |= any(x >= p for col in psi_cols for x in col)
+        negative |= any(x < 0 for col in delta_cols for x in col)
+        psi, delta = build_psi(F), build_delta(F)
+        assert all(0 <= x < p for M in (psi, delta) for f in M.entries.values() for x in f.coeffs), (d, e, n)
+        oracle = build_psi_forms(F)
+        assert psi.equals(oracle), (d, e, n)
+        assert delta.equals(compose(oracle, build_beta(ctx))), (d, e, n)
+    assert negative and wrapped == (draw == "dense")
 
 
 def test_compose_identity_and_mismatch():
@@ -565,24 +611,48 @@ def test_level_ordered_counts_match_per_twist_oracle(field):
     assert kinds == {"zero", "onto", "not onto", "balanced", "unbalanced"}
 
 
+def _sparse_form(rnd, K, degree):
+    """A degree-`degree` form over K: dense, a monomial, a binomial, or dense
+    with zero leading and trailing coefficients."""
+
+    def nonzero():
+        if K.p:
+            return rnd.randrange(1, K.p)
+        return Fraction(rnd.choice((-1, 1)) * rnd.randrange(1, 10), rnd.randrange(1, 5))
+
+    kind = rnd.choice(("dense", "monomial", "binomial", "zero ends"))
+    if kind == "dense":
+        coeffs = [nonzero() for _ in range(degree + 1)]
+    else:
+        coeffs = [K.zero] * (degree + 1)
+        if kind == "zero ends":
+            coeffs[1:-1] = [nonzero() for _ in range(degree - 1)]
+        else:
+            for u in rnd.sample(range(degree + 1), min(degree + 1, 1 if kind == "monomial" else 2)):
+                coeffs[u] = nonzero()
+    return BinaryForm(K, degree, tuple(coeffs))
+
+
 def test_section_matrix_matches_per_coefficient_oracle():
     # the level-ordered integer rows are the block-order section matrix with
     # its columns permuted (and over Q each block of rows scaled by its row's
-    # common denominator); the block-order oracle against the numpy loop
+    # common denominator); the block-order oracle against the numpy loop, and
+    # the scatter build against the column-by-column one.  Entries are dense
+    # or sparse (monomials, binomials, zero leading and trailing
+    # coefficients: the cells the scatter build skips), and target rows may
+    # lie below some source twists, so that low twists leave some target
+    # blocks empty while others still have rows
     rnd = random.Random(404)
-    for K in (FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, RATIONALS):
+    seen = set()
+    for K in (FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, FieldSpec(2**31 - 1), RATIONALS):
         for _ in range(25):
             source = tuple(rnd.randrange(-2, 6) for _ in range(rnd.randrange(1, 5)))
-            target = tuple(max(source) + rnd.randrange(0, 4) for _ in range(rnd.randrange(0, 3)))
+            target = tuple(rnd.randrange(min(source) - 2, max(source) + 4) for _ in range(rnd.randrange(0, 3)))
             entries = {}
             for i, c in enumerate(target):
                 for j, b in enumerate(source):
-                    if rnd.random() < 0.7:
-                        if K.p:
-                            coeffs = [rnd.randrange(0, K.p) for _ in range(c - b + 1)]
-                        else:
-                            coeffs = [Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 5)) for _ in range(c - b + 1)]
-                        entries[(i, j)] = BinaryForm(K, c - b, tuple(coeffs))
+                    if c >= b and rnd.random() < 0.7:
+                        entries[(i, j)] = _sparse_form(rnd, K, c - b)
             M = GradedSheafMap(K, source, target, entries)
             # over Q each target row is scaled by the lcm of its denominators
             scale = [
@@ -595,12 +665,52 @@ def test_section_matrix_matches_per_coefficient_oracle():
                     B, width = section_matrix_loop(M, m)
                     assert C == width and (len(A), C) == B.shape and A == B.tolist(), (M, m)
                 rows, keys = sheafmap._section_rows(M, m)
+                assert (rows, keys) == section_rows_by_column(M, m), (M, m)
                 assert sorted(keys) == [(j, q) for j, b in enumerate(source) for q in range(b + m + 1)]
                 assert keys == sorted(keys, key=lambda k: (k[1] - source[k[0]], k[0])), (M, m)
                 offsets = [sum(max(0, b + m + 1) for b in source[:j]) for j in range(len(source))]
                 heights = [L for L, c in zip(scale, target) for _ in range(max(0, c + m + 1))]
                 want = [[L * row[offsets[j] + q] for j, q in keys] for L, row in zip(heights, A)]
                 assert rows == want and all(type(x) is int for row in rows for x in row), (M, m)
+                if keys and rows and any(c + m + 1 <= 0 for c in target):
+                    seen.add("empty target block")
+                if any(f.coeffs[0] == 0 or f.coeffs[-1] == 0 for f in M.entries.values()):
+                    seen.add("zero end")
+    assert seen == {"empty target block", "zero end"}
+
+
+@st.composite
+def twisted_maps(draw):
+    """(M, T): a map with one to three rows over Q or GF(2), GF(3),
+    GF(32003), GF(2^31 - 1), with entries whose coefficients are zero half
+    the time, and a twist T low enough to empty some target blocks."""
+    K = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(3), GF, FieldSpec(2**31 - 1)]))
+    if K.p is None:
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    else:
+        nonzero = st.integers(1, K.p - 1)
+    coeff = st.one_of(st.just(K.zero), nonzero)
+    source = draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4))
+    target = draw(st.lists(st.integers(-2, 8), min_size=1, max_size=3))
+    entries = {}
+    for i, c in enumerate(target):
+        for j, b in enumerate(source):
+            if c >= b and draw(st.booleans()):
+                coeffs = draw(st.lists(coeff, min_size=c - b + 1, max_size=c - b + 1))
+                entries[(i, j)] = BinaryForm(K, c - b, tuple(coeffs))
+    M = GradedSheafMap(K, tuple(source), tuple(target), entries)
+    return M, draw(st.integers(-max(source + target) - 3, 3))
+
+
+@settings(deadline=None, max_examples=200)
+@given(twisted_maps())
+def test_section_rows_match_column_oracle(case):
+    # the scatter build writes only nonzero coefficients into preallocated
+    # zero rows: the same rows and keys as building every column in full
+    M, T = case
+    rows, keys = sheafmap._section_rows(M, T)
+    assert (rows, keys) == section_rows_by_column(M, T)
+    assert all(type(x) is int for row in rows for x in row)
 
 
 @st.composite
