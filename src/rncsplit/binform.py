@@ -9,6 +9,7 @@ and both answer ``is_zero()``.
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from .fields import FieldSpec
 
@@ -235,12 +236,10 @@ def parse_binary_form(text: str, field: FieldSpec, degree: int | None = None) ->
 def format_binary_form(f: BinaryForm) -> str:
     if f.is_zero():
         return "0"
-    K = f.field
+    K, cs = f.field, f.coeffs
     parts = []
-    for i, c in enumerate(f.coeffs):
-        if K.is_zero(c):
-            continue
-        sexp, texp = f.degree - i, i
+    for i in compress(range(len(cs)), cs):
+        c, sexp, texp = cs[i], f.degree - i, i
         factors = []
         if sexp > 0:
             factors.append("s" if sexp == 1 else f"s^{sexp}")

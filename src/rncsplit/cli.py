@@ -193,8 +193,7 @@ def _verify_chain_job(job) -> list[dict]:
     are scanned once each: T_n = ker M ⊕ O(e)^(n-e), N_n = ker P ⊕ O(e)^(n-e).
     A linear part would fill the zero columns: it raises CertificationError.
     A d >= 3 chain reads its splittings off the certified extension steps."""
-    theorem, d, e, n_max, p = job
-    field = FieldSpec(p) if p else RATIONALS
+    theorem, d, e, n_max, field = job
 
     def run(field_now):
         if d == 2:
@@ -263,19 +262,21 @@ def _verify_case(T, field: FieldSpec, d: int, e: int, n: int, strategy, N=None) 
 
 
 def _verify_jobs(args) -> list[tuple]:
-    p = parse_field(args.field).p if args.field else DEFAULT_PRIME
+    # one FieldSpec per sweep, so the prime is tested once: a FieldSpec
+    # crosses the process pool by pickle, which does not call __init__
+    field = parse_field(args.field) if args.field else FieldSpec(DEFAULT_PRIME)
     n_max = args.max_n
     if args.theorem == "general":
         if not args.d or args.d < 5:
             raise UsageError("verify --theorem general needs --d >= 5")
         lo = 2 * args.d - 2
         first = f"e = n = {lo}"
-        jobs = [("general", args.d, n, n, p) for n in range(lo, n_max + 1)]
+        jobs = [("general", args.d, n, n, field) for n in range(lo, n_max + 1)]
     else:
         d = {"quadrics": 2, "cubics": 3, "quartics": 4}[args.theorem]
         lo = max(d, 3)  # the quadric chains start at e = 2, their cases at n = 3
         first = "e = 2, n = 3" if d == 2 else f"e = n = {d}"
-        jobs = [(args.theorem, d, e, n_max, p) for e in range(d, n_max + 1)]
+        jobs = [(args.theorem, d, e, n_max, field) for e in range(d, n_max + 1)]
     if n_max < lo:
         raise UsageError(f"--max-n {n_max} below the first case {first}")
     return jobs

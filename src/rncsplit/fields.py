@@ -30,6 +30,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# One shared zero and one over Q: Fractions are immutable, and tuples of
+# coefficients compare runs of the same object by identity, not by
+# Fraction.__eq__.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 class FieldSpec:
     """The rationals (``p is None``) or the prime field GF(p)."""
 
@@ -62,11 +68,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _Q_ONE if self.p is None else 1
 
     # -- arithmetic ----------------------------------------------------------
 

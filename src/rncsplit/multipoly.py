@@ -188,21 +188,31 @@ def restrict_to_curve(poly: MultiPoly) -> BinaryForm:
     """Substitute x_m -> s^(e-m) t^m for m <= e and x_m -> 0 for m > e.
 
     A degree-k form restricts to a binary form of degree e*k (or strictly zero).
-    The coefficients are summed as integers: over Q, numerators over the lcm
-    of the denominators; each is reduced once.
+    It pays per term: each term's coefficient joins the list of its position,
+    and only the positions some term hits are summed and reduced, once (mod
+    p, or over Q as integers over the lcm of the denominators, a lone term's
+    Fraction kept as it is).  Every other coefficient is the field's zero.
     """
     K, e = poly.context.field, poly.context.e
-    p = K.p
-    terms = [(exp, c) for exp, c in poly.terms.items() if not any(exp[e + 1 :])]
-    den = lcm(*(c.denominator for _, c in terms)) if p is None else 1
-    acc = [0] * (e * poly.total_degree + 1)
-    for exp, c in terms:
-        # monomial prod x_m^{a_m} -> s^(sum a_m (e-m)) t^(sum a_m m)
-        acc[sum(map(mul, range(e + 1), exp))] += c if p else c.numerator * (den // c.denominator)
-    if not any(acc):
+    p, powers = K.p, range(e + 1)
+    hits: dict = {}
+    for exp, c in poly.terms.items():
+        if not any(exp[e + 1 :]):
+            # monomial prod x_m^{a_m} -> s^(sum a_m (e-m)) t^(sum a_m m)
+            hits.setdefault(sum(map(mul, powers, exp)), []).append(c)
+    coeffs = [K.zero] * (e * poly.total_degree + 1)
+    for u, cs in hits.items():
+        if p:
+            coeffs[u] = sum(cs) % p
+        elif len(cs) == 1:
+            coeffs[u] = cs[0]
+        else:
+            den = lcm(*(c.denominator for c in cs))
+            coeffs[u] = Fraction(sum([c.numerator * (den // c.denominator) for c in cs]), den)
+    # over GF(p) a sum of canonical coefficients is zero only as a multiple of p
+    if not hits or p is None and not any(coeffs):
         return BinaryForm.zero(K)
-    coeffs = tuple([x % p for x in acc]) if p else tuple([Fraction(x, den) for x in acc])
-    return BinaryForm(K, len(acc) - 1, coeffs)
+    return BinaryForm(K, len(coeffs) - 1, tuple(coeffs))
 
 
 def lift_binary_form(h: BinaryForm, context: CurveContext, k: int) -> MultiPoly:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import add, sub
 
 from . import linalg
 from .binform import BinaryForm
@@ -149,6 +148,27 @@ def _integer_lines(entries: dict, K: FieldSpec, axis: int) -> dict:
     return out
 
 
+def _column_hits(entries: dict, K: FieldSpec, starts) -> tuple[dict, dict]:
+    """The nonzero coefficients of each column j's entries (i, j), found
+    with compress, as (starts[i] + index, Python int) pairs, and the lcm L_i
+    of the denominators of each row i: over Q the pairs hold numerators over
+    L_i, over GF(p) the canonical coefficients (and no L_i is returned)."""
+    rational, scale = K.p is None, {}
+    if rational:
+        for (i, _), f in entries.items():
+            scale[i] = lcm(scale.get(i, 1), *(c.denominator for c in compress(f.coeffs, f.coeffs)))
+    hits: dict = {}
+    for (i, j), f in entries.items():
+        cs, start = f.coeffs, starts[i]
+        us = compress(range(len(cs)), cs)
+        if rational:
+            L = scale[i]
+            hits.setdefault(j, []).extend([(start + u, cs[u].numerator * (L // cs[u].denominator)) for u in us])
+        else:
+            hits.setdefault(j, []).extend([(start + u, cs[u]) for u in us])
+    return hits, scale
+
+
 def stack_rows(top: GradedSheafMap, bottom: GradedSheafMap) -> GradedSheafMap:
     if top.source != bottom.source:
         raise MapError("stacked maps need equal sources")
@@ -200,23 +220,36 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
     T_{P^n}|_C -> N_{C/P^n} is the quotient map (bidiagonal (t, -s) block on
     the tangent part, identity on O(e)^(n-e)), so delta = psi ∘ beta has
     tangent columns t C_l - s C_(l-1) for l = 1..e (C_0 = C_e = 0).  The
-    trailing columns of both are the G_k|_C.  Each C_l is one list of Python
-    ints, over Q numerators over the lcm of the F_{i,j}|_C denominators (as in
-    compose), and each coefficient of psi and delta is reduced once."""
+    trailing columns of both are the G_k|_C.  The builder pays per nonzero
+    coefficient: each C_l is a dict {t-power: Python int} of the nonzero
+    coefficients of the F_{i,j}|_C that reach it (over Q numerators over the
+    lcm of their denominators, as in compose), delta's columns are formed
+    from those dicts, and each entry of a column is scattered into a tuple
+    of the field's zeros, reduced once (one % p or one Fraction)."""
     K, p, e, de = ctx.field, ctx.field.p, ctx.e, ctx.d * ctx.e
-    L, ints = _integer_lines({(0, key): r for key, r in quadric.items()}, K, 0).get(0, (1, {}))
-    C = [[0] * (de - e - 1) for _ in range(e + 1)]
-    for (i, j), cs in ints.items():
+    lines, scale = _column_hits({(0, key): r for key, r in quadric.items()}, K, (0,))
+    L, zero = scale.get(0, 1), K.zero
+    C: list[dict] = [{} for _ in range(e + 1)]
+    for (i, j), pairs in lines.items():
         for l in range(i, j):
-            u = j + i - l - 2
-            C[l][u : u + len(cs)] = map(add, C[l][u : u + len(cs)], cs)
+            col, off = C[l], j + i - l - 2
+            for u, x in pairs:
+                col[off + u] = col.get(off + u, 0) + x
 
-    def form(acc: list) -> BinaryForm:
-        coeffs = [Fraction(c, L) for c in acc] if p is None else [c % p for c in acc]
-        return BinaryForm(K, len(acc) - 1, tuple(coeffs))
+    def form(col: dict, size: int) -> BinaryForm:
+        coeffs = [zero] * size
+        for u, x in col.items():
+            coeffs[u] = x % p if p else Fraction(x, L)
+        return BinaryForm(K, size - 1, tuple(coeffs))
 
-    psi = {(0, l - 1): form(C[l]) for l in range(1, e)}
-    delta = {(0, l - 1): form(list(map(sub, [0, *C[l]], [*C[l - 1], 0]))) for l in range(1, e + 1)}
+    psi = {(0, l - 1): form(C[l], de - e - 1) for l in range(1, e) if C[l]}
+    delta = {}
+    for l in range(1, e + 1):
+        col = {u + 1: x for u, x in C[l].items()}  # t C_l - s C_(l-1)
+        for u, x in C[l - 1].items():
+            col[u] = col.get(u, 0) - x
+        if col:
+            delta[(0, l - 1)] = form(col, de - e)
     psi.update(((0, k - 2), r) for k, r in linear.items())
     delta.update(((0, k - 1), r) for k, r in linear.items())
     maps = ((normal_twists(ctx), psi), (tangent_twists(ctx), delta))
@@ -234,10 +267,12 @@ def _section_rows(M: GradedSheafMap, T: int) -> tuple[list[list[int]], list[tupl
     columns run in level order: by level b_j + T - q, descending, ties in
     block order (see _nullity_scan).  Over GF(p) the entries are the
     canonical coefficients; over Q, each row of M is scaled by the lcm of its
-    denominators, which leaves the kernel and the pivots unchanged.  It
-    allocates the zero rows once, then writes each nonzero of the matrix
-    once: a nonzero coefficient of M_ij once per column of block j.  Returns
-    (rows, the (j, q) of each column)."""
+    denominators, which leaves the kernel and the pivots unchanged.  It pays
+    per nonzero coefficient: _column_hits finds each entry's nonzeros with
+    compress (and over Q scales only those), the zero rows are allocated
+    once, and each nonzero of the matrix is written once: a nonzero
+    coefficient of M_ij once per column of block j.  Returns (rows, the
+    (j, q) of each column)."""
     heights = [max(0, c + T + 1) for c in M.target]
     starts = [0, *accumulate(heights)]
     keys = [
@@ -247,11 +282,7 @@ def _section_rows(M: GradedSheafMap, T: int) -> tuple[list[list[int]], list[tupl
         if b + T >= level
     ]
     # block j's nonzero coefficients, as (row at q = 0, value)
-    hits: dict = {}
-    for i, (_, line) in _integer_lines(M.entries, M.field, 0).items():
-        start = starts[i]
-        for j, cs in line.items():
-            hits.setdefault(j, []).extend([(start + u, x) for u, x in enumerate(cs) if x])
+    hits = _column_hits(M.entries, M.field, starts)[0]
     rows = [[0] * len(keys) for _ in range(starts[-1])]
     for k, (j, q) in enumerate(keys):
         for r, x in hits.get(j, ()):

@@ -2,6 +2,7 @@
 
 import argparse
 import itertools
+import math
 import re
 from bisect import bisect_left
 from collections import Counter
@@ -22,7 +23,7 @@ from rncsplit.cli import (
 )
 from rncsplit.constructor import UnsupportedCaseError, _check_constructive
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import IdealCombination, MultiPoly, PolyError, restrict_to_curve
+from rncsplit.multipoly import CurveContext, IdealCombination, MultiPoly, PolyError
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
@@ -468,7 +469,7 @@ def partial(p: MultiPoly, index: int) -> MultiPoly:
 
 def gradient_on_curve(p: MultiPoly) -> list:
     """Restrictions of all n+1 partial derivatives of p to the curve."""
-    return [restrict_to_curve(partial(p, m)) for m in range(p.context.nvars)]
+    return [restrict_dense(partial(p, m)) for m in range(p.context.nvars)]
 
 
 def gradient_map(F: IdealCombination) -> GradedSheafMap:
@@ -497,15 +498,63 @@ def h0_euler_crosscheck(F: IdealCombination, m: int) -> bool:
     return left == right
 
 
+def restrict_dense(poly: MultiPoly) -> BinaryForm:
+    """multipoly.restrict_to_curve summed into one dense integer list (over
+    Q numerators over the lcm of all the denominators) and reduced at every
+    position.  Oracle for the builder, which reduces only the positions some
+    term hits: it returns the strictly zero form exactly when the integer
+    sums all vanish, so a form whose sums are nonzero multiples of p comes
+    back as the all-zero form of degree e*k."""
+    K, e = poly.context.field, poly.context.e
+    p = K.p
+    terms = [(exp, c) for exp, c in poly.terms.items() if not any(exp[e + 1 :])]
+    den = math.lcm(*(c.denominator for _, c in terms)) if p is None else 1
+    acc = [0] * (e * poly.total_degree + 1)
+    for exp, c in terms:
+        acc[sum(a * m for m, a in enumerate(exp[: e + 1]))] += c if p else c.numerator * (den // c.denominator)
+    if not any(acc):
+        return BinaryForm.zero(K)
+    coeffs = tuple([x % p for x in acc]) if p else tuple([Fraction(x, den) for x in acc])
+    return BinaryForm(K, len(acc) - 1, coeffs)
+
+
+def restriction_maps_dense(ctx: CurveContext, quadric: dict, linear: dict):
+    """sheafmap._restriction_maps with each C_l one dense list of Python
+    ints (over Q numerators over the lcm of the F_{i,j}|_C denominators),
+    delta's t C_l - s C_(l-1) formed on whole lists, and every coefficient of
+    psi and delta reduced.  Oracle for the builder, which keeps only the
+    nonzero coefficients."""
+    K, p, e, de = ctx.field, ctx.field.p, ctx.e, ctx.d * ctx.e
+    L, ints = _integer_lines({(0, key): r for key, r in quadric.items()}, K, 0).get(0, (1, {}))
+    C = [[0] * (de - e - 1) for _ in range(e + 1)]
+    for (i, j), cs in ints.items():
+        for l in range(i, j):
+            u = j + i - l - 2
+            C[l][u : u + len(cs)] = [a + b for a, b in zip(C[l][u : u + len(cs)], cs)]
+
+    def form(acc: list) -> BinaryForm:
+        coeffs = [Fraction(c, L) for c in acc] if p is None else [c % p for c in acc]
+        return BinaryForm(K, len(acc) - 1, tuple(coeffs))
+
+    psi = {(0, l - 1): form(C[l]) for l in range(1, e)}
+    delta = {(0, l - 1): form([a - b for a, b in zip([0, *C[l]], [*C[l - 1], 0])]) for l in range(1, e + 1)}
+    psi.update(((0, k - 2), r) for k, r in linear.items())
+    delta.update(((0, k - 1), r) for k, r in linear.items())
+    maps = ((normal_twists(ctx), psi), (tangent_twists(ctx), delta))
+    return tuple(GradedSheafMap(K, source, (de,), entries) for source, entries in maps)
+
+
 def build_psi_forms(F: IdealCombination) -> GradedSheafMap:
     """psi by BinaryForm.shift and BinaryForm.add on each restriction:
     column l (1-based, l <= e-1) collects s^(e-j-i+l) t^(j+i-l-2) F_{i,j}|_C
     over stored pairs with i <= l < j; trailing columns are the G_k|_C.
-    Oracle for the integer builder behind sheafmap.build_psi."""
+    Every restriction is the dense oracle's (restrict_dense), so no part of
+    the builder behind sheafmap.build_psi checks itself.  Oracle for that
+    builder."""
     ctx = F.context
     K, e = ctx.field, ctx.e
     entries: dict = {}
-    restr = {key: restrict_to_curve(poly) for key, poly in F.quadric_coeffs.items()}
+    restr = {key: restrict_dense(poly) for key, poly in F.quadric_coeffs.items()}
     for l in range(1, e):
         acc = BinaryForm.zero(K)
         for (i, j), r in restr.items():
@@ -514,7 +563,7 @@ def build_psi_forms(F: IdealCombination) -> GradedSheafMap:
         if not acc.is_zero():
             entries[(0, l - 1)] = acc
     for k, poly in F.linear_coeffs.items():
-        r = restrict_to_curve(poly)
+        r = restrict_dense(poly)
         if not r.is_zero():
             entries[(0, k - 2)] = r
     return GradedSheafMap(K, normal_twists(ctx), (ctx.d * e,), entries)

@@ -303,6 +303,23 @@ def test_parse_signs_a_term_once(text, want):
     assert format_binary_form(parse_binary_form(text, RATIONALS)) == want
 
 
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(7)], ids=str)
+def test_one_term_of_degree_a_million(field):
+    # a one-term form holds a million coefficients: the text names only the
+    # nonzero one, and parsing it back fills the others with the field's one
+    # shared zero, so equals compares the two zero runs by identity
+    D = 10**6
+    for text, f in [
+        (f"s^{D}", BinaryForm.monomial(field, D, 0)),
+        (f"-3*t^{D}", BinaryForm.monomial(field, D, D, field.from_int(-3))),
+        (f"2*s^{D // 2}*t^{D // 2}", BinaryForm.monomial(field, D, D // 2, field.from_int(2))),
+    ]:
+        assert format_binary_form(f) == text
+        again = parse_binary_form(text, field)
+        assert again.degree == D and again.equals(f) and again.coeffs == f.coeffs
+        assert sum(c is not field.zero for c in again.coeffs) == 1
+
+
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=9))
 @settings(max_examples=80, deadline=None)
 def test_round_trip_random_forms(coeffs):

@@ -451,6 +451,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
     # each step's off its certified N, so it builds and scans nothing after
     # the chain.
     from rncsplit import constructor, sheafmap
+    from rncsplit.fields import FieldSpec
 
     calls = []
     build_psi, build_delta, build_chain = sheafmap.build_psi, constructor.build_delta, cli.build_chain
@@ -479,7 +480,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
     monkeypatch.setattr(cli, "build_chain", chain)
     for d, e in ((3, 3), (4, 4)):
         calls.clear()
-        recs = cli._verify_chain_job((None, d, e, 8, 32003))
+        recs = cli._verify_chain_job((None, d, e, 8, FieldSpec(32003)))
         assert [r["status"] for r in recs] == ["ok"] * (9 - e)
         assert calls == ["delta", "scan"] + ["delta"] * (8 - e) + ["chain"], (d, e)
 
@@ -527,7 +528,7 @@ def test_verify_quadric_levels_match_per_level_scans(monkeypatch, p, n_max):
     for e in range(2, n_max + 1):
         if p and e % p == 0:
             continue  # no curve of degree e over GF(p)
-        recs = cli._verify_chain_job(("quadrics", 2, e, n_max, p))
+        recs = cli._verify_chain_job(("quadrics", 2, e, n_max, field))
         assert [r["status"] for r in recs] == ["ok"] * (n_max + 1 - max(e, 3)), e
     assert len(seen) == sum(n_max + 1 - max(e, 3) for e in range(2, n_max + 1) if not (p and e % p == 0))
     for (e, n), (T, N) in seen.items():
@@ -559,6 +560,7 @@ def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
     # part: one G_k fills a zero column, and the chain is reported as an
     # error over GF(p) and again over the rational backstop.  A certification
     # failure is an internal error: verify exits 3, not 1 (a mismatch)
+    from rncsplit.fields import FieldSpec, RATIONALS
     from rncsplit.multipoly import IdealCombination, MultiPoly
 
     build_chain = cli.build_chain
@@ -570,8 +572,8 @@ def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
         return IdealCombination(ctx, F.quadric_coeffs, linear), steps
 
     monkeypatch.setattr(cli, "build_chain", with_linear_part)
-    for p in (32003, None):
-        recs = cli._verify_chain_job(("quadrics", 2, 3, 6, p))
+    for field in (FieldSpec(32003), RATIONALS):
+        recs = cli._verify_chain_job(("quadrics", 2, 3, 6, field))
         assert [(r["status"], r["field"]) for r in recs] == [("error", "rational")]
         assert "linear part" in recs[0]["detail"] and recs[0]["error"] == "CertificationError"
     code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "5", "--workers", "1")
@@ -579,6 +581,31 @@ def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
     for e in (2, 3, 4):
         assert f"ERROR d=2 e={e}: the quadric chain polynomial has a linear part" in out
     assert "ok   d=2 e=5 n=5" in out
+
+
+def test_verify_tests_the_prime_once_per_sweep(capsys, monkeypatch):
+    # verify hands every chain job the sweep's one FieldSpec, so is_prime runs
+    # once, not once per chain; the FieldSpec reaches a pool worker by pickle,
+    # which does not run __init__ and so does not test the prime again
+    import pickle
+
+    from rncsplit import fields
+
+    p = 2**31 - 1
+    field = fields.FieldSpec(p)
+    tested = []
+    is_prime = fields.is_prime
+
+    def counting(q):
+        tested.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(fields, "is_prime", counting)
+    code, out, _ = run(capsys, "verify", "--theorem", "quadrics", "--max-n", "8", "--field", f"prime:{p}", "--workers", "1")
+    assert code == 0 and "27/27 cases ok" in out
+    assert tested == [p]
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and copy.p == p and tested == [p]
 
 
 @pytest.mark.parametrize(

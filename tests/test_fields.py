@@ -36,6 +36,14 @@ def test_rational_ops_are_fractions():
     assert K.mul(x, K.from_int(3)) == 1
 
 
+def test_rational_zero_and_one_are_shared():
+    # Fractions are immutable, so Q hands out one zero and one one: tuples of
+    # coefficients full of zeros then compare by identity
+    assert RATIONALS.zero is RATIONALS.zero and RATIONALS.one is RATIONALS.one
+    assert RATIONALS.zero == 0 and RATIONALS.one == 1 and type(RATIONALS.zero) is Fraction
+    assert FieldSpec().zero is RATIONALS.zero
+
+
 def test_default_prime_is_prime():
     FieldSpec(DEFAULT_PRIME)
 

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ from rncsplit import multipoly
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldError, FieldSpec, RATIONALS
 from tests.helpers import (
+    _monomials,
     assemble,
     bf_mul,
     build_quadric,
@@ -18,6 +20,7 @@ from tests.helpers import (
     gradient_on_curve,
     random_combination,
     random_poly,
+    restrict_dense,
 )
 from rncsplit.multipoly import (
     CurveContext,
@@ -173,6 +176,87 @@ def test_restrict_is_ring_homomorphism():
         lhs = restrict_to_curve(p.mul(q))
         rhs = bf_mul(restrict_to_curve(p), restrict_to_curve(q))
         assert lhs.equals(rhs)
+
+
+@st.composite
+def curve_polys(draw):
+    """A form over Q, GF(2), GF(7), GF(32003) or GF(2^31 - 1), of degree 0..4
+    on a curve of degree e <= 5 in P^n, n <= e + 2: a monomial; a dense form
+    in every variable; terms in any x_m, m > e included; or pairs of
+    monomials with the same restriction whose coefficients cancel (over
+    GF(p) they sum to p), alone or with other terms."""
+    K = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(7), FieldSpec(32003), FieldSpec(2**31 - 1)]))
+    kind = draw(st.sampled_from(["monomial", "dense", "terms", "cancel"]))
+    e = draw(st.integers(2 if kind == "cancel" else 1, 5).filter(lambda e: K.p is None or e % K.p))
+    n = draw(st.integers(max(e, 3), e + 2))
+    c = CurveContext(2, e, n, K)
+    k = draw(st.integers(2 if kind == "cancel" else 0, 4))
+    if K.p is None:
+        big = st.integers(1, 10**20)
+        coeff = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-(10**20), 10**20), big)).map(Fraction)
+    else:
+        coeff = st.one_of(st.sampled_from([1, K.p - 1]), st.integers(1, K.p - 1))
+    coeff = coeff.filter(bool)
+
+    def monomial(top, degree):
+        exp = [0] * c.nvars
+        for m in draw(st.lists(st.integers(0, top), min_size=degree, max_size=degree)):
+            exp[m] += 1
+        return tuple(exp)
+
+    terms = {}
+    if kind == "dense":
+        terms = {exp: draw(coeff) for exp in _monomials(c.nvars, k)}
+    elif kind == "cancel":
+        for _ in range(draw(st.integers(1, 3))):
+            # x_a x_b and x_(a-1) x_(b+1) (b != a - 1) restrict to the same
+            # s^(ek-w) t^w
+            a = draw(st.integers(1, e))
+            b = draw(st.integers(0, e - 1).filter(lambda b: b != a - 1))
+            exp = list(monomial(e, k - 2))
+            twin = list(exp)
+            exp[a] += 1
+            exp[b] += 1
+            twin[a - 1] += 1
+            twin[b + 1] += 1
+            x = draw(coeff)
+            terms[tuple(exp)], terms[tuple(twin)] = x, K.neg(x)
+        if draw(st.booleans()):
+            terms.update({monomial(n, k): draw(coeff) for _ in range(draw(st.integers(1, 3)))})
+    else:
+        count = 1 if kind == "monomial" else draw(st.integers(1, 8))
+        terms = {monomial(n, k): draw(coeff) for _ in range(count)}
+    return MultiPoly(c, k, terms)
+
+
+@settings(deadline=None, max_examples=300)
+@given(curve_polys())
+def test_restrict_matches_dense_oracle(poly):
+    # reducing only the positions some term hits gives the dense oracle's
+    # form exactly: the same degree slot and the same canonical coefficients
+    got, want = restrict_to_curve(poly), restrict_dense(poly)
+    assert got.equals(want)
+    assert (got.degree, got.coeffs) == (want.degree, want.coeffs)
+    if poly.context.field.p is None:
+        assert all(type(x) is Fraction for x in got.coeffs)
+    else:
+        assert all(type(x) is int and 0 <= x < poly.context.field.p for x in got.coeffs)
+
+
+def test_restrict_sums_of_multiples_of_p():
+    # every sum a nonzero multiple of p: an all-zero form of degree e*k, not
+    # the strictly zero form (which only a form with no term on the curve,
+    # or over Q sums that cancel exactly, restricts to)
+    for K in (FieldSpec(7), FieldSpec(2**31 - 1)):
+        c = ctx(4, 3, 4, K)
+        for text in ("x0*x2 - x1^2", "x0*x2 - x1^2 + x1*x3 - x2^2 + 2*x4^2"):
+            f = restrict_to_curve(parse_poly(text, c, 2))
+            assert (f.degree, f.coeffs) == (6, (0,) * 7) and f.is_zero(), (K, text)
+            assert (f.degree, f.coeffs) == (restrict_dense(parse_poly(text, c, 2)).degree, (0,) * 7)
+        assert restrict_to_curve(parse_poly("x4^2", c, 2)).degree == -1
+    c = ctx(4, 3, 4)
+    assert restrict_to_curve(parse_poly("x0*x2 - x1^2", c, 2)).degree == -1
+    assert restrict_to_curve(parse_poly("x0*x2 - x1^2 + x4^2", c, 2)).degree == -1
 
 
 # -- gradients ----------------------------------------------------------------------

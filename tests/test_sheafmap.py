@@ -48,6 +48,8 @@ from tests.helpers import (
     random_combination,
     random_surjective_map,
     nullspace,
+    restrict_dense,
+    restriction_maps_dense,
     onto_everywhere,
     section_kernel_dim,
     section_matrix,
@@ -217,7 +219,7 @@ def _unreduced_columns(F):
     C = [[0] * (F.context.d * e - e - 1) for _ in range(e + 1)]
     for (i, j), poly in F.quadric_coeffs.items():
         for l in range(i, j):
-            for u, x in enumerate(restrict_to_curve(poly).coeffs, j + i - l - 2):
+            for u, x in enumerate(restrict_dense(poly).coeffs, j + i - l - 2):
                 C[l][u] += x
     delta = [[a - b for a, b in zip([0, *C[l]], [*C[l - 1], 0])] for l in range(1, e + 1)]
     return C[1:e], delta
@@ -252,6 +254,57 @@ def test_builder_output_is_canonical_mod_p(field, draw):
         assert psi.equals(oracle), (d, e, n)
         assert delta.equals(compose(oracle, build_beta(ctx))), (d, e, n)
     assert negative and wrapped == (draw == "dense")
+
+
+@st.composite
+def curve_restrictions(draw):
+    """(ctx, quadric, linear) as _restriction_maps takes them: F_{i,j}|_C of
+    degree e(d-2) for some pairs i < j <= e and G_k|_C of degree e(d-1) for
+    some e < k <= n, over Q or GF(2), GF(3), GF(7), GF(32003), GF(2^31 - 1).
+    Each form is strictly zero, all zero, a monomial, a binomial or dense;
+    coefficients near p (or of both signs over Q) make the column sums wrap
+    past p and delta's differences cancel."""
+    K = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, FieldSpec(2**31 - 1)]))
+    d = draw(st.integers(2, 5))
+    e = draw(st.integers(2, 6).filter(lambda e: K.p is None or e % K.p))
+    ctx = CurveContext(d, e, draw(st.integers(max(e, 3), e + 2)), K)
+    if K.p is None:
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 10**20 + 39]))
+    else:
+        nonzero = st.sampled_from(sorted({x % K.p for x in (1, 2, K.p - 1, K.p // 2 + 1, K.p - 2)} - {0}))
+
+    def form(degree):
+        kind = draw(st.sampled_from(["zero", "all zero", "monomial", "binomial", "dense"]))
+        if kind == "zero":
+            return BinaryForm.zero(K)
+        coeffs = [K.zero] * (degree + 1)
+        if kind == "dense":
+            coeffs = draw(st.lists(st.one_of(st.just(K.zero), nonzero), min_size=degree + 1, max_size=degree + 1))
+        elif kind != "all zero":
+            for u in draw(st.sets(st.integers(0, degree), min_size=1, max_size=1 if kind == "monomial" else 2)):
+                coeffs[u] = draw(nonzero)
+        return BinaryForm(K, degree, tuple(coeffs))
+
+    pairs = [(i, j) for i in range(1, e + 1) for j in range(i + 1, e + 1)]
+    quadric = {key: form(e * (d - 2)) for key in pairs if draw(st.booleans())}
+    linear = {k: form(e * (d - 1)) for k in range(e + 1, ctx.n + 1) if draw(st.booleans())}
+    return ctx, quadric, linear
+
+
+@settings(deadline=None, max_examples=200)
+@given(curve_restrictions())
+def test_restriction_maps_match_dense_oracle(case):
+    # the builder keeps each C_l as its nonzero (t-power, int) pairs and
+    # reduces only those; the oracle sums dense integer lists and reduces
+    # every coefficient.  Same entries, same canonical coefficients
+    ctx, quadric, linear = case
+    got, want = sheafmap._restriction_maps(ctx, quadric, linear), restriction_maps_dense(ctx, quadric, linear)
+    for M, W in zip(got, want):
+        assert M.equals(W)
+        assert M.entries.keys() == W.entries.keys()
+        assert all(M.entries[k].coeffs == W.entries[k].coeffs for k in W.entries)
+        if ctx.field.p:
+            assert all(type(x) is int and 0 <= x < ctx.field.p for f in M.entries.values() for x in f.coeffs)
 
 
 def test_compose_identity_and_mismatch():
