@@ -192,8 +192,8 @@ def curve_polys(draw):
     c = CurveContext(2, e, n, K)
     k = draw(st.integers(2 if kind == "cancel" else 0, 4))
     if K.p is None:
-        big = st.integers(1, 10**20)
-        coeff = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-(10**20), 10**20), big)).map(Fraction)
+        den = st.sampled_from([1, 2, 3, 7, 10**20 + 39])
+        coeff = st.builds(Fraction, st.integers(-(10**20), 10**20), den)
     else:
         coeff = st.one_of(st.sampled_from([1, K.p - 1]), st.integers(1, K.p - 1))
     coeff = coeff.filter(bool)
@@ -229,7 +229,7 @@ def curve_polys(draw):
     return MultiPoly(c, k, terms)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=150)
 @given(curve_polys())
 def test_restrict_matches_dense_oracle(poly):
     # reducing only the positions some term hits gives the dense oracle's

@@ -291,7 +291,7 @@ def curve_restrictions(draw):
     return ctx, quadric, linear
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=120)
 @given(curve_restrictions())
 def test_restriction_maps_match_dense_oracle(case):
     # the builder keeps each C_l as its nonzero (t-power, int) pairs and
