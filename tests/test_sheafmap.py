@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly, restrict_to_curve
+from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
