@@ -210,7 +210,7 @@ def _verify_chain_job(job) -> list[dict]:
             ]
         F, steps = build_chain(d, e, n_max, field_now)
         # extend_dimension certified the seed's kernel matrix (J's source) and each
-        # step's N as the kernel of its delta_out (= build_delta(output_F))
+        # step's N as the kernel of its delta_out (the delta output_F keeps)
         T = SplittingType(steps[0].J.source) if steps else splitting_of_kernel(build_delta(F))
         return [_verify_case(T, field_now, d, e, e, None)] + [
             _verify_case(st.target_splitting, field_now, d, e, st.output_F.context.n, st.strategy) for st in steps

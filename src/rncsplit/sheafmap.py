@@ -55,6 +55,16 @@ class GradedSheafMap:
             clean[(i, j)] = f
         self.field, self.source, self.target, self.entries = field, source, target, clean
 
+    @classmethod
+    def _built(cls, field: FieldSpec, source: tuple, target: tuple, entries: dict) -> "GradedSheafMap":
+        """The map with these entries, unchecked: for the builders in this
+        module, whose entries are nonzero forms of degree c_i - b_j inside
+        the matrix by construction.  The tests pass every such map through
+        __init__, which keeps all the checks."""
+        M = cls.__new__(cls)
+        M.field, M.source, M.target, M.entries = field, source, target, entries
+        return M
+
     @property
     def nrows(self) -> int:
         return len(self.target)
@@ -81,7 +91,7 @@ class GradedSheafMap:
     def permute_columns(self, perm: list[int]) -> "GradedSheafMap":
         """New map whose column k is the old column perm[k]."""
         inv = {old: new for new, old in enumerate(perm)}
-        return GradedSheafMap(
+        return GradedSheafMap._built(
             self.field,
             tuple(self.source[old] for old in perm),
             self.target,
@@ -130,7 +140,7 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
                 coeffs = [c % p for c in acc]
             if any(coeffs):
                 entries[(i, j)] = BinaryForm(K, len(acc) - 1, tuple(coeffs))
-    return GradedSheafMap(K, inner.source, outer.target, entries)
+    return GradedSheafMap._built(K, inner.source, outer.target, entries)
 
 
 def _integer_lines(entries: dict, K: FieldSpec, axis: int) -> dict:
@@ -176,7 +186,7 @@ def stack_rows(top: GradedSheafMap, bottom: GradedSheafMap) -> GradedSheafMap:
     off = top.nrows
     for (i, j), f in bottom.entries.items():
         entries[(i + off, j)] = f
-    return GradedSheafMap(top.field, top.source, top.target + bottom.target, entries)
+    return GradedSheafMap._built(top.field, top.source, top.target + bottom.target, entries)
 
 
 # -- maps attached to a hypersurface through the curve -------------------------
@@ -253,7 +263,11 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
     psi.update(((0, k - 2), r) for k, r in linear.items())
     delta.update(((0, k - 1), r) for k, r in linear.items())
     maps = ((normal_twists(ctx), psi), (tangent_twists(ctx), delta))
-    return tuple(GradedSheafMap(K, source, (de,), entries) for source, entries in maps)
+    # a sum that cancels mod p, or a G_k|_C that does, is an all-zero form
+    return tuple(
+        GradedSheafMap._built(K, source, (de,), {k: f for k, f in entries.items() if not f.is_zero()})
+        for source, entries in maps
+    )
 
 
 # -- sections and the nullity scan ---------------------------------------------
@@ -544,7 +558,7 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     for col, (a, forms) in enumerate(gens):
         for j, f in forms.items():
             entries[(j, col)] = f
-    K_map = GradedSheafMap(M.field, source, M.source, entries)
+    K_map = GradedSheafMap._built(M.field, source, M.source, entries)
     certify_kernel(M, K_map, len(parts), sum(parts))
     return K_map
 

@@ -445,11 +445,11 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
 
 def test_verify_chain_builds_each_delta_once(monkeypatch):
     # build_chain builds the seed's delta and scans it once, inside
-    # kernel_matrix, then builds one delta per step: the check of the step's
-    # output hypersurface.  build_delta reads the restrictions itself and
-    # builds no psi.  verify reads the seed's splitting off the first step and
-    # each step's off its certified N, so it builds and scans nothing after
-    # the chain.
+    # kernel_matrix.  A step builds no delta: its output hypersurface keeps
+    # the input's psi and delta with one column appended.  build_delta reads
+    # the restrictions itself and builds no psi.  verify reads the seed's
+    # splitting off the first step and each step's off its certified N, so
+    # it builds and scans nothing after the chain.
     from rncsplit import constructor, sheafmap
     from rncsplit.fields import FieldSpec
 
@@ -482,7 +482,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         calls.clear()
         recs = cli._verify_chain_job((None, d, e, 8, FieldSpec(32003)))
         assert [r["status"] for r in recs] == ["ok"] * (9 - e)
-        assert calls == ["delta", "scan"] + ["delta"] * (8 - e) + ["chain"], (d, e)
+        assert calls == ["delta", "scan", "chain"], (d, e)
 
 
 def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):

@@ -15,8 +15,10 @@ from rncsplit.constructor import (
     seed_example,
 )
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, parse_hypersurface, parse_poly
+from rncsplit.multipoly import CurveContext, IdealCombination, MultiPoly, parse_hypersurface, parse_poly
 from rncsplit.sheafmap import (
+    CertificationError,
+    GradedSheafMap,
     build_delta,
     build_psi,
     check_smooth_along_curve,
@@ -348,12 +350,104 @@ def test_kernel_served_by_chain_is_kernel_matrix():
 
 
 def test_step_keeps_one_delta():
-    # the check that output_F induces delta_out leaves delta_out as the one
-    # delta output_F keeps, and the chain hands that object on
+    # delta_out is the delta that output_F keeps (carried, not rebuilt),
+    # and the chain hands that object on
     for d, e, n, field in ((3, 3, 6, RATIONALS), (4, 5, 8, GF)):
         _, steps = build_chain(d, e, n, field)
         for step in steps:
             assert step.delta_out is build_delta(step.output_F), (d, e, step.output_F.context.n)
+
+
+def _chain_steps(field):
+    """(where, step, the kernel matrix the step was handed) for every step of
+    the cubic chains e = 3..8 and the quartic chains e = 4..8: up to n = 9
+    over GF(32003), two steps elsewhere, skipping curves whose degree the
+    characteristic divides."""
+    for d, e0 in ((3, 3), (4, 4)):
+        for e in range(e0, 9):
+            if field.p and e % field.p == 0:
+                continue
+            _, steps = build_chain(d, e, 9 if field is GF else min(9, e + 2), field)
+            kernel = kernel_matrix(build_delta(steps[0].input_F))
+            for step in steps:
+                yield (d, e, step.output_F.context.n), step, kernel
+                kernel = step.N
+
+
+CHAIN_FIELDS = [GF, FieldSpec(2), FieldSpec(3), RATIONALS]
+
+
+@pytest.mark.parametrize("field", CHAIN_FIELDS, ids=str)
+def test_strategy_identities_hold_at_every_step(field):
+    # N1·J reproduces the handed kernel, its columns sorted by twist as
+    # extend_dimension sorts them for J1 and J2, and N2·J = 0.  The step
+    # checks neither: its answer rests on certify_kernel alone
+    for where, step, kernel in _chain_steps(field):
+        if step.strategy != "J0":
+            kernel = kernel.permute_columns(sorted(range(kernel.ncols), key=lambda j: (kernel.source[j], j)))
+        assert compose(step.N1, step.J).equals(kernel), where
+        assert compose(step.N2, step.J).is_zero_map(), where
+
+
+@pytest.mark.parametrize("corruption", ["entry", "column"])
+@pytest.mark.parametrize("field", [GF, RATIONALS], ids=str)
+def test_step_with_a_corrupted_kernel_is_refused(monkeypatch, field, corruption):
+    # dropping an entry N_ik with delta_out's entry i nonzero leaves
+    # delta_out·N nonzero in column k; dropping all of column k leaves N
+    # singular at every point.  certify_kernel refuses both, in J0, J1 and
+    # J2 steps
+    stack_rows, strategies = constructor.stack_rows, set()
+    for d, e, n in ((3, 3, 5), (4, 4, 5)):
+        for step in build_chain(d, e, n, field)[1]:
+            # the step again, without the chain's kernel handed on
+            step = extend_dimension(step.input_F, step.target_splitting)
+            strategies.add(step.strategy)
+            i, k = next(key for key in step.N.entries if not step.delta_out.entry(0, key[0]).is_zero())
+            dropped = (lambda key: key == (i, k)) if corruption == "entry" else (lambda key: key[1] == k)
+
+            def corrupted(top, bottom):
+                N = stack_rows(top, bottom)
+                return GradedSheafMap(N.field, N.source, N.target, {x: f for x, f in N.entries.items() if not dropped(x)})
+
+            with monkeypatch.context() as m:
+                m.setattr(constructor, "stack_rows", corrupted)
+                with pytest.raises(CertificationError):
+                    extend_dimension(step.input_F, step.target_splitting)
+    assert strategies == {"J0", "J1", "J2"}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2), GF], ids=str)
+def test_carried_maps_equal_a_rebuild(field):
+    # each step appends G_(n+1)|_C to its input's psi and delta instead of
+    # restricting every coefficient again: a hypersurface rebuilt from the
+    # output's coefficients builds the same maps, coefficient for coefficient
+    for where, step, _ in _chain_steps(field):
+        F = step.output_F
+        rebuilt = IdealCombination(F.context, F.quadric_coeffs, F.linear_coeffs)
+        assert rebuilt.maps is None
+        for got, want in zip(F.maps, (build_psi(rebuilt), build_delta(rebuilt))):
+            assert (got.source, got.target) == (want.source, want.target), where
+            assert got.entries.keys() == want.entries.keys(), where
+            assert all(f.coeffs == want.entries[key].coeffs for key, f in got.entries.items()), where
+        assert F.maps[1] is step.delta_out
+
+
+def test_step_refuses_a_lift_that_does_not_restrict_to_g(monkeypatch):
+    # a G_(n+1) whose restriction is not g would leave the carried maps
+    # unlike the hypersurface's own: adding x0^(d-1) moves the s^(e(d-1))
+    # coefficient of the restriction by one, in J0 (g = 0), J1 and J2 steps
+    real = constructor.lift_binary_form
+
+    def perturbed(h, context, k):
+        return real(h, context, k).add(MultiPoly.monomial(context, [k] + [0] * context.n))
+
+    for d, e, n, field in ((3, 3, 3, RATIONALS), (3, 5, 6, FieldSpec(2)), (4, 4, 4, GF), (4, 5, 6, GF)):
+        F = build_chain(d, e, n, field)[0]
+        target = predicted_splitting(d, e, n + 1).splitting
+        with monkeypatch.context() as m:
+            m.setattr(constructor, "lift_binary_form", perturbed)
+            with pytest.raises(CertificationError, match="does not restrict to g"):
+                extend_dimension(F, target)
 
 
 def test_extend_kernel_handoff_is_private():

@@ -257,14 +257,17 @@ def test_builder_output_is_canonical_mod_p(field, draw):
 
 
 @st.composite
-def curve_restrictions(draw):
+def curve_restrictions(
+    draw, fields=(RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, FieldSpec(2**31 - 1))
+):
     """(ctx, quadric, linear) as _restriction_maps takes them: F_{i,j}|_C of
     degree e(d-2) for some pairs i < j <= e and G_k|_C of degree e(d-1) for
-    some e < k <= n, over Q or GF(2), GF(3), GF(7), GF(32003), GF(2^31 - 1).
-    Each form is strictly zero, all zero, a monomial, a binomial or dense;
-    coefficients near p (or of both signs over Q) make the column sums wrap
-    past p and delta's differences cancel."""
-    K = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF, FieldSpec(2**31 - 1)]))
+    some e < k <= n, over one of the fields (by default Q or GF(2), GF(3),
+    GF(7), GF(32003), GF(2^31 - 1)).  Each form is strictly zero, all zero,
+    a monomial, a binomial or dense; coefficients near p (or of both signs
+    over Q) make the column sums wrap past p and delta's differences
+    cancel."""
+    K = draw(st.sampled_from(fields))
     d = draw(st.integers(2, 5))
     e = draw(st.integers(2, 6).filter(lambda e: K.p is None or e % K.p))
     ctx = CurveContext(d, e, draw(st.integers(max(e, 3), e + 2)), K)
@@ -767,10 +770,10 @@ def test_section_rows_match_column_oracle(case):
 
 
 @st.composite
-def one_row_maps(draw):
+def one_row_maps(draw, fields=(RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF)):
     """A one-row map with some zero entries, over Q (coefficients with small
     denominators) or a small or large prime field; often not onto."""
-    field = draw(st.sampled_from([RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(7), GF]))
+    field = draw(st.sampled_from(fields))
     source = draw(st.lists(st.integers(-2, 5), min_size=1, max_size=5))
     c = max(source) + draw(st.integers(0, 3))
     if field.p is None:
@@ -1012,6 +1015,45 @@ def test_stack_rows():
     stacked = stack_rows(top, bottom)
     assert stacked.target == (1, 1)
     assert stacked.entry(1, 0).equals(bform("t"))
+
+
+def _passes_validation(M):
+    # the validating constructor keeps the very same entries: none of M's is
+    # zero, outside the matrix or of the wrong degree
+    assert type(M.source) is tuple and type(M.target) is tuple
+    assert GradedSheafMap(M.field, M.source, M.target, M.entries).entries == M.entries
+
+
+@pytest.mark.parametrize("K", [RATIONALS, FieldSpec(2), FieldSpec(7), GF], ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_unchecked_builders_pass_the_validating_constructor(K, data):
+    # compose, stack_rows, permute_columns, _restriction_maps and
+    # kernel_matrix skip __init__'s checks; their outputs would pass them.
+    # The drawn maps have products and column sums that cancel mod p
+    outer, inner = data.draw(composable_maps(K, st.sampled_from([0, 1, 3, None])))
+    product = compose(outer, inner)
+    _passes_validation(product)
+    _passes_validation(stack_rows(product, compose(outer, inner)))
+    _passes_validation(outer.permute_columns(data.draw(st.permutations(range(outer.ncols)))))
+    for M in sheafmap._restriction_maps(*data.draw(curve_restrictions(fields=(K,)))):
+        _passes_validation(M)
+    _passes_validation(kernel_matrix(data.draw(one_row_maps(fields=(K,)))))
+
+
+def test_unchecked_builders_drop_forms_that_cancel():
+    # over GF(7): (1, 1)·(1, 6) = 7 = 0; Q14 + 6*Q23 puts 1 + 6 = 7 = 0 at
+    # the same place of psi's column 2; and a G_5|_C whose sums cancel, as
+    # restrict_to_curve gives it, is an all-zero form of degree e
+    K = FieldSpec(7)
+    one, six = (BinaryForm.constant(K, c) for c in (1, 6))
+    row = GradedSheafMap(K, (0, 0), (0,), {(0, 0): one, (0, 1): one})
+    assert compose(row, GradedSheafMap(K, (0,), (0, 0), {(0, 0): one, (1, 0): six})).is_zero_map()
+    ctx = CurveContext(2, 4, 5, K)
+    psi, delta = sheafmap._restriction_maps(ctx, {(1, 4): one, (2, 3): six}, {5: BinaryForm(K, 4, (0,) * 5)})
+    assert sorted(psi.entries) == [(0, 0), (0, 2)] and (0, 4) not in delta.entries
+    _passes_validation(psi)
+    _passes_validation(delta)
 
 
 def test_tangent_twists():
