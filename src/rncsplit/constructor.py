@@ -28,6 +28,7 @@ from .multipoly import (
 from .sheafmap import (
     CertificationError,
     GradedSheafMap,
+    _psi_and_delta,
     build_delta,
     build_psi,
     certify_kernel,
@@ -552,7 +553,7 @@ def extend_dimension(
     e, n, d = ctx.e, ctx.n, ctx.d
     field = ctx.field
     delta_in = _delta if _delta is not None else build_delta(F)
-    psi_in = F.maps[0]  # kept on F by build_delta, or carried onto F by the step that made it
+    psi_in = _psi_and_delta(F)[0]  # kept on F by build_delta, or carried onto F by the step that made it
     K_map = _kernel if _kernel is not None else kernel_matrix(delta_in)
     # deg ker delta = Σsource - de exactly when delta is onto everywhere
     if sum(K_map.source) != sum(delta_in.source) - d * e:

@@ -475,6 +475,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         return out
 
     monkeypatch.setattr(sheafmap, "build_psi", psi)
+    monkeypatch.setattr(constructor, "build_psi", psi)
     monkeypatch.setattr(sheafmap, "_nullity_scan", scanning)
     monkeypatch.setattr(constructor, "build_delta", delta)
     monkeypatch.setattr(cli, "build_chain", chain)

@@ -450,6 +450,16 @@ def test_step_refuses_a_lift_that_does_not_restrict_to_g(monkeypatch):
                 extend_dimension(F, target)
 
 
+def test_step_with_a_handed_delta_builds_psi_when_f_keeps_none():
+    # F keeps no maps (another object built the handed delta): the step
+    # builds F's psi, and output_F still keeps the maps a rebuild gives
+    F, twin = seed_example(3, 3, GF), seed_example(3, 3, GF)
+    step = extend_dimension(F, SplittingType((2, 2, 2)), _delta=build_delta(twin))
+    out = step.output_F
+    rebuilt = IdealCombination(out.context, out.quadric_coeffs, out.linear_coeffs)
+    assert out.maps[0].equals(build_psi(rebuilt)) and out.maps[1].equals(build_delta(rebuilt))
+
+
 def test_extend_kernel_handoff_is_private():
     # a kernel reaches extend_dimension only through extend_chain's private
     # keywords, which are not certified again
