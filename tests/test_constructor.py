@@ -374,10 +374,7 @@ def _chain_steps(field):
                 kernel = step.N
 
 
-CHAIN_FIELDS = [GF, FieldSpec(2), FieldSpec(3), RATIONALS]
-
-
-@pytest.mark.parametrize("field", CHAIN_FIELDS, ids=str)
+@pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
 def test_strategy_identities_hold_at_every_step(field):
     # N1·J reproduces the handed kernel, its columns sorted by twist as
     # extend_dimension sorts them for J1 and J2, and N2·J = 0.  The step
