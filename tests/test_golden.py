@@ -4,6 +4,8 @@ prints only the kernel's splitting, so these pin the matrices themselves."""
 import runpy
 from pathlib import Path
 
+import pytest
+
 from rncsplit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,11 +22,25 @@ def test_extend_json_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "extend_d3_e3_n5.json").read_text(encoding="utf-8")
 
 
+# a J2 step and then J1 steps over GF(32003); J0 steps, whose g is zero, over Q
+_LONG_EXTENDS = {
+    "extend_d4_e5_n9_gf32003.json": ["--d", "4", "--e", "5", "--to-n", "9", "--field", "prime:32003"],
+    "extend_d3_e5_n9_q.json": ["--d", "3", "--e", "5", "--to-n", "9", "--field", "rational"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_EXTENDS))
+def test_long_extend_json_golden(capsys, name):
+    assert cli.main(["extend", *_LONG_EXTENDS[name], "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def _kernel_cases():
     """(label, one-row map) pairs whose kernel matrices are pinned: the
     compute catalog seeds and the README quintic over Q, the cubic and
-    quartic seeds over GF(32003), two dense random surfaces over Q, and
-    three unbalanced one-row maps."""
+    quartic seeds over GF(32003) (every seed of the chains-gf workload), those
+    of degree e prime to p over GF(2) and GF(3), two dense random surfaces
+    over Q, and three unbalanced one-row maps."""
     import random
 
     from rncsplit.constructor import build_chain, seed_example
@@ -41,6 +57,13 @@ def _kernel_cases():
     yield "README quintic over Q", build_delta(parse_hypersurface(quintic))
     for d, e in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (4, 6)):  # quartics start at e = 4
         yield f"seed d={d} e={e} over GF(32003)", build_delta(seed_example(d, e, GF))
+    for d, e in ((3, 7), (3, 8), (4, 7), (4, 8)):
+        yield f"seed d={d} e={e} over GF(32003)", build_delta(seed_example(d, e, GF))
+    for p in (2, 3):
+        for d in (3, 4):
+            for e in range(d, 9):
+                if e % p:
+                    yield f"seed d={d} e={e} over GF({p})", build_delta(seed_example(d, e, FieldSpec(p)))
     for shape in ((3, 3, 5), (6, 8, 10)):
         F = dense_combination(random.Random(1), CurveContext(*shape, RATIONALS))
         yield f"dense {shape} seed 1 over Q", build_delta(F)
