@@ -416,9 +416,9 @@ def _build_J0(K_map: GradedSheafMap, e: int):
     one = BinaryForm.constant(field, field.one)
     src = K_map.source
     E = src + (e,)
-    J = GradedSheafMap(field, src, E, {(j, j): one for j in range(len(src))})
-    N1 = GradedSheafMap(field, E, K_map.target, dict(K_map.entries))
-    N2 = GradedSheafMap(field, E, (e,), {(0, len(E) - 1): one})
+    J = GradedSheafMap._built(field, src, E, {(j, j): one for j in range(len(src))})
+    N1 = GradedSheafMap._built(field, E, K_map.target, dict(K_map.entries))
+    N2 = GradedSheafMap._built(field, E, (e,), {(0, len(E) - 1): one})
     return J, N1, N2
 
 
@@ -434,7 +434,7 @@ def _build_J1(K_perm: GradedSheafMap, a: int):
     J_entries = {(0, 0): s_form, (w - 1, 0): t_form}
     for j in range(1, r + s_cnt):
         J_entries[(j, j)] = one
-    J = GradedSheafMap(field, K_perm.source, E, J_entries)
+    J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
     N1_entries = {}
     for i in range(K_perm.nrows):
         p, c = _split_off_t_power(K_perm.entry(i, 0))
@@ -446,13 +446,8 @@ def _build_J1(K_perm: GradedSheafMap, a: int):
     for (i, j), f in K_perm.entries.items():
         if j >= 1:
             N1_entries[(i, j)] = f
-    N1 = GradedSheafMap(field, E, K_perm.target, N1_entries)
-    N2 = GradedSheafMap(
-        field,
-        E,
-        (a + 2,),
-        {(0, 0): t_form, (0, w - 1): s_form.neg()},
-    )
+    N1 = GradedSheafMap._built(field, E, K_perm.target, N1_entries)
+    N2 = GradedSheafMap._built(field, E, (a + 2,), {(0, 0): t_form, (0, w - 1): s_form.neg()})
     return J, N1, N2
 
 
@@ -473,7 +468,7 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
     }
     for j in range(2, r + s_cnt):
         J_entries[(j, j)] = one
-    J = GradedSheafMap(field, K_perm.source, E, J_entries)
+    J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
     N1_entries = {}
     for i in range(K_perm.nrows):
         k1 = K_perm.entry(i, 0)
@@ -503,11 +498,11 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
     for (i, j), f in K_perm.entries.items():
         if j >= 2:
             N1_entries[(i, j)] = f
-    N1 = GradedSheafMap(field, E, K_perm.target, N1_entries)
+    N1 = GradedSheafMap._built(field, E, K_perm.target, N1_entries)
     two_t = BinaryForm.monomial(field, 2, 2)
     two_s = BinaryForm.monomial(field, 2, 0)
     st = BinaryForm.monomial(field, 2, 1, field.neg(field.one))
-    N2 = GradedSheafMap(field, E, (a + 3,), {(0, 0): two_t, (0, 1): two_s, (0, w - 1): st})
+    N2 = GradedSheafMap._built(field, E, (a + 3,), {(0, 0): two_t, (0, 1): two_s, (0, w - 1): st})
     return J, N1, N2
 
 
@@ -578,7 +573,7 @@ def extend_dimension(
 
     # (delta_in, g)·N = 0 pins g by one exact division in a column where N2 is nonzero
     j = min(col for _, col in N2.entries)
-    col_j = GradedSheafMap(
+    col_j = GradedSheafMap._built(
         field, (N1.source[j],), N1.target, {(i, 0): f for (i, c), f in N1.entries.items() if c == j}
     )
     try:
@@ -589,7 +584,10 @@ def extend_dimension(
     column = restrict_to_curve(G)  # G_(n+1)|_C, the new last column of psi and delta
     if not column.equals(g):
         raise CertificationError("the lifted coefficient G_(n+1) does not restrict to g")
-    delta_out = GradedSheafMap(field, N.target, delta_in.target, {**delta_in.entries, (0, n): column})
+    delta_entries, psi_entries = dict(delta_in.entries), dict(psi_in.entries)
+    if not column.is_zero():  # a J0 step's g is zero, and the maps keep no zero entry
+        delta_entries[(0, n)] = psi_entries[(0, n - 1)] = column
+    delta_out = GradedSheafMap._built(field, N.target, delta_in.target, delta_entries)
     # onto at every point, as delta_in is: ker delta_out has rank n and degree Σ - de
     certify_kernel(delta_out, N, n, sum(N.target) - d * e)
 
@@ -597,7 +595,7 @@ def extend_dimension(
     linear = {k: _embed_poly(p, ctx_out) for k, p in F.linear_coeffs.items()}
     linear[n + 1] = G
     output_F = IdealCombination(ctx_out, quadric, linear)
-    psi_out = GradedSheafMap(field, normal_twists(ctx_out), psi_in.target, {**psi_in.entries, (0, n - 1): column})
+    psi_out = GradedSheafMap._built(field, normal_twists(ctx_out), psi_in.target, psi_entries)
     output_F.maps = (psi_out, delta_out)
     if tuple(sorted(N.source)) != target.parts:
         raise CertificationError(

@@ -20,7 +20,9 @@ augmented matrix.  `RowSpace` reduces each vector by the row operation
 against an echelon basis kept in pivot order.  The nullity scan hands
 `row_echelon` section matrices already built as rows of Python ints and reads
 both the section counts and the kernel generators from the rows it returns,
-so no matrix is eliminated twice.
+so no matrix is eliminated twice: for the generators it back-eliminates the
+pivot rows of a prefix once, as `rref` does, and reads each kernel vector
+off the reduced rows (sheafmap._kernel_basis).
 
 The one kernel, `_pivots`, makes one pass over the rows left per pivot
 column to find the rows nonzero there; the first is the pivot row, and only

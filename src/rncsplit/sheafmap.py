@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .binform import BinaryForm
@@ -57,10 +57,10 @@ class GradedSheafMap:
 
     @classmethod
     def _built(cls, field: FieldSpec, source: tuple, target: tuple, entries: dict) -> "GradedSheafMap":
-        """The map with these entries, unchecked: for the builders in this
-        module, whose entries are nonzero forms of degree c_i - b_j inside
-        the matrix by construction.  The tests pass every such map through
-        __init__, which keeps all the checks."""
+        """The map with these entries, unchecked: for the builders here and
+        in the constructor, whose entries are nonzero forms of degree
+        c_i - b_j inside the matrix by construction.  The tests pass every
+        such map through __init__, which keeps all the checks."""
         M = cls.__new__(cls)
         M.field, M.source, M.target, M.entries = field, source, target, entries
         return M
@@ -337,43 +337,32 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
     keys; see _twist_echelon) with no second elimination of the matrix.
 
     The pivot rows inside the prefix of width w = _width(M, m) span its row
-    space.  Back-substitution on them gives the prefix kernel vector of each
-    free level-order column (over Q on integers, scaling the vector by the
-    pivot over its gcd with the residual).  Column (j, q) of the prefix is
-    column off(j) + q of the twist-m matrix in block order.  The vectors
-    above span the kernel, and the rref basis is their reduced echelon form
-    with the columns reversed: its pivots are the free columns of the
-    block-order matrix, since column f is free iff some kernel vector ends
-    at f."""
+    space.  One back-elimination reduces them as rref does: linalg._pivots,
+    with its one row operation, runs on fresh copies of them cut to the
+    prefix and on their pivots, last first, so each row is zero at every
+    other pivot column.  The prefix kernel vector of a free level-order
+    column f is then read off with no dot product: 1 at f and
+    -row[f] / row[c] at the pivot c of each row, which is zero unless c < f.
+    Column (j, q) of the prefix is column off(j) + q of the twist-m matrix
+    in block order.  The vectors above span the kernel, and the rref basis
+    is their reduced echelon form with the columns reversed: its pivots are
+    the free columns of the block-order matrix, since column f is free iff
+    some kernel vector ends at f."""
     K, p = M.field, M.field.p
     w = _width(M, m)
     r = bisect_left(pivots, w)
-    rows, pivots = rows[:r], pivots[:r]
+    rows, pivots = linalg._pivots([row[:w] for row in rows[:r][::-1]], pivots[:r][::-1], p)
     offsets = [0, *accumulate(max(0, b + m + 1) for b in M.source)]
     where = [w - 1 - offsets[j] - q for j, q in keys[:w]]  # block order, reversed
-    piv_set = set(pivots)
-    reversed_basis = []
-    for f in range(w):
-        if f in piv_set:
-            continue
-        v = {f: 1}
-        for row, c in zip(reversed(rows), reversed(pivots)):
-            if c > f:
-                continue
-            s = sum(row[x] * y for x, y in v.items())
-            if not s:
-                continue
-            if p is not None:
-                v[c] = -s * pow(row[c], -1, p) % p
-                continue
-            g = gcd(s, row[c])
-            if row[c] != g:
-                v = {x: y * (row[c] // g) for x, y in v.items()}
-            v[c] = -s // g
-        vec = [0] * w
-        for x, y in v.items():
-            vec[where[x]] = y
-        reversed_basis.append(vec)
+    free = sorted(set(range(w)).difference(pivots))
+    reversed_basis = [[0] * w for _ in free]
+    for vec, f in zip(reversed_basis, free):
+        vec[where[f]] = 1
+    for row, c in zip(rows, pivots):
+        x, scale = where[c], Fraction(-1, row[c]) if p is None else p - pow(row[c], -1, p)
+        for vec, f in zip(reversed_basis, free):
+            if row[f]:
+                vec[x] = row[f] * scale  # -row[f] / row[c], which rref reduces mod p
     R, _ = linalg.rref(reversed_basis, K, w)
     return [row[::-1] for row in reversed(R)]
 
@@ -528,8 +517,10 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     Columns of twist a are the scan's nullspace vectors at m = -a (the rref
     basis of the block-order section matrix, read from the scan's own
     eliminations) that are independent of the shifts of the columns found
-    before.  The scan proves ker M ≅ ⊕O(a_i), which gives certify_kernel its
-    rank and degree."""
+    before.  Each shift s^(b-a-w) t^w of an earlier column of twist b is
+    written straight into a twist-a vector, from coefficient tuples: block j
+    gets the column's form j, w places into the block.  The scan proves
+    ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     parts: list[int] = []
     for m, new_parts, sections in _nullity_scan(M, generators=True):
@@ -537,10 +528,13 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
         parts.extend(new_parts)
         a = -m
         span = linalg.RowSpace(M.field, width)
+        offsets = [0, *accumulate(max(0, b - a + 1) for b in M.source)]
         for twist, forms in gens:
             for w in range(twist - a + 1):
-                shifted = {j: f.shift(twist - a - w, w) for j, f in forms.items()}
-                span.insert(_forms_to_vector(M, shifted, a, width))
+                vec = [0] * width
+                for j, f in forms.items():
+                    vec[offsets[j] + w : offsets[j] + w + len(f.coeffs)] = f.coeffs
+                span.insert(vec)
         found = 0
         for v in basis:
             res = span.insert(v)
@@ -589,22 +583,6 @@ def certify_kernel(M: GradedSheafMap, K: GradedSheafMap, rank: int, degree: int)
         at_point[i][j] = f.coeffs[0]
     if linalg.rank(at_point, K.field, K.ncols) != K.ncols:
         raise CertificationError("kernel matrix is not injective at the point (1 : 0)")
-
-
-def _forms_to_vector(M: GradedSheafMap, forms: dict, twist: int, width: int) -> list:
-    K = M.field
-    vec = [K.zero] * width
-    off = 0
-    for j, b in enumerate(M.source):
-        dim = max(0, b - twist + 1)
-        if dim == 0:
-            continue
-        f = forms.get(j)
-        if f is not None and not f.is_zero():
-            for u, c in enumerate(f.coeffs):
-                vec[off + u] = c
-        off += dim
-    return vec
 
 
 # -- hypersurface-level checks -----------------------------------------------------

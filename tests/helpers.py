@@ -30,6 +30,7 @@ from rncsplit.sheafmap import (
     MapError,
     _integer_lines,
     _scan_window,
+    _width,
     build_delta,
     normal_twists,
     tangent_twists,
@@ -362,6 +363,47 @@ def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
             v[pc] = field.neg(row[f])
         basis.append(v)
     return basis
+
+
+def kernel_basis_by_columns(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, m: int) -> list[list]:
+    """sheafmap._kernel_basis by one back-substitution per free column: the
+    prefix kernel vector of each free level-order column f, built from
+    {f: 1} through the pivot rows above f, last first, by a dot product with
+    the vector so far (over Q on integers, scaling the vector by the pivot
+    over its gcd with the residual).  The reduced echelon form of those
+    vectors, with the columns reversed, is the block-order rref basis.
+    Oracle for the one back-elimination of the pivot rows."""
+    K, p = M.field, M.field.p
+    w = _width(M, m)
+    r = bisect_left(pivots, w)
+    rows, pivots = rows[:r], pivots[:r]
+    offsets = [0, *itertools.accumulate(max(0, b + m + 1) for b in M.source)]
+    where = [w - 1 - offsets[j] - q for j, q in keys[:w]]  # block order, reversed
+    piv_set = set(pivots)
+    reversed_basis = []
+    for f in range(w):
+        if f in piv_set:
+            continue
+        v = {f: 1}
+        for row, c in zip(reversed(rows), reversed(pivots)):
+            if c > f:
+                continue
+            s = sum(row[x] * y for x, y in v.items())
+            if not s:
+                continue
+            if p is not None:
+                v[c] = -s * pow(row[c], -1, p) % p
+                continue
+            g = math.gcd(s, row[c])
+            if row[c] != g:
+                v = {x: y * (row[c] // g) for x, y in v.items()}
+            v[c] = -s // g
+        vec = [0] * w
+        for x, y in v.items():
+            vec[where[x]] = y
+        reversed_basis.append(vec)
+    R, _ = linalg.rref(reversed_basis, K, w)
+    return [row[::-1] for row in reversed(R)]
 
 
 def section_kernel_dim(M: GradedSheafMap, m: int) -> int:

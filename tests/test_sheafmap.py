@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
+from rncsplit.constructor import seed_example
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
@@ -43,6 +44,7 @@ from tests.helpers import (
     gradient_map,
     gradient_smooth,
     h0_euler_crosscheck,
+    kernel_basis_by_columns,
     map_from_json,
     parse_map,
     random_combination,
@@ -804,6 +806,12 @@ _DENSE = GradedSheafMap(
 )
 
 
+# the cubic and quartic seeds e = 7, 8 over GF(32003), and e = 7 over GF(2)
+_SEED_DELTAS = [
+    build_delta(seed_example(d, e, K)) for K in (GF, FieldSpec(2)) for d in (3, 4) for e in (7, 8) if e % K.p
+]
+
+
 @settings(deadline=None, max_examples=60)
 @given(one_row_maps())
 @example(GradedSheafMap(RATIONALS, (3, 1, 1, -1), (5,), {}))  # the zero row
@@ -812,20 +820,28 @@ _DENSE = GradedSheafMap(
 @example(from_rows([["s^4", "2/3*t^4 + s^2*t^2", "5/7*s^3*t"]], (0, 0, 0), (4,)))  # O(-1) + O(-3)
 @example(from_rows([["s", "3*t", "0"]], (2, 2, -1), (3,), FieldSpec(7)))  # O(1) + O(-1)
 @example(_DENSE)
+@example(_SEED_DELTAS[0])
+@example(_SEED_DELTAS[1])
+@example(_SEED_DELTAS[2])
+@example(_SEED_DELTAS[3])
+@example(_SEED_DELTAS[4])
+@example(_SEED_DELTAS[5])
 def test_kernel_bases_match_block_order_nullspace(M):
     # the kernel basis at twist m read from the level-ordered elimination at
     # any twist T >= m is the rref nullspace of the block-order matrix at m,
-    # and kernel_matrix gives the same K as on those nullspaces.  The twists
-    # checked are the window's ends and those around the scan's yields: the
-    # rest of the window costs seconds on wide windows and the scan never
-    # reads it
+    # and the per-column back-substitution gives it too; kernel_matrix gives
+    # the same K as on those nullspaces.  The twists checked are the window's
+    # ends and those around the scan's yields: the rest of the window costs
+    # seconds on wide windows and the scan never reads it
     m_bottom, m_top = sheafmap._scan_window(M)
     yields = [m for m, _, _ in sheafmap._nullity_scan(M, generators=True)]
     around = range(min(yields) - 1, max(yields) + 2) if yields else ()
     for m in sorted({m_bottom, *around, m_top + 1} & set(range(m_bottom, m_top + 2))):
         want = _block_order_basis(M, None, None, None, m)
         for T in (m, m + 1, m + 3):
-            assert sheafmap._kernel_basis(M, *sheafmap._twist_echelon(M, T), m) == want, (M, m, T)
+            echelon = sheafmap._twist_echelon(M, T)
+            assert sheafmap._kernel_basis(M, *echelon, m) == want, (M, m, T)
+            assert kernel_basis_by_columns(M, *echelon, m) == want, (M, m, T)
     K = format_map(kernel_matrix(M))
     with mock.patch.object(sheafmap, "_kernel_basis", _block_order_basis):
         assert format_map(kernel_matrix(M)) == K
@@ -1039,6 +1055,36 @@ def test_unchecked_builders_pass_the_validating_constructor(K, data):
     for M in sheafmap._restriction_maps(*data.draw(curve_restrictions(fields=(K,)))):
         _passes_validation(M)
     _passes_validation(kernel_matrix(data.draw(one_row_maps(fields=(K,)))))
+
+
+@pytest.mark.parametrize("K", [RATIONALS, FieldSpec(2), FieldSpec(3), GF], ids=str)
+def test_chain_step_maps_pass_the_validating_constructor(K):
+    # each extension step builds J, N1, N2, its one-column col_j, delta_out
+    # and psi_out unchecked; over every step of the cubic and quartic chains
+    # to n = 9 they would pass __init__, which drops the zero column a J0
+    # step's g = 0 would append to delta and psi
+    from rncsplit import constructor
+
+    columns = []
+
+    def recording(outer, inner):
+        columns.append(inner)
+        return compose(outer, inner)
+
+    strategies = set()
+    with mock.patch.object(constructor, "compose", recording):
+        for d, e0 in ((3, 3), (4, 4)):
+            for e in range(e0, 9):
+                if K.p and e % K.p == 0:
+                    continue
+                columns.clear()
+                steps = constructor.build_chain(d, e, 9, K)[1]
+                assert len(columns) == len(steps)  # one compose(delta_in, col_j) per step
+                for step, col_j in zip(steps, columns):
+                    strategies.add(step.strategy)
+                    for M in (step.J, step.N1, step.N2, col_j, step.delta_out, step.output_F.maps[0]):
+                        _passes_validation(M)
+    assert strategies == {"J0", "J1", "J2"}
 
 
 def test_unchecked_builders_drop_forms_that_cancel():
