@@ -6,9 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rncsplit import sheafmap
+from rncsplit import constructor, sheafmap
 from rncsplit.binform import BinaryForm, parse_binary_form
-from rncsplit.constructor import seed_example
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
@@ -808,7 +807,11 @@ _DENSE = GradedSheafMap(
 
 # the cubic and quartic seeds e = 7, 8 over GF(32003), and e = 7 over GF(2)
 _SEED_DELTAS = [
-    build_delta(seed_example(d, e, K)) for K in (GF, FieldSpec(2)) for d in (3, 4) for e in (7, 8) if e % K.p
+    build_delta(constructor.seed_example(d, e, K))
+    for K in (GF, FieldSpec(2))
+    for d in (3, 4)
+    for e in (7, 8)
+    if e % K.p
 ]
 
 
@@ -1063,8 +1066,6 @@ def test_chain_step_maps_pass_the_validating_constructor(K):
     # and psi_out unchecked; over every step of the cubic and quartic chains
     # to n = 9 they would pass __init__, which drops the zero column a J0
     # step's g = 0 would append to delta and psi
-    from rncsplit import constructor
-
     columns = []
 
     def recording(outer, inner):
