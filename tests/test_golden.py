@@ -22,9 +22,12 @@ def test_extend_json_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "extend_d3_e3_n5.json").read_text(encoding="utf-8")
 
 
-# a J2 step and then J1 steps over GF(32003); J0 steps, whose g is zero, over Q
+# a J2 step and then J1 steps over GF(32003), over Q and over GF(3), where
+# sums cancel; J0 steps, whose g is zero, over Q
 _LONG_EXTENDS = {
     "extend_d4_e5_n9_gf32003.json": ["--d", "4", "--e", "5", "--to-n", "9", "--field", "prime:32003"],
+    "extend_d4_e5_n9_q.json": ["--d", "4", "--e", "5", "--to-n", "9", "--field", "rational"],
+    "extend_d4_e5_n8_gf3.json": ["--d", "4", "--e", "5", "--to-n", "8", "--field", "prime:3"],
     "extend_d3_e5_n9_q.json": ["--d", "3", "--e", "5", "--to-n", "9", "--field", "rational"],
 }
 
