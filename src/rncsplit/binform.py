@@ -153,9 +153,9 @@ class BinaryForm:
         qdeg = self.degree - divisor.degree
         quot = [K.zero] * (qdeg + 1)
         dv = divisor.t_valuation()
-        lead = divisor.coeffs[dv]
+        inv = K.inv(divisor.coeffs[dv])  # of the leading coefficient, once
         for i in range(qdeg + 1):
-            c = K.div(rem[i + dv], lead)
+            c = K.mul(rem[i + dv], inv)
             quot[i] = c
             if not K.is_zero(c):
                 for j in range(divisor.degree + 1):

@@ -9,8 +9,10 @@ J with K = N1·J and N2 = coker J stacks into N, the row (delta, g) with
 g lifts to the new coefficient G_(n+1).  certify_kernel, proving N
 generates the kernel of that row, is the one check a step's answer rests
 on; the J identities are facts about how N is built, and the tests pin
-them.  The new hypersurface keeps the old psi and delta with one column
-appended, G_(n+1)|_C, which equals a rebuild (extend_dimension).
+them.  The new hypersurface keeps the old psi and delta (F.maps) with one
+column appended, G_(n+1)|_C, which equals a rebuild (extend_dimension).
+The d >= 5 ladders and the quartic e = 5 seed are lifted from monomial psi
+columns, each by one superdiagonal coefficient (lift_psi_targets).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .multipoly import (
     CurveContext,
     IdealCombination,
     MultiPoly,
-    PolyError,
     lift_binary_form,
     restrict_to_curve,
 )
@@ -29,7 +30,6 @@ from .sheafmap import (
     CertificationError,
     GradedSheafMap,
     _psi_and_delta,
-    build_delta,
     build_psi,
     certify_kernel,
     compose,
@@ -92,74 +92,35 @@ def lift_psi_targets(targets, context: CurveContext) -> IdealCombination:
     """Ideal combination whose psi quadric columns equal the given e-1 forms of
     degree e(d-1)-2 (linear part zero).
 
-    Fast path: when column l is divisible by s^(e-l-1) t^(l-1) the single
-    superdiagonal coefficient F_(l,l+1) does the job.  Otherwise the full
-    linear system in the restrictions F_(i,j)|_C is solved exactly.
+    Column l is lifted by the single superdiagonal coefficient F_(l,l+1), the
+    lift of its quotient by s^(e-l-1) t^(l-1); a column that monomial does
+    not divide is refused (the seeds' monomial ladders are all divisible).
     """
     e, d = context.e, context.d
-    K = context.field
     targets = list(targets)
     if len(targets) != e - 1:
         raise PsiLiftError(f"expected {e - 1} target columns, got {len(targets)}")
     want_deg = e * (d - 1) - 2
-    for l, f in enumerate(targets, start=1):
-        if not f.is_zero() and f.degree != want_deg:
-            raise PsiLiftError(f"target column {l} has degree {f.degree}, expected {want_deg}")
-
     quadric: dict = {}
-    try:
-        for l, f in enumerate(targets, start=1):
-            if f.is_zero():
-                continue
+    for l, f in enumerate(targets, start=1):
+        if f.is_zero():
+            continue
+        if f.degree != want_deg:
+            raise PsiLiftError(f"target column {l} has degree {f.degree}, expected {want_deg}")
+        try:
             quotient = f.shift(-(e - l - 1), -(l - 1))
-            quadric[(l, l + 1)] = lift_binary_form(quotient, context, d - 2)
-        F = IdealCombination(context, quadric, {})
-    except (DegreeError, PolyError):
-        F = _lift_psi_general(targets, context)
+        except DegreeError:
+            raise PsiLiftError(
+                f"target column {l} is not divisible by s^{e - l - 1} t^{l - 1}, "
+                f"so F_({l},{l + 1}) alone cannot lift it"
+            ) from None
+        quadric[(l, l + 1)] = lift_binary_form(quotient, context, d - 2)
+    F = IdealCombination(context, quadric, {})
     psi = build_psi(F)
     for l in range(e - 1):
         if not psi.entry(0, l).equals(targets[l]):
             raise CertificationError(f"lifted psi column {l + 1} disagrees with its target")
     return F
-
-
-def _lift_psi_general(targets, context: CurveContext) -> IdealCombination:
-    from . import linalg
-
-    e, d = context.e, context.d
-    K = context.field
-    pairs = [(i, j) for i in range(1, e + 1) for j in range(i + 1, e + 1)]
-    block = e * (d - 2) + 1  # coefficients per unknown restriction
-    ncols = len(pairs) * block
-    col_deg = e * (d - 1) - 2
-    rows = []
-    rhs = []
-    for l in range(1, e):
-        tgt = targets[l - 1]
-        for row_t in range(col_deg + 1):
-            row = [K.zero] * ncols
-            for pidx, (i, j) in enumerate(pairs):
-                if not i <= l < j:
-                    continue
-                shift_t = j + i - l - 2
-                u = row_t - shift_t
-                if 0 <= u <= block - 1:
-                    row[pidx * block + u] = K.one
-            rows.append(row)
-            rhs.append(tgt.coeff(row_t))
-    sol = linalg.solve(rows, rhs, K, ncols)
-    if sol is None:
-        raise PsiLiftError(
-            "no ideal combination restricts to the requested psi columns "
-            f"(d = {d}; the column space is a proper subspace for quadrics)"
-        )
-    quadric = {}
-    for pidx, (i, j) in enumerate(pairs):
-        coeffs = sol[pidx * block : (pidx + 1) * block]
-        f = BinaryForm(K, block - 1, tuple(coeffs))
-        if not f.is_zero():
-            quadric[(i, j)] = lift_binary_form(f, context, d - 2)
-    return IdealCombination(context, quadric, {})
 
 
 def general_psi_targets(d: int, n: int, field: FieldSpec) -> list[BinaryForm]:
@@ -352,11 +313,11 @@ def build_chain(
 def extend_chain(F: IdealCombination, n: int) -> list[ExtensionStep]:
     """Certified extend_dimension steps carrying F up to dimension n, each to
     the catalog prediction at its level.  Each step hands its certified
-    kernel N and its delta_out to the next, so the chain builds a kernel
-    matrix and a delta only for F itself."""
+    kernel N to the next, and its output_F keeps delta_out (F.maps), so the
+    chain builds a kernel matrix and a delta only for F itself."""
     ctx = F.context
     steps: list[ExtensionStep] = []
-    kernel = delta = None
+    kernel = None
     for m in range(ctx.n + 1, n + 1):
         pred = predicted_splitting(ctx.d, ctx.e, m)
         if pred.verdict != EXACT:
@@ -364,9 +325,9 @@ def extend_chain(F: IdealCombination, n: int) -> list[ExtensionStep]:
                 f"no exact predicted splitting at (d={ctx.d}, e={ctx.e}, n={m}); "
                 f"the catalog gives {pred.verdict} [{pred.provenance}]"
             )
-        step = extend_dimension(F, pred.splitting, _kernel=kernel, _delta=delta)
+        step = extend_dimension(F, pred.splitting, _kernel=kernel)
         steps.append(step)
-        F, kernel, delta = step.output_F, step.N, step.delta_out
+        F, kernel = step.output_F, step.N
     return steps
 
 
@@ -389,26 +350,6 @@ def _select_strategy(S: SplittingType, T: SplittingType, e: int) -> str:
         f"target {list(T.parts)} unreachable from {list(S.parts)} by a single "
         "strategy (append O(e); or trade one/two minimal summands per the J1/J2 shapes)"
     )
-
-
-def _split_off_t_power(f: BinaryForm):
-    """f = s*p + c*t^deg; returns (p, c)."""
-    K = f.field
-    if f.is_zero():
-        return BinaryForm.zero(K), K.zero
-    c = f.coeffs[f.degree]
-    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, f.degree, c))
-    return rest.shift(-1, 0), c
-
-
-def _split_off_s_power(f: BinaryForm):
-    """f = t*q + c*s^deg; returns (q, c)."""
-    K = f.field
-    if f.is_zero():
-        return BinaryForm.zero(K), K.zero
-    c = f.coeffs[0]
-    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, 0, c))
-    return rest.shift(0, -1), c
 
 
 def _build_J0(K_map: GradedSheafMap, e: int):
@@ -437,11 +378,14 @@ def _build_J1(K_perm: GradedSheafMap, a: int):
     J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
     N1_entries = {}
     for i in range(K_perm.nrows):
-        p, c = _split_off_t_power(K_perm.entry(i, 0))
-        if not p.is_zero():
-            N1_entries[(i, 0)] = p
+        k = K_perm.entry(i, 0)
+        if k.is_zero():
+            continue
+        # k = s·p + c·t^deg: p is every coefficient of k but the last
+        p, c = k.coeffs[:-1], k.coeffs[-1]
+        if any(p):
+            N1_entries[(i, 0)] = BinaryForm(field, k.degree - 1, p)
         if not field.is_zero(c):
-            k = K_perm.entry(i, 0)
             N1_entries[(i, w - 1)] = BinaryForm.monomial(field, k.degree - 1, k.degree - 1, c)
     for (i, j), f in K_perm.entries.items():
         if j >= 1:
@@ -470,31 +414,25 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
         J_entries[(j, j)] = one
     J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
     N1_entries = {}
+    zero = field.zero
     for i in range(K_perm.nrows):
-        k1 = K_perm.entry(i, 0)
-        k2 = K_perm.entry(i, 1)
         deg = K_perm.target[i] - a
-        p, c1 = _split_off_t_power(k1)
-        q, c2 = _split_off_s_power(k2)
+        k1, k2 = K_perm.entry(i, 0).coeffs, K_perm.entry(i, 1).coeffs
+        # k1 = s·p + c1·t^deg and k2 = t·q + c2·s^deg, read off the coefficients
+        col0, c1 = (list(k1[:-1]), k1[-1]) if k1 else ([zero] * deg, zero)
+        col1, c2 = (list(k2[1:]), k2[0]) if k2 else ([zero] * deg, zero)
         if deg < 2 and not (field.is_zero(c1) and field.is_zero(c2)):
             raise CertificationError("J2 decomposition needs entry degree >= 2")
-        col0 = p
-        if not field.is_zero(c2):
-            col0 = col0.sub(BinaryForm.monomial(field, deg - 1, 1, c2))
-        col1 = q
-        if not field.is_zero(c1):
-            col1 = col1.sub(BinaryForm.monomial(field, deg - 1, deg - 2, c1))
-        last = BinaryForm.zero(field)
-        if not field.is_zero(c1):
-            last = last.add(BinaryForm.monomial(field, deg - 1, deg - 1, c1))
-        if not field.is_zero(c2):
-            last = last.add(BinaryForm.monomial(field, deg - 1, 0, c2))
-        if not col0.is_zero():
-            N1_entries[(i, 0)] = col0
-        if not col1.is_zero():
-            N1_entries[(i, 1)] = col1
-        if not last.is_zero():
-            N1_entries[(i, w - 1)] = last
+        last = [zero] * deg
+        if not field.is_zero(c2):  # col0 = p - c2·s^(deg-2)·t
+            col0[1] = field.sub(col0[1], c2)
+            last[0] = c2
+        if not field.is_zero(c1):  # col1 = q - c1·s·t^(deg-2)
+            col1[deg - 2] = field.sub(col1[deg - 2], c1)
+            last[deg - 1] = c1
+        for j, cs in ((0, col0), (1, col1), (w - 1, last)):
+            if any(cs):
+                N1_entries[(i, j)] = BinaryForm(field, deg - 1, tuple(cs))
     for (i, j), f in K_perm.entries.items():
         if j >= 2:
             N1_entries[(i, j)] = f
@@ -511,7 +449,6 @@ def extend_dimension(
     target: SplittingType,
     *,
     _kernel: GradedSheafMap | None = None,
-    _delta: GradedSheafMap | None = None,
 ) -> ExtensionStep:
     """One inductive step n -> n+1: realize `target` as the splitting of the
     restricted tangent bundle of an extension F + G_(n+1) x_(n+1).
@@ -532,10 +469,11 @@ def extend_dimension(
     degree is not Σsource - de, which proves delta_in onto at every point,
     and delta_out = (delta_in, g) has an image at least as large.  Along a
     chain this runs by induction from the seed's scanned kernel:
-    extend_chain hands each step's delta_out and N, certified with that
-    degree, to the next step as `_delta` (the delta that F keeps) and
-    `_kernel`, which are private to it and are not certified again.
-    Without them the step builds delta and kernel_matrix(delta) from F.
+    extend_chain hands each step's N, certified with that degree, to the
+    next step as `_kernel`, which is private to it and is not certified
+    again; without it the step builds kernel_matrix(delta_in).  psi_in and
+    delta_in are F.maps: built once from F, or carried onto F by the step
+    that made it.
 
     g lifts to G_(n+1), and the step checks that G_(n+1)|_C is g.  output_F
     keeps F's psi and delta (F.maps) with G_(n+1)|_C appended as their last
@@ -547,8 +485,7 @@ def extend_dimension(
     ctx = F.context
     e, n, d = ctx.e, ctx.n, ctx.d
     field = ctx.field
-    delta_in = _delta if _delta is not None else build_delta(F)
-    psi_in = _psi_and_delta(F)[0]  # kept on F by build_delta, or carried onto F by the step that made it
+    psi_in, delta_in = _psi_and_delta(F)
     K_map = _kernel if _kernel is not None else kernel_matrix(delta_in)
     # deg ker delta = Σsource - de exactly when delta is onto everywhere
     if sum(K_map.source) != sum(delta_in.source) - d * e:

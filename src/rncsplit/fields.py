@@ -91,7 +91,7 @@ class FieldSpec:
     def inv(self, a):
         if self.is_zero(a):
             raise FieldError("division by zero")
-        return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
+        return 1 / a if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

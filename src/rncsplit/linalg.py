@@ -15,9 +15,9 @@ There is one elimination: `row_echelon` runs forward elimination only (each
 pivot row clears the rows below it) and keeps its pivot rows, each zero left
 of its pivot.  `rank` is the number of its pivots.  `rref` back-substitutes
 by the same elimination, run on the pivot rows and their pivot columns in
-reverse order, and divides each row by its pivot; `solve` is `rref` of the
-augmented matrix.  `RowSpace` reduces each vector by the row operation
-against an echelon basis kept in pivot order.  The nullity scan hands
+reverse order, and divides each row by its pivot.  `RowSpace` reduces each
+vector by the row operation against an echelon basis kept in pivot order.
+The nullity scan hands
 `row_echelon` section matrices already built as rows of Python ints and reads
 both the section counts and the kernel generators from the rows it returns,
 so no matrix is eliminated twice: for the generators it back-eliminates the
@@ -151,18 +151,6 @@ def rref(rows, field: FieldSpec, width: int | None = None):
     A = _pivots(A[::-1], pivots[::-1], p)[0][::-1]
     R = [_normalized(row, c, p) for row, c in zip(A, pivots)]
     return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
-
-
-def solve(rows, rhs, field: FieldSpec, width: int | None = None):
-    """One particular solution of A x = rhs (free variables set to 0), or None."""
-    width = _width(rows, width)
-    R, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], field, width + 1)
-    if width in pivots:
-        return None
-    x = [field.zero] * width
-    for row, c in zip(R, pivots):
-        x[c] = row[width]
-    return x
 
 
 class RowSpace:

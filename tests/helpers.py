@@ -131,6 +131,77 @@ def select_strategy_counter(S, T, e: int) -> str:
     raise UnsupportedCaseError(f"target {list(T.parts)} unreachable from {list(S.parts)}")
 
 
+# -- strategy columns split by form arithmetic ----------------------------------------
+
+
+def split_off_t_power(f: BinaryForm):
+    """f = s*p + c*t^deg; returns (p, c)."""
+    K = f.field
+    if f.is_zero():
+        return BinaryForm.zero(K), K.zero
+    c = f.coeffs[f.degree]
+    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, f.degree, c))
+    return rest.shift(-1, 0), c
+
+
+def split_off_s_power(f: BinaryForm):
+    """f = t*q + c*s^deg; returns (q, c)."""
+    K = f.field
+    if f.is_zero():
+        return BinaryForm.zero(K), K.zero
+    c = f.coeffs[0]
+    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, 0, c))
+    return rest.shift(0, -1), c
+
+
+def strategy_n1_by_forms(K_perm: GradedSheafMap, a: int, strategy: str) -> dict:
+    """The entries of N1 for a J1 or J2 step on the kernel K_perm (columns
+    sorted by twist, least twist a), its leading columns split by form
+    subtraction and shifts.  Oracle for constructor._build_J1/_build_J2,
+    which read the same splits off the coefficient tuples."""
+    field = K_perm.field
+    w = K_perm.ncols + 1
+    N1_entries = {}
+    if strategy == "J1":
+        for i in range(K_perm.nrows):
+            p, c = split_off_t_power(K_perm.entry(i, 0))
+            if not p.is_zero():
+                N1_entries[(i, 0)] = p
+            if not field.is_zero(c):
+                k = K_perm.entry(i, 0)
+                N1_entries[(i, w - 1)] = BinaryForm.monomial(field, k.degree - 1, k.degree - 1, c)
+        kept = 1
+    else:
+        for i in range(K_perm.nrows):
+            deg = K_perm.target[i] - a
+            p, c1 = split_off_t_power(K_perm.entry(i, 0))
+            q, c2 = split_off_s_power(K_perm.entry(i, 1))
+            if deg < 2 and not (field.is_zero(c1) and field.is_zero(c2)):
+                raise CertificationError("J2 decomposition needs entry degree >= 2")
+            col0 = p
+            if not field.is_zero(c2):
+                col0 = col0.sub(BinaryForm.monomial(field, deg - 1, 1, c2))
+            col1 = q
+            if not field.is_zero(c1):
+                col1 = col1.sub(BinaryForm.monomial(field, deg - 1, deg - 2, c1))
+            last = BinaryForm.zero(field)
+            if not field.is_zero(c1):
+                last = last.add(BinaryForm.monomial(field, deg - 1, deg - 1, c1))
+            if not field.is_zero(c2):
+                last = last.add(BinaryForm.monomial(field, deg - 1, 0, c2))
+            if not col0.is_zero():
+                N1_entries[(i, 0)] = col0
+            if not col1.is_zero():
+                N1_entries[(i, 1)] = col1
+            if not last.is_zero():
+                N1_entries[(i, w - 1)] = last
+        kept = 2
+    for (i, j), f in K_perm.entries.items():
+        if j >= kept:
+            N1_entries[(i, j)] = f
+    return N1_entries
+
+
 # -- the gcd of binary forms -----------------------------------------------------
 #
 # Smoothness along the curve by the gcd of delta's entries.  Oracles for
@@ -698,7 +769,7 @@ def _interpolate_form(field: FieldSpec, degree: int, values: list) -> BinaryForm
         for _ in range(degree):
             row.append(K.mul(row[-1], tau))
         rows.append(row)
-    coeffs = linalg.solve(rows, values, K, npts)
+    coeffs = solve_frac(rows, values, npts) if K.p is None else solve_list_mod(rows, values, npts, K.p)
     if coeffs is None:
         raise CertificationError("interpolation failed")
     return BinaryForm(K, degree, tuple(coeffs))

@@ -177,6 +177,18 @@ def test_shift_and_divexact():
         bf("s^2+t^2").divexact(bf("s-t"))
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_divexact_recovers_random_exact_quotients(p):
+    # q·g / g = q, for divisors whose leading coefficient (at the lowest
+    # t-power) is any unit, some with a power of t split off
+    K, rnd = FieldSpec(p), random.Random(p)
+    for _ in range(100):
+        q = BinaryForm(K, 7, tuple(rnd.randrange(p) for _ in range(8)))
+        lead = BinaryForm.monomial(K, 0, 0, rnd.randrange(1, p)).shift(0, rnd.randrange(3))
+        g = bf_mul(lead, BinaryForm(K, 2, (1, rnd.randrange(p), rnd.randrange(p))))
+        assert bf_mul(q, g).divexact(g).coeffs == q.coeffs, (q, g)
+
+
 def _shift_oracle(f, s_power, t_power):
     """f * s^s_power * t^t_power one coefficient at a time: the term
     s^(deg-i) t^i moves to slot i + t_power, and a negative exponent on a

@@ -444,26 +444,27 @@ def test_verify_rational_backstop_on_modular_failure(capsys, monkeypatch):
 
 
 def test_verify_chain_builds_each_delta_once(monkeypatch):
-    # build_chain builds the seed's delta and scans it once, inside
-    # kernel_matrix.  A step builds no delta: its output hypersurface keeps
-    # the input's psi and delta with one column appended.  build_delta reads
-    # the restrictions itself and builds no psi.  verify reads the seed's
-    # splitting off the first step and each step's off its certified N, so
-    # it builds and scans nothing after the chain.
+    # build_chain builds the seed's psi and delta in one _restriction_maps
+    # call, kept on the seed, and scans delta once, inside kernel_matrix.  A
+    # step builds no maps: it reads psi and delta off F.maps, and its output
+    # hypersurface keeps them with one column appended.  No psi is built on
+    # its own.  verify reads the seed's splitting off the first step and
+    # each step's off its certified N, so it builds and scans nothing after
+    # the chain.
     from rncsplit import constructor, sheafmap
     from rncsplit.fields import FieldSpec
 
     calls = []
-    build_psi, build_delta, build_chain = sheafmap.build_psi, constructor.build_delta, cli.build_chain
+    build_psi, restriction_maps, build_chain = sheafmap.build_psi, sheafmap._restriction_maps, cli.build_chain
     scan = sheafmap._nullity_scan
 
     def psi(F):
         calls.append("psi")
         return build_psi(F)
 
-    def delta(F):
+    def delta(*args):
         calls.append("delta")
-        return build_delta(F)
+        return restriction_maps(*args)
 
     def scanning(M, *args, **kwargs):
         calls.append("scan")
@@ -477,7 +478,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
     monkeypatch.setattr(sheafmap, "build_psi", psi)
     monkeypatch.setattr(constructor, "build_psi", psi)
     monkeypatch.setattr(sheafmap, "_nullity_scan", scanning)
-    monkeypatch.setattr(constructor, "build_delta", delta)
+    monkeypatch.setattr(sheafmap, "_restriction_maps", delta)
     monkeypatch.setattr(cli, "build_chain", chain)
     for d, e in ((3, 3), (4, 4)):
         calls.clear()

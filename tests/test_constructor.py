@@ -27,7 +27,12 @@ from rncsplit.sheafmap import (
     splitting_of_kernel,
 )
 from rncsplit.splitting import SplittingType, predicted_splitting
-from tests.helpers import extension_schedule, full_rank_everywhere, select_strategy_counter
+from tests.helpers import (
+    extension_schedule,
+    full_rank_everywhere,
+    select_strategy_counter,
+    strategy_n1_by_forms,
+)
 
 GF = FieldSpec(32003)
 
@@ -155,24 +160,28 @@ def test_lift_round_trip_random_divisible():
             assert psi.entry(0, l).equals(want)
 
 
-def test_lift_general_path_non_divisible():
-    # a column with no s-power factor forces the linear-system route
-    ctx = CurveContext(3, 3, 3, RATIONALS)
-    targets = [bform("s^4+t^4"), bform("t^4")]
-    F = lift_psi_targets(targets, ctx)
-    psi = build_psi(F)
-    assert psi.entry(0, 0).equals(targets[0])
-    assert psi.entry(0, 1).equals(targets[1])
+@pytest.mark.parametrize("field", [RATIONALS, GF], ids=str)
+def test_lift_refuses_a_column_the_monomial_does_not_divide(field):
+    # column l is lifted by F_(l,l+1) alone, so s^(e-l-1) t^(l-1) must divide
+    # it; a column it does not divide is refused by number, not lifted
+    # another way
+    ctx = CurveContext(3, 3, 3, field)
+    with pytest.raises(PsiLiftError, match=r"column 1 is not divisible by s\^1 t\^0"):
+        lift_psi_targets([bform("s^4+t^4", field), bform("t^4", field)], ctx)
+    with pytest.raises(PsiLiftError, match=r"column 2 is not divisible by s\^0 t\^1"):
+        lift_psi_targets([bform("s^4", field), bform("s^4+2*t^4", field)], ctx)
+    F = lift_psi_targets([bform("s^4+s^3*t", field), bform("s*t^3+t^4", field)], ctx)
+    assert build_psi(F).entry(0, 1).equals(bform("s*t^3+t^4", field))
 
 
 def test_lift_quadric_outside_image_reports():
-    # for d = 2 the reachable columns of psi are constrained: the t-part of the
-    # first column and the s-part of the second share one constant, so
-    # (s + t, t) is unreachable and must be reported, not silently altered
+    # for d = 2 column 1 must be a multiple of s: (s + t, t) and (s + t, s)
+    # are refused, not silently altered
     ctx = CurveContext(2, 3, 3, RATIONALS)
-    with pytest.raises(PsiLiftError):
-        lift_psi_targets([bform("s+t"), bform("t")], ctx)
-    lift_psi_targets([bform("s+t"), bform("s")], ctx)  # reachable: no error
+    for second in ("t", "s"):
+        with pytest.raises(PsiLiftError, match="column 1"):
+            lift_psi_targets([bform("s+t"), bform(second)], ctx)
+    lift_psi_targets([bform("s"), bform("t")], ctx)  # reachable: no error
 
 
 # -- schedules ----------------------------------------------------------------------
@@ -318,9 +327,9 @@ def test_quartic_family_seeds_match_catalog(field, e_max):
 
 
 def test_extend_step_builds_no_section_matrix(monkeypatch):
-    # with the previous step's kernel and delta handed on, a step runs no
-    # nullity scan: g comes from one exact division and N is certified by
-    # certify_kernel
+    # with the previous step's kernel handed on and its delta kept on F, a
+    # step runs no nullity scan: g comes from one exact division and N is
+    # certified by certify_kernel
     built = []
     section_rows = sheafmap._section_rows
 
@@ -331,13 +340,12 @@ def test_extend_step_builds_no_section_matrix(monkeypatch):
     monkeypatch.setattr(sheafmap, "_section_rows", recording)
     for d, e, field in ((3, 3, RATIONALS), (4, 5, GF)):
         F = seed_example(d, e, field)
-        delta = build_delta(F)
-        kernel = kernel_matrix(delta)
+        kernel = kernel_matrix(build_delta(F))
         for target in extension_schedule(d, e, e + 3)[1:]:
             built.clear()
-            step = extend_dimension(F, target, _kernel=kernel, _delta=delta)
+            step = extend_dimension(F, target, _kernel=kernel)
             assert built == [], (d, e, target)
-            F, kernel, delta = step.output_F, step.N, step.delta_out
+            F, kernel = step.output_F, step.N
 
 
 def test_kernel_served_by_chain_is_kernel_matrix():
@@ -358,16 +366,16 @@ def test_step_keeps_one_delta():
             assert step.delta_out is build_delta(step.output_F), (d, e, step.output_F.context.n)
 
 
-def _chain_steps(field):
+def _chain_steps(field, top=None):
     """(where, step, the kernel matrix the step was handed) for every step of
-    the cubic chains e = 3..8 and the quartic chains e = 4..8: up to n = 9
-    over GF(32003), two steps elsewhere, skipping curves whose degree the
-    characteristic divides."""
+    the cubic chains e = 3..8 and the quartic chains e = 4..8: up to n = top,
+    or else up to n = 9 over GF(32003) and two steps elsewhere, skipping
+    curves whose degree the characteristic divides."""
     for d, e0 in ((3, 3), (4, 4)):
         for e in range(e0, 9):
             if field.p and e % field.p == 0:
                 continue
-            _, steps = build_chain(d, e, 9 if field is GF else min(9, e + 2), field)
+            _, steps = build_chain(d, e, top or (9 if field is GF else min(9, e + 2)), field)
             kernel = kernel_matrix(build_delta(steps[0].input_F))
             for step in steps:
                 yield (d, e, step.output_F.context.n), step, kernel
@@ -384,6 +392,30 @@ def test_strategy_identities_hold_at_every_step(field):
             kernel = kernel.permute_columns(sorted(range(kernel.ncols), key=lambda j: (kernel.source[j], j)))
         assert compose(step.N1, step.J).equals(kernel), where
         assert compose(step.N2, step.J).is_zero_map(), where
+
+
+@pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
+def test_strategy_columns_split_by_slicing_match_form_arithmetic(field):
+    # _build_J1 and _build_J2 read p, c1 and q, c2 off each kernel entry's
+    # coefficients; the oracle subtracts c·t^deg or c·s^deg and shifts.  N1
+    # agrees entry for entry at every J1 and J2 step of the chains to n = 9,
+    # which split with c = 0 and c != 0, off t (column 0) and off s (J2's
+    # column 1)
+    branches = set()
+    for where, step, kernel in _chain_steps(field, 9):
+        if step.strategy == "J0":
+            continue
+        K_perm = kernel.permute_columns(sorted(range(kernel.ncols), key=lambda j: (kernel.source[j], j)))
+        entries = strategy_n1_by_forms(K_perm, min(kernel.source), step.strategy)
+        want = GradedSheafMap(field, step.N1.source, step.N1.target, entries)
+        assert step.N1.entries.keys() == want.entries.keys(), where
+        assert all(f.coeffs == want.entries[key].coeffs for key, f in step.N1.entries.items()), where
+        for (_, j), f in K_perm.entries.items():
+            if j == 0:
+                branches.add(("t", field.is_zero(f.coeffs[-1])))
+            elif j == 1 and step.strategy == "J2":
+                branches.add(("s", field.is_zero(f.coeffs[0])))
+    assert branches == {("t", True), ("t", False), ("s", True), ("s", False)}
 
 
 @pytest.mark.parametrize("corruption", ["entry", "column"])
@@ -447,19 +479,9 @@ def test_step_refuses_a_lift_that_does_not_restrict_to_g(monkeypatch):
                 extend_dimension(F, target)
 
 
-def test_step_with_a_handed_delta_builds_psi_when_f_keeps_none():
-    # F keeps no maps (another object built the handed delta): the step
-    # builds F's psi, and output_F still keeps the maps a rebuild gives
-    F, twin = seed_example(3, 3, GF), seed_example(3, 3, GF)
-    step = extend_dimension(F, SplittingType((2, 2, 2)), _delta=build_delta(twin))
-    out = step.output_F
-    rebuilt = IdealCombination(out.context, out.quadric_coeffs, out.linear_coeffs)
-    assert out.maps[0].equals(build_psi(rebuilt)) and out.maps[1].equals(build_delta(rebuilt))
-
-
 def test_extend_kernel_handoff_is_private():
     # a kernel reaches extend_dimension only through extend_chain's private
-    # keywords, which are not certified again
+    # keyword, which is not certified again; delta is F's own (F.maps)
     F = seed_example(3, 3)
     K = kernel_matrix(build_delta(F))
     with pytest.raises(TypeError):

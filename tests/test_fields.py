@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
 from rncsplit.fields import DEFAULT_PRIME, FieldError, FieldSpec, RATIONALS, parse_field
@@ -84,3 +86,14 @@ def test_balanced_representative_printing():
     K = FieldSpec(32003)
     assert K.format_scalar(K.from_int(-1)) == "-1"
     assert K.format_scalar(K.from_int(5)) == "5"
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_inverse_agrees_with_fermat(p):
+    # pow(a, -1, p) is the inverse that Fermat's a^(p-2) gives
+    K, rnd = FieldSpec(p), random.Random(p)
+    for a in {1, p - 1, *(rnd.randrange(1, p) for _ in range(200))}:
+        assert K.inv(a) == pow(a, p - 2, p), a
+        assert K.mul(a, K.inv(a)) == 1, a
+    with pytest.raises(FieldError):
+        K.inv(0)
