@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .binform import BinaryForm
-from .fields import RATIONALS, FieldSpec
+from .fields import RATIONALS, FieldError, FieldSpec
 
 
 class CurveContextError(ValueError):
@@ -312,214 +312,170 @@ def _grlex_key(exp: tuple) -> tuple:
 # -- text grammar --------------------------------------------------------------
 #
 # Integer (or a/b) coefficients, variables x0..x<n>, operators + - * ^ and
-# parentheses, e.g. "x1^2 - x0*x2".
+# parentheses, e.g. "x1^2 - x0*x2".  _LINE is a line of tokens, each digit run
+# read whole ("x00/0" is x00 and a stray "/").  _TOKEN reads one token (group
+# 1), a number's digits (2, 3) or a variable's index (4) with its integer
+# exponent (5) folded in, and a "*" after a number or variable (6).
 
-_POLY_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|x(?P<var>\d+)|(?P<op>[-+*^()]))"
-)
+_LINE = re.compile(r"(?:\s*(?:\d+(?!\d)(?:/\d+(?!\d))?|x\d+(?!\d)|[-+*^()]))*")
+_TOKEN = re.compile(r"\s*((?:(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+)(?!\d|/\d))?)(?:\s*(\*))?|[-+*^()])")
 
 
-class _PolyParser:
-    def __init__(self, text: str, context: CurveContext, degree: int):
-        self.tokens: list = []
-        self.context = context
+def _token_matches(text: str, limit: int) -> list:
+    """The tokens of text as matches; raises the first syntax error or number
+    of more than limit digits (0: no limit) in text order."""
+    out, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            pos = len(text) - len(text[pos:].lstrip())
+            raise HsfError(f"syntax error at position {pos}: {text[pos:]!r}")
+        for group in (2, 3, 4, 5):
+            if limit and len(m.group(group) or "") > limit:
+                raise HsfError(f"number at position {m.start(5 if group == 5 else 1)} has more than {limit} digits")
+        out.append(m)
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    """Recursive descent over the tokens of one stripped line, read once.  A
+    term's sign, numbers and powers of variables collect in one numerator,
+    denominator and exponent vector, one field element per term; only a
+    parenthesized factor (or a power of a number) is a MultiPoly, multiplied
+    in.  Token positions are worked out only for an error."""
+
+    def __init__(self, text: str, context: CurveContext, degree):
+        self.text, self.context = text, context
         self.degree = degree  # the expected degree, which no power may exceed
         # the most digits Python reads or prints in one int (0: no limit)
         self.limit = getattr(sys, "get_int_max_str_digits", int)()
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _POLY_TOKEN.match(text, pos)
-            if not m:
-                raise HsfError(f"syntax error at position {pos}: {text[pos:]!r}")
-            if self.limit and any(len(run) > self.limit for run in re.findall(r"\d+", m.group())):
-                raise HsfError(f"number at position {pos} has more than {self.limit} digits")
-            if m.group("num"):
-                self.tokens.append(("num", m.group("num"), pos))
-            elif m.group("var") is not None:
-                self.tokens.append(("var", int(m.group("var")), pos))
-            else:
-                self.tokens.append(("op", m.group("op"), pos))
-            pos = m.end()
-        self.i = 0
+        if not _LINE.fullmatch(text) or 0 < self.limit < len(text) and re.search(rf"(?<!\d)\d{{{self.limit + 1}}}", text):
+            _token_matches(text, self.limit)
+        self.tokens = [*_TOKEN.findall(text), ("",) * 6]  # and an end marker
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
+    def fail(self, i: int, message: str, group: int = 1):
+        """Raise message, its {} the position of token i (of its exponent:
+        group 5), or the end of input."""
+        if not self.tokens[i][0]:
             raise HsfError("unexpected end of input")
-        self.i += 1
-        return tok
+        raise HsfError(message.format(_token_matches(self.text, self.limit)[i].start(group)))
 
     def parse(self) -> MultiPoly:
-        p = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise HsfError(f"unexpected token at position {tok[2]}")
-        return p
+        i, degree, terms = self.expr(0)
+        if self.tokens[i][0]:
+            self.fail(i, "unexpected token at position {}")
+        return MultiPoly(self.context, degree, terms)
 
-    def expr(self) -> MultiPoly:
-        # the terms add into one dict, as MultiPoly.add would one at a time:
-        # a zero sum takes the degree of the next term
-        first = self.term()
-        K = self.context.field
-        out, degree = dict(first.terms), first.total_degree
+    def expr(self, i: int) -> tuple:
+        """(next token, degree, terms) of the sum from token i, its terms added
+        into one dict as MultiPoly.add would add them one at a time: a zero
+        sum takes the degree of the next term."""
+        ctx, tokens = self.context, self.tokens
+        K, n, p = ctx.field, ctx.n, ctx.field.p
+        out: dict = {}
+        sign = 1
         while True:
-            tok = self.peek()
-            if not (tok and tok[0] == "op" and tok[1] in "+-"):
-                return MultiPoly(self.context, degree, out)
-            self.next()
-            right = self.term()
-            if not out:
-                degree = right.total_degree
-            elif right.terms and right.total_degree != degree:
-                raise HsfError(f"degree mismatch: {degree} vs {right.total_degree}")
-            for exp, c in right.terms.items():
-                total = K.add(out.get(exp, K.zero), c if tok[1] == "+" else K.neg(c))
-                if K.is_zero(total):
-                    del out[exp]
+            num, den, exps, polys = sign, 1, [0] * (n + 1), []
+            while True:  # a factor: "-"* atom ["^" integer], then "*" or the term's end
+                tok, a, b, k, m, star = tokens[i]
+                i += 1
+                if tok == "-":
+                    num = -num
+                    continue
+                if a and (star or tokens[i][0] != "^"):
+                    num *= int(a)
+                    if b:
+                        if not (int(b) % p if p else int(b)):
+                            raise FieldError("division by zero")
+                        den *= int(b)
+                elif k:
+                    if int(k) > n:
+                        raise HsfError(f"variable x{int(k)} exceeds ambient dimension n = {n}")
+                    power = 1
+                    if m or not star and tokens[i][0] == "^":
+                        i, power, star = self.power(i, None, m, star)
+                    exps[int(k)] += power
                 else:
-                    out[exp] = total
+                    if a:
+                        base = MultiPoly.constant(ctx, K.parse_scalar(tok))
+                    elif tok == "(":
+                        i, *inner = self.expr(i)
+                        if tokens[i][0] != ")":
+                            self.fail(i, "expected ')' at position {}")
+                        base = MultiPoly(ctx, *inner)
+                        i += 1
+                    else:
+                        self.fail(i - 1, f"unexpected token {tok!r} at position {{}}")
+                    if tokens[i][0] == "^":
+                        i, base, star = self.power(i, base, "", star)
+                    polys.append(base)
+                if not star:
+                    if tokens[i][0] != "*":
+                        break
+                    i += 1
+            c = num * pow(den, -1, p) % p if p else Fraction(num, den)
+            term_degree, terms = sum(exps), ((tuple(exps), c),) if c else ()
+            if polys:
+                product = polys[0]
+                for P in polys[1:]:
+                    product = product.mul(P)
+                term_degree += product.total_degree
+                terms = [(tuple(map(add, e, exps)), K.mul(c, v)) for e, v in product.terms.items()] if c else ()
+            if not out:
+                degree = term_degree
+            elif terms and term_degree != degree:
+                raise HsfError(f"degree mismatch: {degree} vs {term_degree}")
+            for key, c in terms:
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = c
+                elif K.is_zero(total := K.add(prev, c)):
+                    del out[key]
+                else:
+                    out[key] = total
+            if tokens[i][0] not in ("+", "-"):
+                return i, degree, out
+            sign = -1 if tokens[i][0] == "-" else 1
+            i += 1
 
-    def term(self) -> MultiPoly:
-        left = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.next()
-                left = left.mul(self.factor())
-            else:
-                return left
-
-    def factor(self) -> MultiPoly:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            return self.factor().neg()
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok[0] != "num" or "/" in exp_tok[1]:
-                raise HsfError(f"expected integer exponent at position {exp_tok[2]}")
-            power = int(exp_tok[1])
-            K = self.context.field
-            if base.is_zero() or base.total_degree == 0:  # 0^k and c^k in one step
-                c = next(iter(base.terms.values()), K.zero)
-                # |c|^power has at least power * bits + 1 bits, and 10^limit 3.33 * limit
-                bits = 0 if K.p else max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-                if self.limit and power * bits > 4 * self.limit:
-                    raise HsfError(f"power at position {exp_tok[2]} has more than {self.limit} digits")
-                return MultiPoly.constant(self.context, c**power if K.p is None else pow(c, power, K.p))
-            if base.total_degree * power > self.degree:
-                raise HsfError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
-            out = MultiPoly.constant(self.context, K.one)
-            for _ in range(power):
-                out = out.mul(base)
-            return out
-        return base
-
-    def atom(self) -> MultiPoly:
-        tok = self.next()
-        if tok[0] == "num":
-            return MultiPoly.constant(self.context, self.context.field.parse_scalar(tok[1]))
-        if tok[0] == "var":
-            if tok[1] > self.context.n:
-                raise HsfError(f"variable x{tok[1]} exceeds ambient dimension n = {self.context.n}")
-            return MultiPoly.variable(self.context, tok[1])
-        if tok[1] == "(":
-            inner = self.expr()
-            close = self.next()
-            if close[0] != "op" or close[1] != ")":
-                raise HsfError(f"expected ')' at position {close[2]}")
-            return inner
-        raise HsfError(f"unexpected token {tok[1]!r} at position {tok[2]}")
-
-
-# One pass over a sum of monomials: signed terms, each a *-product of numbers
-# a or a/b and powers x<k> or x<k>^<m>.  Anything else is _PolyParser's.
-_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*\^\s*\d+)?)"
-_SUM = re.compile(rf"-?\s*{_FACTOR}(?:\s*[-+*]\s*{_FACTOR})*")
-_SUM_TOKEN = re.compile(r"([-+])|(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+))?")
-
-
-def _read_sum(text: str, context: CurveContext, degree: int) -> MultiPoly | None:
-    """The sum of monomials ``text`` (stripped) as _PolyParser reads it, its
-    terms added into one dict; None where _PolyParser must decide: other
-    syntax (parentheses, a sign inside a term, a power of a number), x<k> past
-    n, a term of another degree, a number past Python's digit limit, or a
-    zero coefficient or denominator."""
-    if not _SUM.fullmatch(text):
-        return None
-    K, n, p = context.field, context.n, context.field.p
-    tokens = _SUM_TOKEN.findall(text)
-    neg = text[0] == "-"
-    terms = []  # (negated, numerator, denominator, exponents) per term
-    num, den, exp = 1, 1, [0] * (n + 1)
-    try:
-        for sign, a, b, k, m in tokens[1:] if neg else tokens:
-            if sign:
-                terms.append((neg, num, den, exp))
-                neg, num, den, exp = sign == "-", 1, 1, [0] * (n + 1)
-            elif a:
-                num *= int(a)
-                if b:
-                    den *= int(b)
-            else:
-                k = int(k)
-                if k > n:
-                    return None
-                exp[k] += int(m) if m else 1
-    except ValueError:  # more digits than Python reads
-        return None
-    terms.append((neg, num, den, exp))
-    out: dict = {}
-    for neg, num, den, exp in terms:
-        if sum(exp) != degree:
-            return None
-        if p is None:
-            if not num or not den:
-                return None
-            c = Fraction(-num if neg else num, den)
-        else:
-            if not num % p or not den % p:
-                return None
-            c = (-num if neg else num) * pow(den, p - 2, p) % p
-        key = tuple(exp)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            total = K.add(prev, c)
-            if K.is_zero(total):
-                del out[key]
-            else:
-                out[key] = total
-    return MultiPoly(context, degree, out)
+    def power(self, i: int, base, m: str, star: str) -> tuple:
+        """(next token, power, star) of base (a MultiPoly, or None for a
+        variable, whose exponent is the power) by the exponent m folded into
+        token i - 1, or else by the integer after the "^" at token i.  A zero
+        or constant base is raised in one step; any other is refused past
+        the expected degree before any multiplication."""
+        at, group = i - 1, 5
+        if not m:
+            _, m, b, _, _, star = self.tokens[i + 1]
+            if not m or b:
+                self.fail(i + 1, "expected integer exponent at position {}")
+            i, at, group = i + 2, i + 1, 1
+        m, K = int(m), self.context.field
+        if base is not None and (base.is_zero() or base.total_degree == 0):
+            c = next(iter(base.terms.values()), K.zero)
+            # |c|^m has at least m * bits + 1 bits, and 10^limit 3.33 * limit
+            bits = 0 if K.p else max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+            if self.limit and m * bits > 4 * self.limit:
+                self.fail(at, f"power at position {{}} has more than {self.limit} digits", group)
+            return i, MultiPoly.constant(self.context, c**m if K.p is None else pow(c, m, K.p)), star
+        if (1 if base is None else base.total_degree) * m > self.degree:
+            self.fail(at, f"power at position {{}} above the expected degree {self.degree}", group)
+        if base is None:
+            return i, m, star
+        out = MultiPoly.constant(self.context, K.one)
+        for _ in range(m):
+            out = out.mul(base)
+        return i, out, star
 
 
 def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiPoly:
     """Parse text into a homogeneous MultiPoly of the expected degree."""
-    text = text.strip()
-    if text == "0":
-        return MultiPoly.zero(context, expected_degree)
-    raw = _read_sum(text, context, expected_degree)
-    if raw is None:
-        raw = _PolyParser(text, context, expected_degree).parse()
+    raw = _Parser(text.strip(), context, expected_degree).parse()
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
-    degrees = {sum(exp) for exp in raw.terms}
-    if len(degrees) > 1:
-        raise HsfError(f"non-homogeneous polynomial: term degrees {sorted(degrees)}")
     if raw.total_degree != expected_degree:
-        raise HsfError(
-            f"expected degree {expected_degree}, parsed degree {raw.total_degree}"
-        )
+        raise HsfError(f"expected degree {expected_degree}, parsed degree {raw.total_degree}")
     return raw
 
 

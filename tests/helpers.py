@@ -4,6 +4,7 @@ import argparse
 import itertools
 import math
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from rncsplit.cli import (
 )
 from rncsplit.constructor import UnsupportedCaseError, _check_constructive
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, IdealCombination, MultiPoly, PolyError
+from rncsplit.multipoly import CurveContext, HsfError, IdealCombination, MultiPoly, PolyError
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
@@ -1151,3 +1152,216 @@ def full_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_predict)
     return ap
+
+
+# -- the .hsf polynomial parser oracle ---------------------------------------------
+
+_POLY_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|x(?P<var>\d+)|(?P<op>[-+*^()]))"
+)
+
+
+class _PolyParser:
+    def __init__(self, text: str, context: CurveContext, degree: int):
+        self.tokens: list = []
+        self.context = context
+        self.degree = degree  # the expected degree, which no power may exceed
+        # the most digits Python reads or prints in one int (0: no limit)
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _POLY_TOKEN.match(text, pos)
+            if not m:
+                raise HsfError(f"syntax error at position {pos}: {text[pos:]!r}")
+            if self.limit and any(len(run) > self.limit for run in re.findall(r"\d+", m.group())):
+                raise HsfError(f"number at position {pos} has more than {self.limit} digits")
+            if m.group("num"):
+                self.tokens.append(("num", m.group("num"), pos))
+            elif m.group("var") is not None:
+                self.tokens.append(("var", int(m.group("var")), pos))
+            else:
+                self.tokens.append(("op", m.group("op"), pos))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise HsfError("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def parse(self) -> MultiPoly:
+        p = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise HsfError(f"unexpected token at position {tok[2]}")
+        return p
+
+    def expr(self) -> MultiPoly:
+        # the terms add into one dict, as MultiPoly.add would one at a time:
+        # a zero sum takes the degree of the next term
+        first = self.term()
+        K = self.context.field
+        out, degree = dict(first.terms), first.total_degree
+        while True:
+            tok = self.peek()
+            if not (tok and tok[0] == "op" and tok[1] in "+-"):
+                return MultiPoly(self.context, degree, out)
+            self.next()
+            right = self.term()
+            if not out:
+                degree = right.total_degree
+            elif right.terms and right.total_degree != degree:
+                raise HsfError(f"degree mismatch: {degree} vs {right.total_degree}")
+            for exp, c in right.terms.items():
+                total = K.add(out.get(exp, K.zero), c if tok[1] == "+" else K.neg(c))
+                if K.is_zero(total):
+                    del out[exp]
+                else:
+                    out[exp] = total
+
+    def term(self) -> MultiPoly:
+        left = self.factor()
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] == "*":
+                self.next()
+                left = left.mul(self.factor())
+            else:
+                return left
+
+    def factor(self) -> MultiPoly:
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] == "-":
+            self.next()
+            return self.factor().neg()
+        base = self.atom()
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] == "^":
+            self.next()
+            exp_tok = self.next()
+            if exp_tok[0] != "num" or "/" in exp_tok[1]:
+                raise HsfError(f"expected integer exponent at position {exp_tok[2]}")
+            power = int(exp_tok[1])
+            K = self.context.field
+            if base.is_zero() or base.total_degree == 0:  # 0^k and c^k in one step
+                c = next(iter(base.terms.values()), K.zero)
+                # |c|^power has at least power * bits + 1 bits, and 10^limit 3.33 * limit
+                bits = 0 if K.p else max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+                if self.limit and power * bits > 4 * self.limit:
+                    raise HsfError(f"power at position {exp_tok[2]} has more than {self.limit} digits")
+                return MultiPoly.constant(self.context, c**power if K.p is None else pow(c, power, K.p))
+            if base.total_degree * power > self.degree:
+                raise HsfError(f"power at position {exp_tok[2]} above the expected degree {self.degree}")
+            out = MultiPoly.constant(self.context, K.one)
+            for _ in range(power):
+                out = out.mul(base)
+            return out
+        return base
+
+    def atom(self) -> MultiPoly:
+        tok = self.next()
+        if tok[0] == "num":
+            return MultiPoly.constant(self.context, self.context.field.parse_scalar(tok[1]))
+        if tok[0] == "var":
+            if tok[1] > self.context.n:
+                raise HsfError(f"variable x{tok[1]} exceeds ambient dimension n = {self.context.n}")
+            return MultiPoly.variable(self.context, tok[1])
+        if tok[1] == "(":
+            inner = self.expr()
+            close = self.next()
+            if close[0] != "op" or close[1] != ")":
+                raise HsfError(f"expected ')' at position {close[2]}")
+            return inner
+        raise HsfError(f"unexpected token {tok[1]!r} at position {tok[2]}")
+
+
+# One pass over a sum of monomials: signed terms, each a *-product of numbers
+# a or a/b and powers x<k> or x<k>^<m>.  Anything else is _PolyParser's.
+_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*\^\s*\d+)?)"
+_SUM = re.compile(rf"-?\s*{_FACTOR}(?:\s*[-+*]\s*{_FACTOR})*")
+_SUM_TOKEN = re.compile(r"([-+])|(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+def _read_sum(text: str, context: CurveContext, degree: int) -> MultiPoly | None:
+    """The sum of monomials ``text`` (stripped) as _PolyParser reads it, its
+    terms added into one dict; None where _PolyParser must decide: other
+    syntax (parentheses, a sign inside a term, a power of a number), x<k> past
+    n, a term of another degree, a number past Python's digit limit, or a
+    zero coefficient or denominator."""
+    if not _SUM.fullmatch(text):
+        return None
+    K, n, p = context.field, context.n, context.field.p
+    tokens = _SUM_TOKEN.findall(text)
+    neg = text[0] == "-"
+    terms = []  # (negated, numerator, denominator, exponents) per term
+    num, den, exp = 1, 1, [0] * (n + 1)
+    try:
+        for sign, a, b, k, m in tokens[1:] if neg else tokens:
+            if sign:
+                terms.append((neg, num, den, exp))
+                neg, num, den, exp = sign == "-", 1, 1, [0] * (n + 1)
+            elif a:
+                num *= int(a)
+                if b:
+                    den *= int(b)
+            else:
+                k = int(k)
+                if k > n:
+                    return None
+                exp[k] += int(m) if m else 1
+    except ValueError:  # more digits than Python reads
+        return None
+    terms.append((neg, num, den, exp))
+    out: dict = {}
+    for neg, num, den, exp in terms:
+        if sum(exp) != degree:
+            return None
+        if p is None:
+            if not num or not den:
+                return None
+            c = Fraction(-num if neg else num, den)
+        else:
+            if not num % p or not den % p:
+                return None
+            c = (-num if neg else num) * pow(den, p - 2, p) % p
+        key = tuple(exp)
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            total = K.add(prev, c)
+            if K.is_zero(total):
+                del out[key]
+            else:
+                out[key] = total
+    return MultiPoly(context, degree, out)
+
+
+def parse_poly_oracle(text: str, context: CurveContext, expected_degree: int) -> MultiPoly:
+    """multipoly.parse_poly as two parsers of one grammar: the one-pass reader
+    _read_sum for a sum of monomials, else the token-at-a-time recursive
+    descent _PolyParser.  Oracle for the one parser in multipoly."""
+    text = text.strip()
+    if text == "0":
+        return MultiPoly.zero(context, expected_degree)
+    raw = _read_sum(text, context, expected_degree)
+    if raw is None:
+        raw = _PolyParser(text, context, expected_degree).parse()
+    if raw.is_zero():
+        return MultiPoly.zero(context, expected_degree)
+    degrees = {sum(exp) for exp in raw.terms}
+    if len(degrees) > 1:
+        raise HsfError(f"non-homogeneous polynomial: term degrees {sorted(degrees)}")
+    if raw.total_degree != expected_degree:
+        raise HsfError(
+            f"expected degree {expected_degree}, parsed degree {raw.total_degree}"
+        )
+    return raw

@@ -246,10 +246,10 @@ def test_pivot_columns_match_rref(system, mod_system):
 
 
 def _mod_matrix(p, dense, seed):
-    """(rows, width, rhs, x): a random matrix mod p whose rows are its first r
-    rows and random combinations of them, a right-hand side and a vector.
-    Dense ones have uniform entries, at least 36 x 36 of them and r >= m/2;
-    sparse ones have at most 12 x 12."""
+    """(rows, width, x): a random matrix mod p whose rows are its first r
+    rows and random combinations of them, and a vector.  Dense ones have
+    uniform entries, at least 36 x 36 of them and r >= m/2; sparse ones have
+    at most 12 x 12."""
     rnd = random.Random(seed)
     lo, hi, share = (36, 44, 1.0) if dense else (0, 12, rnd.choice([0.15, 0.5]))
     m, width = rnd.randint(lo, hi), rnd.randint(lo, hi)
@@ -260,7 +260,7 @@ def _mod_matrix(p, dense, seed):
         coeffs = [rnd.randrange(p) if rnd.random() < share else 0 for _ in range(r)]
         combo = [sum(c * row[j] for c, row in zip(coeffs, basis)) % p for j in range(width)]
         rows.insert(rnd.randint(0, len(rows)), combo)
-    return rows, width, [rnd.randrange(p) for _ in range(m)], [rnd.randrange(p) for _ in range(width)]
+    return rows, width, [rnd.randrange(p) for _ in range(width)]
 
 
 def _all_ints(*matrices):
@@ -275,7 +275,7 @@ def _all_ints(*matrices):
 def test_list_kernels_match_numpy_kernels(p, dense, seed):
     # the list kernels against the numpy Gauss-Jordan and row-space oracles
     K = FieldSpec(p)
-    rows, width, _, _ = _mod_matrix(p, dense, seed)
+    rows, width, _ = _mod_matrix(p, dense, seed)
     R, pivots = rref_mod(rows, width, p)
     assert not rows or len(pivots) == _rank_mod_p(rows, p)
     echelon, forward_pivots = linalg.row_echelon([list(row) for row in rows], K, width)
@@ -302,7 +302,7 @@ def test_in_place_kernel_matches_list_oracle(p, dense, seed):
     # the in-place row operation, at the pivot row's nonzero columns, against
     # the list-rebuilding one, on the same rows in the same pivot order
     K = FieldSpec(p)
-    rows, width, _, x = _mod_matrix(p, dense, seed)
+    rows, width, x = _mod_matrix(p, dense, seed)
     echelon = row_echelon_list_mod(rows, width, p)
     assert linalg.row_echelon([list(row) for row in rows], K, width) == echelon
     assert linalg.rank(rows, K, width) == len(echelon[1])

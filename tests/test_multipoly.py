@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rncsplit import multipoly
 from rncsplit.binform import BinaryForm, parse_binary_form
 from rncsplit.fields import FieldError, FieldSpec, RATIONALS
+from tests import helpers
 from tests.helpers import (
     _monomials,
     assemble,
@@ -18,6 +19,7 @@ from tests.helpers import (
     build_quadric,
     dense_combination,
     gradient_on_curve,
+    parse_poly_oracle,
     random_combination,
     random_poly,
     restrict_dense,
@@ -122,14 +124,16 @@ def test_repository_hsf_files_parse_as_without_the_power_bound(monkeypatch):
     readme = (root / "README.md").read_text(encoding="utf-8").split("Hypersurface files (`.hsf`)", 1)[1]
     texts = [re.search(r"```\n(.*?)```", readme, re.S).group(1)]
     texts += [path.read_text(encoding="utf-8") for path in sorted(root.rglob("*.hsf"))]
-    monkeypatch.setattr(multipoly, "_read_sum", lambda text, context, degree: None)  # _PolyParser reads every line
     bounded = [parse_hypersurface(text) for text in texts]
 
-    class Unbounded(multipoly._PolyParser):
+    class Unbounded(helpers._PolyParser):
         def __init__(self, text, context, degree):
             super().__init__(text, context, float("inf"))
 
-    monkeypatch.setattr(multipoly, "_PolyParser", Unbounded)
+    # the oracle, its recursive parser reading every line with no power bound
+    monkeypatch.setattr(helpers, "_read_sum", lambda text, context, degree: None)
+    monkeypatch.setattr(helpers, "_PolyParser", Unbounded)
+    monkeypatch.setattr(multipoly, "parse_poly", parse_poly_oracle)
     assert [parse_hypersurface(text) for text in texts] == bounded
 
 
@@ -421,10 +425,10 @@ def test_hypersurface_file_error_messages(text, why):
 
 
 def _fold(texts, signs, context):
-    # the sum as MultiPoly.add and sub build it, one term at a time
-    out = multipoly._PolyParser(texts[0], context, 9).parse()
+    # the sum as MultiPoly.add and sub build it from the oracle's terms, one at a time
+    out = helpers._PolyParser(texts[0], context, 9).parse()
     for sign, text in zip(signs, texts[1:]):
-        term = multipoly._PolyParser(text, context, 9).parse()
+        term = helpers._PolyParser(text, context, 9).parse()
         out = out.add(term) if sign == "+" else out.sub(term)
     return out
 
@@ -456,7 +460,7 @@ def test_parsed_sum_matches_add_fold(terms, signs, field):
     c = ctx(field=field)
     texts = ["*".join([str(coeff)] + [f"x{v}" for v in variables]) for coeff, variables in terms]
     text = texts[0] + "".join(f" {sign} {t}" for sign, t in zip(signs, texts[1:]))
-    assert _outcome(lambda: multipoly._PolyParser(text, c, 9).parse()) == _outcome(lambda: _fold(texts, signs, c))
+    assert _outcome(lambda: multipoly._Parser(text, c, 9).parse()) == _outcome(lambda: _fold(texts, signs, c))
 
 
 @pytest.mark.parametrize(
@@ -470,18 +474,19 @@ def test_parsed_sum_matches_add_fold(terms, signs, field):
     ],
 )
 def test_parsed_sum_edge_cases(text, degree, terms):
-    p = multipoly._PolyParser(text, ctx(), 9).parse()
-    assert (p.total_degree, p.terms) == (degree, terms)
+    # the parser and the oracle's recursive parser, both with the power bound 9
+    for parser in (multipoly._Parser, helpers._PolyParser):
+        p = parser(text, ctx(), 9).parse()
+        assert (p.total_degree, list(p.terms.items())) == (degree, list(terms.items()))
 
 
-# -- the one-pass reader against _PolyParser ---------------------------------------
+# -- the parser against the oracle (tests.helpers.parse_poly_oracle) ----------------
 
 HSF_ERRORS = (HsfError, FieldError, CurveContextError)
 
 
 def _result(parse, *args):
-    # what a parse gives, with the reader on (parse_poly) or off (_PolyParser
-    # decides alone): the terms in insertion order, or the error and message
+    # what a parse gives: the terms in insertion order, or the error and message
     try:
         out = parse(*args)
     except HSF_ERRORS as exc:
@@ -492,23 +497,60 @@ def _result(parse, *args):
 
 
 def _both(parse, *args):
-    on = _result(parse, *args)
-    with mock.patch.object(multipoly, "_read_sum", return_value=None):
-        return on, _result(parse, *args)
+    # the parser's result (parse_poly, or parse_hypersurface through it) and the oracle's
+    with mock.patch.object(multipoly, "parse_poly", parse_poly_oracle):
+        oracle = _result(parse_poly_oracle if parse is parse_poly else parse, *args)
+    return _result(parse, *args), oracle
+
+
+def _wrapped(text):
+    # the .hsf text with every body line's polynomial in parentheses
+    return "".join(re.sub(r": (.*)", r": (\1)", line) + "\n" for line in text.splitlines())
+
+
+_SHAPES = [(2, 3, 4), (3, 3, 4), (4, 4, 5), (5, 3, 5)]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7)], ids=str)
-@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 4), (4, 4, 5), (5, 3, 5)])
-def test_reader_matches_parser_on_dense_files(field, shape):
+@pytest.mark.parametrize(
+    "shape, wrap",
+    [pytest.param(shape, False, id=f"shape{k}") for k, shape in enumerate(_SHAPES)]
+    + [pytest.param(shape, True, id=f"shape{k}-wrapped") for k, shape in enumerate(_SHAPES)],
+)
+def test_reader_matches_parser_on_dense_files(field, shape, wrap):
     c = ctx(*shape, field=field)
     text = format_hypersurface(dense_combination(random.Random(sum(shape)), c))
-    on, off = _both(parse_hypersurface, text)
-    assert on == off
-    # every line of a printed hypersurface takes the one-pass route
+    text = _wrapped(text) if wrap else text
+    new, oracle = _both(parse_hypersurface, text)
+    assert new == oracle
+    # in the oracle every line of a printed hypersurface takes the one-pass
+    # reader, and every wrapped line the recursive parser
     for line in text.splitlines()[4:]:
         kind, body = line.split(":")
         degree = c.d - 2 if kind.startswith("Q") else c.d - 1
-        assert multipoly._read_sum(body.strip(), c, degree) is not None, line
+        assert (helpers._read_sum(body.strip(), c, degree) is None) == wrap, line
+
+
+def test_parenthesized_sums_of_monomials_take_no_multiplication_per_term():
+    # a sum of monomials in parentheses is read like a bare one: at most one
+    # MultiPoly.mul per parenthesized factor, none for the factors of its terms
+    c = ctx(5, 3, 5)
+    text = format_hypersurface(dense_combination(random.Random(13), c))
+    texts = [
+        _wrapped(text),
+        "Q 1 2 : 2*(x0 - x1)*x2*(x3 + 1/2*x4) - (x0)*x1*x2",
+        "X 4 : (x0*x1 - x2^2)*(x3^2) - 3*x5^4",
+    ]
+    mul, calls = MultiPoly.mul, []
+    with mock.patch.object(MultiPoly, "mul", lambda self, other: calls.append(other) or mul(self, other)):
+        wrapped = parse_hypersurface(texts[0])
+        assert len(calls) <= texts[0].count("(") == len(text.splitlines()) - 4
+        for line in texts[1:]:
+            calls.clear()
+            F = parse_hypersurface("d = 5\ne = 3\nn = 5\n" + line)
+            assert len(calls) <= line.count("(")
+            assert _result(lambda: F) == _both(parse_hypersurface, "d = 5\ne = 3\nn = 5\n" + line)[1]
+    assert wrapped == parse_hypersurface(text)
 
 
 @pytest.mark.parametrize(
@@ -539,11 +581,12 @@ def test_reader_matches_parser_on_dense_files(field, shape):
         ("(x0 + x1)*x2", 2, RATIONALS),
         ("x0*-x1", 2, RATIONALS),
         ("2^2*x0", 1, RATIONALS),
+        ("x00/0", 1, RATIONALS),
     ],
 )
 def test_reader_edge_inputs_match_parser(text, degree, field):
-    on, off = _both(parse_poly, text, ctx(field=field), degree)
-    assert on == off
+    new, oracle = _both(parse_poly, text, ctx(field=field), degree)
+    assert new == oracle
 
 
 _NUMBER = st.integers(1, 12).map(str) | st.tuples(st.integers(1, 12), st.integers(1, 12)).map("{0[0]}/{0[1]}".format)
@@ -570,8 +613,8 @@ def _monomial_sums(draw):
 @settings(max_examples=100, deadline=None)
 def test_reader_matches_parser_on_sums_of_monomials(sum_and_degree, field):
     text, degree = sum_and_degree
-    on, off = _both(parse_poly, text, ctx(field=field), degree)
-    assert on == off
+    new, oracle = _both(parse_poly, text, ctx(field=field), degree)
+    assert new == oracle
 
 
 @given(
@@ -581,9 +624,9 @@ def test_reader_matches_parser_on_sums_of_monomials(sum_and_degree, field):
 )
 @settings(max_examples=200, deadline=None)
 def test_hsf_fuzz_parses_or_raises_its_errors(body, header, field):
-    on, off = _both(parse_hypersurface, f"{header}\nfield = {field}\nQ 1 2 : {body}\n")
-    assert on == off
-    assert isinstance(on, list) or on[0] in HSF_ERRORS
+    new, oracle = _both(parse_hypersurface, f"{header}\nfield = {field}\nQ 1 2 : {body}\n")
+    assert new == oracle
+    assert isinstance(new, list) or new[0] in HSF_ERRORS
 
 
 def test_repeated_header_line_refused():
