@@ -1,7 +1,7 @@
 """Exact splitting types of restricted tangent and normal bundles of rational
 normal curves on projective hypersurfaces."""
 
-from .binform import BinaryForm, format_binary_form, parse_binary_form
+from .binform import BinaryForm, format_binary_form
 from .constructor import (
     ExtensionStep,
     build_chain,

@@ -8,7 +8,6 @@ and both answer ``is_zero()``.
 
 from __future__ import annotations
 
-import re
 from itertools import compress
 
 from .fields import FieldSpec
@@ -74,35 +73,10 @@ class BinaryForm:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def add(self, other: "BinaryForm") -> "BinaryForm":
-        return self._addsub(other, sub=False)
-
-    def sub(self, other: "BinaryForm") -> "BinaryForm":
-        return self._addsub(other, sub=True)
-
-    def _addsub(self, other: "BinaryForm", sub: bool) -> "BinaryForm":
-        K = self.field
-        if self.degree == -1 and other.degree == -1:
-            return self
-        if self.degree == -1:
-            return other.neg() if sub else other
-        if other.degree == -1:
-            return self
-        if self.degree != other.degree:
-            raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
-        op = K.sub if sub else K.add
-        return BinaryForm(K, self.degree, tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
     def neg(self) -> "BinaryForm":
         if self.degree == -1:
             return self
         return BinaryForm(self.field, self.degree, tuple(self.field.neg(c) for c in self.coeffs))
-
-    def scale(self, scalar) -> "BinaryForm":
-        if self.degree == -1:
-            return self
-        K = self.field
-        return BinaryForm(K, self.degree, tuple(K.mul(scalar, c) for c in self.coeffs))
 
     def equals(self, other: "BinaryForm") -> bool:
         """Equality of values: all zero forms are equal regardless of degree slot."""
@@ -166,71 +140,6 @@ class BinaryForm:
 
     def __repr__(self) -> str:
         return f"BinaryForm({format_binary_form(self)!r})"
-
-
-# -- text grammar --------------------------------------------------------------
-#
-# Terms `c*s^a*t^b` joined by + / -, with one optional leading sign; factors are
-# joined by `*`, and the exponent is omitted when 1,
-# e.g. `-s^11+t^11`, `s^10*t`, `3*s*t^2`.
-
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[st])(?:\^(?P<exp>\d+))?|(?P<op>[+*-]))")
-
-
-def parse_binary_form(text: str, field: FieldSpec, degree: int | None = None) -> BinaryForm:
-    """Parse the textual form grammar; `degree` pins the slot for zero input."""
-    terms = []  # (coeff, s_exp, t_exp)
-    pos = 0
-    sign = 1
-    cur = None  # (coeff, s, t) of term under construction
-    text = text.strip()
-    if text in ("0", ""):
-        if degree is None or degree < 0:
-            return BinaryForm.zero(field)
-        return BinaryForm.zero_of_degree(field, degree)
-
-    after_factor = False  # whether the last token was a number or a variable
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"syntax error in binary form at position {pos}: {text[pos:]!r}")
-        pos = m.end()
-        token = m.group().lstrip()
-        at = pos - len(token)
-        op = m.group("op")
-        # operators and factors alternate; a sign may also open the text
-        if after_factor != bool(op) and not (at == 0 and op in ("+", "-")):
-            raise ValueError(f"unexpected {token!r} at position {at} in binary form")
-        after_factor = not op
-        if op == "*":
-            continue
-        if op:
-            if cur is not None:
-                terms.append(cur)
-            cur = None
-            sign = -1 if op == "-" else 1
-            continue
-        if cur is None:
-            cur = (field.one if sign > 0 else field.neg(field.one), 0, 0)
-        c, a, b = cur
-        if m.group("num"):
-            cur = (field.mul(c, field.parse_scalar(m.group("num"))), a, b)
-        else:
-            exp = int(m.group("exp") or 1)
-            cur = (c, a + exp, b) if m.group("var") == "s" else (c, a, b + exp)
-    if not after_factor:
-        raise ValueError(f"binary form ends in an operator at position {at}")
-    terms.append(cur)
-    deg = terms[0][1] + terms[0][2]
-    for _, a, b in terms:
-        if a + b != deg:
-            raise ValueError(f"non-homogeneous binary form: degree {a + b} term among degree {deg}")
-    if degree is not None and degree != deg:
-        raise DegreeError(f"expected degree {degree}, parsed degree {deg}")
-    coeffs = [field.zero] * (deg + 1)
-    for c, _, b in terms:
-        coeffs[b] = field.add(coeffs[b], c)
-    return BinaryForm(field, deg, tuple(coeffs))
 
 
 def format_binary_form(f: BinaryForm) -> str:

@@ -13,16 +13,15 @@ the output.
 
 There is one elimination: `row_echelon` runs forward elimination only (each
 pivot row clears the rows below it) and keeps its pivot rows, each zero left
-of its pivot.  `rank` is the number of its pivots.  `rref` back-substitutes
-by the same elimination, run on the pivot rows and their pivot columns in
-reverse order, and divides each row by its pivot.  `RowSpace` reduces each
-vector by the row operation against an echelon basis kept in pivot order.
-The nullity scan hands
-`row_echelon` section matrices already built as rows of Python ints and reads
-both the section counts and the kernel generators from the rows it returns,
-so no matrix is eliminated twice: for the generators it back-eliminates the
-pivot rows of a prefix once, as `rref` does, and reads each kernel vector
-off the reduced rows (sheafmap._kernel_basis).
+of its pivot.  `rank` is the number of its pivots.  No reduced echelon form
+is built: `RowSpace` reduces each vector by the row operation against an
+echelon basis kept in pivot order, and only the residual it returns is
+divided by its pivot.  The nullity scan hands `row_echelon` section matrices
+already built as rows of Python ints and reads both the section counts and
+the kernel generators from the rows it returns, so no matrix is eliminated
+twice: for the generators it back-eliminates the pivot rows of a prefix
+once, reads each kernel vector off the reduced rows, and eliminates those
+vectors forward once (sheafmap._kernel_basis).
 
 The one kernel, `_pivots`, makes one pass over the rows left per pivot
 column to find the rows nonzero there; the first is the pivot row, and only
@@ -126,31 +125,11 @@ def row_echelon(A: list[list[int]], field: FieldSpec, width: int) -> tuple[list[
     return _pivots(A, range(width), field.p)
 
 
-def _width(rows, width: int | None) -> int:
-    if width is None:
-        return len(rows[0]) if len(rows) else 0
-    return width
-
-
 def rank(rows, field: FieldSpec, width: int | None = None) -> int:
     """The number of pivots of one forward elimination."""
-    p = field.p
-    return len(row_echelon([_int_row(row, p) for row in rows], field, _width(rows, width))[1])
-
-
-def rref(rows, field: FieldSpec, width: int | None = None):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns), with the
-    rows past the rank zero.  One forward elimination, then back-substitution
-    as the same elimination of its pivot rows, last first, over their pivot
-    columns, last first: each pivot row in turn is the first row left that is
-    nonzero in its pivot column, so it clears that column of the rows above
-    it.  Each row is then divided by its pivot."""
-    width = _width(rows, width)
-    p = field.p
-    A, pivots = row_echelon([_int_row(row, p) for row in rows], field, width)
-    A = _pivots(A[::-1], pivots[::-1], p)[0][::-1]
-    R = [_normalized(row, c, p) for row, c in zip(A, pivots)]
-    return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
+    if width is None:
+        width = len(rows[0]) if len(rows) else 0
+    return len(row_echelon([_int_row(row, field.p) for row in rows], field, width)[1])
 
 
 class RowSpace:
@@ -161,8 +140,11 @@ class RowSpace:
     inserted as, zero left of its pivot, kept as its row operation.
     `insert` reduces a vector by the rows in that order, which leaves it
     zero in every pivot column, and extends the span when the result is
-    nonzero.  That residual is unique for the span and its pivots, so the
-    basis needs no back-substitution and the scale of its rows does not show.
+    nonzero.  Up to scale, that residual is the one vector of v + span that
+    is zero at the span's pivot columns, and it is returned with a leading
+    1.  So what `insert` returns depends only on the span and on v modulo
+    the span, up to a nonzero multiple of v: the basis needs no
+    back-substitution, and the scale of its rows does not show.
     """
 
     def __init__(self, field: FieldSpec, width: int):

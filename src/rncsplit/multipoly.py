@@ -99,14 +99,6 @@ class MultiPoly:
         return MultiPoly(context, degree, {})
 
     @staticmethod
-    def variable(context: CurveContext, index: int) -> "MultiPoly":
-        if not 0 <= index <= context.n:
-            raise PolyError(f"variable x{index} outside x0..x{context.n}")
-        exp = [0] * context.nvars
-        exp[index] = 1
-        return MultiPoly(context, 1, {tuple(exp): context.field.one})
-
-    @staticmethod
     def monomial(context: CurveContext, exponents, coeff=None) -> "MultiPoly":
         c = context.field.one if coeff is None else coeff
         return MultiPoly(context, sum(exponents), {tuple(exponents): c})
@@ -136,12 +128,6 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------------------
 
     def add(self, other: "MultiPoly") -> "MultiPoly":
-        return self._addsub(other, sub=False)
-
-    def sub(self, other: "MultiPoly") -> "MultiPoly":
-        return self._addsub(other, sub=True)
-
-    def _addsub(self, other: "MultiPoly", sub: bool) -> "MultiPoly":
         K = self.context.field
         if self.is_zero():
             deg = other.total_degree
@@ -155,8 +141,7 @@ class MultiPoly:
             deg = self.total_degree
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            cc = K.neg(c) if sub else c
-            out[exp] = K.add(out.get(exp, K.zero), cc)
+            out[exp] = K.add(out.get(exp, K.zero), c)
         return MultiPoly(self.context, deg, out)
 
     def mul(self, other: "MultiPoly") -> "MultiPoly":
@@ -167,15 +152,6 @@ class MultiPoly:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 out[exp] = K.add(out.get(exp, K.zero), K.mul(c1, c2))
         return MultiPoly(self.context, self.total_degree + other.total_degree, out)
-
-    def scale(self, scalar) -> "MultiPoly":
-        K = self.context.field
-        return MultiPoly(
-            self.context, self.total_degree, {e: K.mul(scalar, c) for e, c in self.terms.items()}
-        )
-
-    def neg(self) -> "MultiPoly":
-        return self.scale(self.context.field.neg(self.context.field.one))
 
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)!r})"
@@ -471,7 +447,10 @@ class _Parser:
 
 def parse_poly(text: str, context: CurveContext, expected_degree: int) -> MultiPoly:
     """Parse text into a homogeneous MultiPoly of the expected degree."""
-    raw = _Parser(text.strip(), context, expected_degree).parse()
+    try:
+        raw = _Parser(text.strip(), context, expected_degree).parse()
+    except RecursionError:  # one frame per parenthesis
+        raise HsfError("parentheses nested too deeply") from None
     if raw.is_zero():
         return MultiPoly.zero(context, expected_degree)
     if raw.total_degree != expected_degree:

@@ -35,7 +35,7 @@ class CertificationError(RuntimeError):
 
 
 class GradedSheafMap:
-    """Compare maps with `equals`: `==` is identity."""
+    """A graded matrix of binary forms; `==` is identity."""
 
     __slots__ = ("field", "source", "target", "entries")
 
@@ -78,15 +78,6 @@ class GradedSheafMap:
 
     def is_zero_map(self) -> bool:
         return not self.entries
-
-    def equals(self, other: "GradedSheafMap") -> bool:
-        if self.source != other.source or self.target != other.target:
-            return False
-        # entries hold no zero forms, so equal maps have the same keys
-        theirs = other.entries
-        return self.entries.keys() == theirs.keys() and all(
-            f.equals(theirs[k]) for k, f in self.entries.items()
-        )
 
     def permute_columns(self, perm: list[int]) -> "GradedSheafMap":
         """New map whose column k is the old column perm[k]."""
@@ -331,40 +322,41 @@ def _count(M: GradedSheafMap, pivots: list[int], m: int) -> int:
 
 
 def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, m: int) -> list[list]:
-    """The nullspace of the twist-m section matrix in block order, as rref
-    gives it: one vector per free column f, 1 at f and 0 at the other free
-    columns and past f.  Read from a twist T >= m elimination (rows, pivots,
-    keys; see _twist_echelon) with no second elimination of the matrix.
+    """A basis of the nullspace of the twist-m section matrix in block order,
+    as integer rows whose last nonzero positions strictly increase.  Read
+    from a twist T >= m elimination (rows, pivots, keys; see _twist_echelon)
+    with no second elimination of the matrix.
 
     The pivot rows inside the prefix of width w = _width(M, m) span its row
-    space.  One back-elimination reduces them as rref does: linalg._pivots,
-    with its one row operation, runs on fresh copies of them cut to the
-    prefix and on their pivots, last first, so each row is zero at every
-    other pivot column.  The prefix kernel vector of a free level-order
-    column f is then read off with no dot product: 1 at f and
-    -row[f] / row[c] at the pivot c of each row, which is zero unless c < f.
-    Column (j, q) of the prefix is column off(j) + q of the twist-m matrix
-    in block order.  The vectors above span the kernel, and the rref basis
-    is their reduced echelon form with the columns reversed: its pivots are
-    the free columns of the block-order matrix, since column f is free iff
-    some kernel vector ends at f."""
-    K, p = M.field, M.field.p
+    space.  One back-elimination reduces them: linalg._pivots, with its one
+    row operation, runs on fresh copies of them cut to the prefix and on
+    their pivots, last first, so each row is zero at every other pivot
+    column.  The prefix kernel vector of a free level-order column f is then
+    read off with no dot product: 1 at f and -row[f] / row[c] at the pivot c
+    of each row, which is zero unless c < f.  Column (j, q) of the prefix is
+    column off(j) + q of the twist-m matrix in block order.  These vectors
+    span the kernel, and one forward elimination over the block-order
+    columns, last first, leaves each a last nonzero position of its own.
+    Reversed, the first k rows span the kernel vectors that are zero past
+    the k-th of those positions, as the first k rows of the reduced echelon
+    basis do, which is all kernel_matrix depends on."""
+    p = M.field.p
     w = _width(M, m)
     r = bisect_left(pivots, w)
     rows, pivots = linalg._pivots([row[:w] for row in rows[:r][::-1]], pivots[:r][::-1], p)
     offsets = [0, *accumulate(max(0, b + m + 1) for b in M.source)]
-    where = [w - 1 - offsets[j] - q for j, q in keys[:w]]  # block order, reversed
+    where = [offsets[j] + q for j, q in keys[:w]]  # block order
     free = sorted(set(range(w)).difference(pivots))
-    reversed_basis = [[0] * w for _ in free]
-    for vec, f in zip(reversed_basis, free):
+    basis = [[0] * w for _ in free]
+    for vec, f in zip(basis, free):
         vec[where[f]] = 1
     for row, c in zip(rows, pivots):
         x, scale = where[c], Fraction(-1, row[c]) if p is None else p - pow(row[c], -1, p)
-        for vec, f in zip(reversed_basis, free):
+        for vec, f in zip(basis, free):
             if row[f]:
-                vec[x] = row[f] * scale  # -row[f] / row[c], which rref reduces mod p
-    R, _ = linalg.rref(reversed_basis, K, w)
-    return [row[::-1] for row in reversed(R)]
+                vec[x] = row[f] * scale  # -row[f] / row[c], reduced mod p by _int_row
+    basis = [linalg._int_row(vec, p) for vec in basis]
+    return linalg._pivots(basis, range(w - 1, -1, -1), p)[0][::-1]
 
 
 def _nullity_scan(M: GradedSheafMap, generators: bool = False):
@@ -514,13 +506,17 @@ def kernel_matrix(M: GradedSheafMap) -> GradedSheafMap:
     compose(M, K) = 0, source twists equal splitting_of_kernel(M) sorted
     descending, and K has full rank at every point of the line.
 
-    Columns of twist a are the scan's nullspace vectors at m = -a (the rref
-    basis of the block-order section matrix, read from the scan's own
-    eliminations) that are independent of the shifts of the columns found
-    before.  Each shift s^(b-a-w) t^w of an earlier column of twist b is
-    written straight into a twist-a vector, from coefficient tuples: block j
-    gets the column's form j, w places into the block.  The scan proves
-    ker M ≅ ⊕O(a_i), which gives certify_kernel its rank and degree."""
+    Columns of twist a are the scan's nullspace vectors at m = -a (an
+    echelon basis of the block-order section matrix, read from the scan's
+    own eliminations; _kernel_basis) that are independent of the shifts of
+    the columns found before, each as RowSpace.insert returns it.  Those
+    columns depend only on the nested spans of the basis's first k vectors,
+    so every basis whose last nonzero positions strictly increase, the
+    reduced echelon one among them, gives the same K.  Each shift
+    s^(b-a-w) t^w of an earlier column of twist b is written straight into a
+    twist-a vector, from coefficient tuples: block j gets the column's form
+    j, w places into the block.  The scan proves ker M ≅ ⊕O(a_i), which gives
+    certify_kernel its rank and degree."""
     gens: list[tuple[int, dict]] = []  # (twist, column forms)
     parts: list[int] = []
     for m, new_parts, sections in _nullity_scan(M, generators=True):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 
 class SplittingError(ValueError):
@@ -39,11 +38,6 @@ class SplittingType:
     @property
     def degree(self) -> int:
         return sum(self.parts)
-
-    def slope(self) -> Fraction:
-        if not self.parts:
-            raise SplittingError("slope of the rank-0 splitting")
-        return Fraction(self.degree, self.rank)
 
     def is_balanced(self) -> bool:
         return not self.parts or self.parts[-1] - self.parts[0] <= 1

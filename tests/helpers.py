@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from rncsplit import linalg
-from rncsplit.binform import BinaryForm, parse_binary_form
+from rncsplit.binform import BinaryForm, DegreeError
 from rncsplit.cli import (
     cmd_compute,
     cmd_dominates,
@@ -52,6 +52,46 @@ def from_rows(rows, source, target, field=RATIONALS):
     return GradedSheafMap(field, tuple(source), tuple(target), entries)
 
 
+def maps_equal(M: GradedSheafMap, N: GradedSheafMap) -> bool:
+    """Equality of graded maps: the same twists and equal entries."""
+    if M.source != N.source or M.target != N.target:
+        return False
+    # entries hold no zero forms, so equal maps have the same keys
+    return M.entries.keys() == N.entries.keys() and all(f.equals(N.entries[k]) for k, f in M.entries.items())
+
+
+def _bf_addsub(f: BinaryForm, g: BinaryForm, sub: bool) -> BinaryForm:
+    K = f.field
+    if f.degree == -1 and g.degree == -1:
+        return f
+    if f.degree == -1:
+        return g.neg() if sub else g
+    if g.degree == -1:
+        return f
+    if f.degree != g.degree:
+        raise DegreeError(f"degree mismatch: {f.degree} vs {g.degree}")
+    op = K.sub if sub else K.add
+    return BinaryForm(K, f.degree, tuple(op(a, b) for a, b in zip(f.coeffs, g.coeffs)))
+
+
+def bf_add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f + g; a strictly zero form (degree -1) adds to any degree."""
+    return _bf_addsub(f, g, sub=False)
+
+
+def bf_sub(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f - g; a strictly zero form (degree -1) subtracts from any degree."""
+    return _bf_addsub(f, g, sub=True)
+
+
+def bf_scale(f: BinaryForm, scalar) -> BinaryForm:
+    """scalar * f."""
+    if f.degree == -1:
+        return f
+    K = f.field
+    return BinaryForm(K, f.degree, tuple(K.mul(scalar, c) for c in f.coeffs))
+
+
 def bf_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """The product of two binary forms, one field operation per coefficient
     pair.  Oracle for the integer convolution in sheafmap.compose."""
@@ -68,7 +108,7 @@ def bf_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def compose_forms(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
-    """Matrix product outer ∘ inner by bf_mul and BinaryForm.add on each
+    """Matrix product outer ∘ inner by bf_mul and bf_add on each
     product of entries.  Oracle for sheafmap.compose."""
     if inner.target != outer.source:
         raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
@@ -80,7 +120,7 @@ def compose_forms(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMa
                 continue
             prod = bf_mul(g, f)
             cur = entries.get((i, j))
-            entries[(i, j)] = prod if cur is None else cur.add(prod)
+            entries[(i, j)] = prod if cur is None else bf_add(cur, prod)
     entries = {k: f for k, f in entries.items() if not f.is_zero()}
     return GradedSheafMap(outer.field, inner.source, outer.target, entries)
 
@@ -141,7 +181,7 @@ def split_off_t_power(f: BinaryForm):
     if f.is_zero():
         return BinaryForm.zero(K), K.zero
     c = f.coeffs[f.degree]
-    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, f.degree, c))
+    rest = f if K.is_zero(c) else bf_sub(f, BinaryForm.monomial(K, f.degree, f.degree, c))
     return rest.shift(-1, 0), c
 
 
@@ -151,7 +191,7 @@ def split_off_s_power(f: BinaryForm):
     if f.is_zero():
         return BinaryForm.zero(K), K.zero
     c = f.coeffs[0]
-    rest = f if K.is_zero(c) else f.sub(BinaryForm.monomial(K, f.degree, 0, c))
+    rest = f if K.is_zero(c) else bf_sub(f, BinaryForm.monomial(K, f.degree, 0, c))
     return rest.shift(0, -1), c
 
 
@@ -181,15 +221,15 @@ def strategy_n1_by_forms(K_perm: GradedSheafMap, a: int, strategy: str) -> dict:
                 raise CertificationError("J2 decomposition needs entry degree >= 2")
             col0 = p
             if not field.is_zero(c2):
-                col0 = col0.sub(BinaryForm.monomial(field, deg - 1, 1, c2))
+                col0 = bf_sub(col0, BinaryForm.monomial(field, deg - 1, 1, c2))
             col1 = q
             if not field.is_zero(c1):
-                col1 = col1.sub(BinaryForm.monomial(field, deg - 1, deg - 2, c1))
+                col1 = bf_sub(col1, BinaryForm.monomial(field, deg - 1, deg - 2, c1))
             last = BinaryForm.zero(field)
             if not field.is_zero(c1):
-                last = last.add(BinaryForm.monomial(field, deg - 1, deg - 1, c1))
+                last = bf_add(last, BinaryForm.monomial(field, deg - 1, deg - 1, c1))
             if not field.is_zero(c2):
-                last = last.add(BinaryForm.monomial(field, deg - 1, 0, c2))
+                last = bf_add(last, BinaryForm.monomial(field, deg - 1, 0, c2))
             if not col0.is_zero():
                 N1_entries[(i, 0)] = col0
             if not col1.is_zero():
@@ -426,7 +466,7 @@ def nullspace(rows, field: FieldSpec, width: int | None = None) -> list[list]:
     pivots.  Oracle for the scan's kernel bases (sheafmap._kernel_basis)."""
     if width is None:
         width = len(rows[0]) if len(rows) else 0
-    R, pivots = linalg.rref(rows, field, width)
+    R, pivots = rref(rows, field, width)
     basis = []
     for f in sorted(set(range(width)) - set(pivots)):
         v = [field.zero] * width
@@ -474,7 +514,7 @@ def kernel_basis_by_columns(M: GradedSheafMap, rows: list, pivots: list[int], ke
         for x, y in v.items():
             vec[where[x]] = y
         reversed_basis.append(vec)
-    R, _ = linalg.rref(reversed_basis, K, w)
+    R, _ = rref(reversed_basis, K, w)
     return [row[::-1] for row in reversed(R)]
 
 
@@ -483,7 +523,7 @@ def section_kernel_dim(M: GradedSheafMap, m: int) -> int:
     section matrix and one Gauss-Jordan elimination per twist.  Oracle for
     the counts the nullity scan reads off one level-ordered matrix."""
     A, C = section_matrix(M, m)
-    return C - len(linalg.rref(A, M.field, C)[1])
+    return C - len(rref(A, M.field, C)[1])
 
 
 def full_window_splitting(M):
@@ -563,7 +603,7 @@ def assemble(F: IdealCombination) -> MultiPoly:
     for (i, j), poly in sorted(F.quadric_coeffs.items()):
         out = out.add(poly.mul(build_quadric(ctx, i, j)))
     for k, poly in sorted(F.linear_coeffs.items()):
-        out = out.add(poly.mul(MultiPoly.variable(ctx, k)))
+        out = out.add(poly.mul(poly_variable(ctx, k)))
     return out
 
 
@@ -659,7 +699,7 @@ def restriction_maps_dense(ctx: CurveContext, quadric: dict, linear: dict):
 
 
 def build_psi_forms(F: IdealCombination) -> GradedSheafMap:
-    """psi by BinaryForm.shift and BinaryForm.add on each restriction:
+    """psi by BinaryForm.shift and bf_add on each restriction:
     column l (1-based, l <= e-1) collects s^(e-j-i+l) t^(j+i-l-2) F_{i,j}|_C
     over stored pairs with i <= l < j; trailing columns are the G_k|_C.
     Every restriction is the dense oracle's (restrict_dense), so no part of
@@ -673,7 +713,7 @@ def build_psi_forms(F: IdealCombination) -> GradedSheafMap:
         acc = BinaryForm.zero(K)
         for (i, j), r in restr.items():
             if i <= l < j and not r.is_zero():
-                acc = acc.add(r.shift(e - j - i + l, j + i - l - 2))
+                acc = bf_add(acc, r.shift(e - j - i + l, j + i - l - 2))
         if not acc.is_zero():
             entries[(0, l - 1)] = acc
     for k, poly in F.linear_coeffs.items():
@@ -813,6 +853,24 @@ def full_rank_everywhere(M: GradedSheafMap) -> bool:
         if g.degree == 0:
             return True
     return g is not None and g.degree == 0
+
+
+def rref(rows, field: FieldSpec, width: int | None = None):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns), with the
+    rows past the rank zero.  One forward elimination (linalg.row_echelon),
+    then back-substitution as the same elimination of its pivot rows, last
+    first, over their pivot columns, last first: each pivot row in turn is
+    the first row left that is nonzero in its pivot column, so it clears
+    that column of the rows above it.  Each row is then divided by its
+    pivot.  Oracle for the kernel bases and section counts the scan reads
+    off one forward elimination."""
+    if width is None:
+        width = len(rows[0]) if len(rows) else 0
+    p = field.p
+    A, pivots = linalg.row_echelon([linalg._int_row(row, p) for row in rows], field, width)
+    A = linalg._pivots(A[::-1], pivots[::-1], p)[0][::-1]
+    R = [linalg._normalized(row, c, p) for row, c in zip(A, pivots)]
+    return R + [[field.zero] * width for _ in range(len(rows) - len(R))], pivots
 
 
 # -- Fraction elimination oracle for the integer rational backend ----------------
@@ -1042,6 +1100,71 @@ class ListRowSpaceMod:
         return [x * inv % p for x in v]
 
 
+# -- the binary form text grammar: round-trip oracle for format_binary_form ------
+#
+# Terms `c*s^a*t^b` joined by + / -, with one optional leading sign; factors are
+# joined by `*`, and the exponent is omitted when 1,
+# e.g. `-s^11+t^11`, `s^10*t`, `3*s*t^2`.
+
+_FORM_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[st])(?:\^(?P<exp>\d+))?|(?P<op>[+*-]))")
+
+
+def parse_binary_form(text: str, field: FieldSpec, degree: int | None = None) -> BinaryForm:
+    """Parse the textual form grammar; `degree` pins the slot for zero input."""
+    terms = []  # (coeff, s_exp, t_exp)
+    pos = 0
+    sign = 1
+    cur = None  # (coeff, s, t) of term under construction
+    text = text.strip()
+    if text in ("0", ""):
+        if degree is None or degree < 0:
+            return BinaryForm.zero(field)
+        return BinaryForm.zero_of_degree(field, degree)
+
+    after_factor = False  # whether the last token was a number or a variable
+    while pos < len(text):
+        m = _FORM_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"syntax error in binary form at position {pos}: {text[pos:]!r}")
+        pos = m.end()
+        token = m.group().lstrip()
+        at = pos - len(token)
+        op = m.group("op")
+        # operators and factors alternate; a sign may also open the text
+        if after_factor != bool(op) and not (at == 0 and op in ("+", "-")):
+            raise ValueError(f"unexpected {token!r} at position {at} in binary form")
+        after_factor = not op
+        if op == "*":
+            continue
+        if op:
+            if cur is not None:
+                terms.append(cur)
+            cur = None
+            sign = -1 if op == "-" else 1
+            continue
+        if cur is None:
+            cur = (field.one if sign > 0 else field.neg(field.one), 0, 0)
+        c, a, b = cur
+        if m.group("num"):
+            cur = (field.mul(c, field.parse_scalar(m.group("num"))), a, b)
+        else:
+            exp = int(m.group("exp") or 1)
+            cur = (c, a + exp, b) if m.group("var") == "s" else (c, a, b + exp)
+    if not after_factor:
+        raise ValueError(f"binary form ends in an operator at position {at}")
+    terms.append(cur)
+    deg = terms[0][1] + terms[0][2]
+    for _, a, b in terms:
+        if a + b != deg:
+            raise ValueError(f"non-homogeneous binary form: degree {a + b} term among degree {deg}")
+    if degree is not None and degree != deg:
+        raise DegreeError(f"expected degree {degree}, parsed degree {deg}")
+    coeffs = [field.zero] * (deg + 1)
+    for c, _, b in terms:
+        coeffs[b] = field.add(coeffs[b], c)
+    return BinaryForm(field, deg, tuple(coeffs))
+
+
 # -- map serialization parsers: round-trip oracles for format_map and map_to_json --
 
 
@@ -1154,6 +1277,35 @@ def full_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# -- MultiPoly arithmetic the library does not use ----------------------------------
+
+
+def poly_variable(context: CurveContext, index: int) -> MultiPoly:
+    """The variable x_index as a degree-1 MultiPoly."""
+    if not 0 <= index <= context.n:
+        raise PolyError(f"variable x{index} outside x0..x{context.n}")
+    exp = [0] * context.nvars
+    exp[index] = 1
+    return MultiPoly(context, 1, {tuple(exp): context.field.one})
+
+
+def poly_scale(poly: MultiPoly, scalar) -> MultiPoly:
+    """scalar * poly."""
+    K = poly.context.field
+    return MultiPoly(poly.context, poly.total_degree, {e: K.mul(scalar, c) for e, c in poly.terms.items()})
+
+
+def poly_neg(poly: MultiPoly) -> MultiPoly:
+    """-poly."""
+    K = poly.context.field
+    return poly_scale(poly, K.neg(K.one))
+
+
+def poly_sub(P: MultiPoly, Q: MultiPoly) -> MultiPoly:
+    """P - Q by MultiPoly.add, with its degree checks."""
+    return P.add(poly_neg(Q))
+
+
 # -- the .hsf polynomial parser oracle ---------------------------------------------
 
 _POLY_TOKEN = re.compile(
@@ -1241,7 +1393,7 @@ class _PolyParser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.next()
-            return self.factor().neg()
+            return poly_neg(self.factor())
         base = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
@@ -1273,7 +1425,7 @@ class _PolyParser:
         if tok[0] == "var":
             if tok[1] > self.context.n:
                 raise HsfError(f"variable x{tok[1]} exceeds ambient dimension n = {self.context.n}")
-            return MultiPoly.variable(self.context, tok[1])
+            return poly_variable(self.context, tok[1])
         if tok[1] == "(":
             inner = self.expr()
             close = self.next()

@@ -10,7 +10,6 @@ import itertools
 import random
 import time
 
-from rncsplit.binform import parse_binary_form
 from rncsplit.constructor import build_chain, extend_dimension, seed_example
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
@@ -33,6 +32,7 @@ from rncsplit.splitting import (
 from tests.helpers import (
     full_rank_everywhere,
     h0_euler_crosscheck,
+    parse_binary_form,
     random_combination,
     random_surjective_map,
 )

@@ -19,7 +19,7 @@ from rncsplit import cli
 from rncsplit.binform import DegreeError
 from rncsplit.multipoly import PolyError
 from rncsplit.sheafmap import MapError
-from tests.helpers import full_parser
+from tests.helpers import full_parser, maps_equal, poly_variable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -190,6 +190,15 @@ def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "above the expected degree 1" in err
+
+
+def test_compute_deeply_nested_parentheses_exit_2(capsys, tmp_path):
+    # nesting deeper than Python's recursion limit is an .hsf error, not a traceback
+    hsf = tmp_path / "deep.hsf"
+    hsf.write_text("d = 5\ne = 3\nn = 3\nQ 1 2 : " + "(" * 3000 + "x0^3" + ")" * 3000 + "\nQ 2 3 : x3^3\n")
+    code, out, err = run(capsys, "compute", "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert err == "error: parentheses nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -507,7 +516,7 @@ def test_verify_scans_only_the_chain_seeds(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--theorem", "cubics", "--max-n", "7", "--workers", "1")
     assert code == 0 and "15/15 cases ok" in out
     seeds = [sheafmap.build_delta(seed_example(3, e, FieldSpec(32003))) for e in range(3, 8)]
-    assert len(scanned) == len(seeds) and all(M.equals(seed) for M, seed in zip(scanned, seeds))
+    assert len(scanned) == len(seeds) and all(maps_equal(M, seed) for M, seed in zip(scanned, seeds))
 
 
 @pytest.mark.parametrize("p, n_max", [(32003, 14), (None, 8), (7, 8)])
@@ -570,7 +579,7 @@ def test_verify_quadric_chain_refuses_a_linear_part(capsys, monkeypatch):
     def with_linear_part(d, e, n, field):
         F, steps = build_chain(d, e, n, field)
         ctx = F.context
-        linear = {n: MultiPoly.variable(ctx, 0)} if n > e else {}  # G_k needs e < k <= n
+        linear = {n: poly_variable(ctx, 0)} if n > e else {}  # G_k needs e < k <= n
         return IdealCombination(ctx, F.quadric_coeffs, linear), steps
 
     monkeypatch.setattr(cli, "build_chain", with_linear_part)

@@ -15,6 +15,7 @@ from tests.helpers import (
     det,
     nullspace,
     nullspace_frac,
+    rref,
     rref_frac,
     rref_list_mod,
     rref_mod,
@@ -120,7 +121,7 @@ def test_rank_at_largest_allowed_prime():
         A = [[sum(U[i][l] * V[l][j] for l in range(k)) % p for j in range(n)] for i in range(m)]
         r = _rank_mod_p(A, p)
         assert linalg.rank(A, K, n) == r
-        assert linalg.rref(A, K, n) == rref_mod(A, n, p)
+        assert rref(A, K, n) == rref_mod(A, n, p)
         basis = nullspace(A, K, n)
         assert len(basis) == n - r
         for v in basis:
@@ -184,7 +185,7 @@ def _all_fractions(vectors):
 @example(([[HUGE, -1, 2], [HUGE, -1, 2], [0, 0, 0]], 3))
 def test_integer_elimination_matches_fraction_oracle(system):
     rows, width = system
-    R, pivots = linalg.rref(rows, RATIONALS, width)
+    R, pivots = rref(rows, RATIONALS, width)
     assert (R, pivots) == rref_frac([[Fraction(a) for a in row] for row in rows])
     assert _all_fractions(R)
     assert linalg.rank(rows, RATIONALS, width) == len(pivots)
@@ -221,7 +222,7 @@ def prime_field_systems(draw):
 def test_pivot_columns_match_rref(system, mod_system):
     # forward elimination finds the pivot columns of the reduced form
     rows, width = system
-    R, pivots = linalg.rref(rows, RATIONALS, width)
+    R, pivots = rref(rows, RATIONALS, width)
     assert linalg.rank(rows, RATIONALS, width) == len(pivots)
     # the kept pivot rows: zero left of their pivots, with the same rref, from
     # the rows times their common denominator
@@ -230,14 +231,14 @@ def test_pivot_columns_match_rref(system, mod_system):
     echelon, forward_pivots = linalg.row_echelon(ints, RATIONALS, width)
     assert forward_pivots == pivots
     assert all(not any(row[:c]) and row[c] for row, c in zip(echelon, pivots))
-    assert linalg.rref(echelon, RATIONALS, width)[0] == R[: len(pivots)]
+    assert rref(echelon, RATIONALS, width)[0] == R[: len(pivots)]
     K, rows, width = mod_system
-    R, pivots = linalg.rref(rows, K, width)
+    R, pivots = rref(rows, K, width)
     assert linalg.rank(rows, K, width) == len(pivots)
     echelon, forward_pivots = linalg.row_echelon([list(row) for row in rows], K, width)
     assert forward_pivots == pivots
     assert all(not any(row[:c]) and row[c] for row, c in zip(echelon, pivots))
-    assert linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
+    assert rref(echelon, K, width)[0] == R[: len(pivots)]
     # the reduced form is the identity on its pivot columns, zero past the rank
     identity = np.eye(len(rows), len(pivots), dtype=np.int64).tolist()
     assert [[row[c] for c in pivots] for row in R] == identity
@@ -279,9 +280,9 @@ def test_list_kernels_match_numpy_kernels(p, dense, seed):
     R, pivots = rref_mod(rows, width, p)
     assert not rows or len(pivots) == _rank_mod_p(rows, p)
     echelon, forward_pivots = linalg.row_echelon([list(row) for row in rows], K, width)
-    assert forward_pivots == pivots and linalg.rref(echelon, K, width)[0] == R[: len(pivots)]
+    assert forward_pivots == pivots and rref(echelon, K, width)[0] == R[: len(pivots)]
     assert linalg.rank(rows, K, width) == len(pivots)
-    assert linalg.rref(rows, K, width) == (R, pivots) and _all_ints(R)
+    assert rref(rows, K, width) == (R, pivots) and _all_ints(R)
 
     basis = nullspace(rows, K, width)
     assert len(basis) == width - len(pivots) and _all_ints(basis)
@@ -306,7 +307,7 @@ def test_in_place_kernel_matches_list_oracle(p, dense, seed):
     echelon = row_echelon_list_mod(rows, width, p)
     assert linalg.row_echelon([list(row) for row in rows], K, width) == echelon
     assert linalg.rank(rows, K, width) == len(echelon[1])
-    assert linalg.rref(rows, K, width) == rref_list_mod(rows, width, p)
+    assert rref(rows, K, width) == rref_list_mod(rows, width, p)
     span, oracle = linalg.RowSpace(K, width), ListRowSpaceMod(p)
     for v in rows + nullspace(rows, K, width) + [x]:
         assert span.insert(v) == oracle.insert(v)
@@ -323,7 +324,7 @@ def test_public_functions_leave_the_callers_rows_unchanged(field):
         rows += [list(rows[0])]  # a dependent row, so that a row is cleared
         before = [list(row) for row in rows]
         linalg.rank(rows, field, n)
-        linalg.rref(rows, field, n)
+        rref(rows, field, n)
         span = linalg.RowSpace(field, n)
         for row in rows:
             span.insert(row)

@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rncsplit import multipoly
-from rncsplit.binform import BinaryForm, parse_binary_form
+from rncsplit.binform import BinaryForm
 from rncsplit.fields import FieldError, FieldSpec, RATIONALS
 from tests import helpers
 from tests.helpers import (
     _monomials,
     assemble,
+    bf_add,
     bf_mul,
+    bf_scale,
     build_quadric,
     dense_combination,
     gradient_on_curve,
+    parse_binary_form,
     parse_poly_oracle,
+    poly_sub,
     random_combination,
     random_poly,
     restrict_dense,
@@ -99,6 +103,13 @@ def test_parse_parentheses_and_powers():
     p = parse_poly("(x0 + x1)^2", c, 2)
     q = parse_poly("x0^2 + 2*x0*x1 + x1^2", c, 2)
     assert p == q
+
+
+def test_parse_nested_parentheses():
+    c = ctx(5, 3, 3)
+    assert parse_poly("(" * 200 + "x0^3" + ")" * 200, c, 3) == parse_poly("x0^3", c, 3)
+    with pytest.raises(HsfError, match="parentheses nested too deeply"):
+        parse_poly("(" * 3000 + "x0^3" + ")" * 3000, c, 3)
 
 
 def test_parse_powers_of_constants_and_zero_in_one_step():
@@ -294,8 +305,8 @@ def test_euler_identity_on_curve():
             coord = BinaryForm.monomial(K, c.e, m)
             term = bf_mul(grads[m], coord) if not grads[m].is_zero() else None
             if term is not None:
-                acc = acc.add(term)
-        want = restrict_to_curve(F).scale(K.from_int(c.d))
+                acc = bf_add(acc, term)
+        want = bf_scale(restrict_to_curve(F), K.from_int(c.d))
         assert acc.equals(want)
 
 
@@ -310,7 +321,7 @@ def test_euler_pairing_vanishes_for_combinations():
         acc = BinaryForm.zero(c.field)
         for m in range(c.e + 1):
             if not grads[m].is_zero():
-                acc = acc.add(bf_mul(grads[m], BinaryForm.monomial(c.field, c.e, m)))
+                acc = bf_add(acc, bf_mul(grads[m], BinaryForm.monomial(c.field, c.e, m)))
         assert acc.is_zero()
 
 
@@ -425,11 +436,11 @@ def test_hypersurface_file_error_messages(text, why):
 
 
 def _fold(texts, signs, context):
-    # the sum as MultiPoly.add and sub build it from the oracle's terms, one at a time
+    # the sum as MultiPoly.add and poly_sub build it from the oracle's terms, one at a time
     out = helpers._PolyParser(texts[0], context, 9).parse()
     for sign, text in zip(signs, texts[1:]):
         term = helpers._PolyParser(text, context, 9).parse()
-        out = out.add(term) if sign == "+" else out.sub(term)
+        out = out.add(term) if sign == "+" else poly_sub(out, term)
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import constructor, sheafmap
-from rncsplit.binform import BinaryForm, parse_binary_form
+from rncsplit.binform import BinaryForm
 from rncsplit.fields import FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
 from rncsplit.sheafmap import (
@@ -30,6 +30,7 @@ from tests.helpers import (
     GF,
     bf_gcd,
     bf_mul,
+    bf_scale,
     build_beta,
     build_df,
     build_psi_forms,
@@ -45,13 +46,16 @@ from tests.helpers import (
     h0_euler_crosscheck,
     kernel_basis_by_columns,
     map_from_json,
+    maps_equal,
     parse_map,
     random_combination,
     random_surjective_map,
     nullspace,
+    parse_binary_form,
     restrict_dense,
     restriction_maps_dense,
     onto_everywhere,
+    rref,
     section_kernel_dim,
     section_matrix,
     section_matrix_loop,
@@ -105,7 +109,7 @@ def test_beta_golden_e3():
         source=(4, 4, 4),
         target=(5, 5),
     )
-    assert beta.equals(want)
+    assert maps_equal(beta, want)
 
 
 def test_beta_degenerate_line():
@@ -194,7 +198,7 @@ def test_compose_reproduces_delta_closed_form():
         n = rnd.randrange(max(e, 3), 7)
         ctx = CurveContext(rnd.randrange(2, 5), e, n, GF)
         F = random_combination(rnd, ctx)
-        assert compose(build_psi(F), build_beta(ctx)).equals(build_delta(F))
+        assert maps_equal(compose(build_psi(F), build_beta(ctx)), build_delta(F))
 
 
 @pytest.mark.parametrize("field", [RATIONALS, GF, FieldSpec(7), FieldSpec(2)], ids=str)
@@ -208,8 +212,8 @@ def test_builder_matches_binary_form_oracle(field, d):
         ctx = CurveContext(d, e, n, field)
         F = dense_combination(rnd, ctx)
         psi = build_psi_forms(F)
-        assert build_psi(F).equals(psi), (e, n)
-        assert build_delta(F).equals(compose(psi, build_beta(ctx))), (e, n)
+        assert maps_equal(build_psi(F), psi), (e, n)
+        assert maps_equal(build_delta(F), compose(psi, build_beta(ctx))), (e, n)
 
 
 def _unreduced_columns(F):
@@ -252,8 +256,8 @@ def test_builder_output_is_canonical_mod_p(field, draw):
         psi, delta = build_psi(F), build_delta(F)
         assert all(0 <= x < p for M in (psi, delta) for f in M.entries.values() for x in f.coeffs), (d, e, n)
         oracle = build_psi_forms(F)
-        assert psi.equals(oracle), (d, e, n)
-        assert delta.equals(compose(oracle, build_beta(ctx))), (d, e, n)
+        assert maps_equal(psi, oracle), (d, e, n)
+        assert maps_equal(delta, compose(oracle, build_beta(ctx))), (d, e, n)
     assert negative and wrapped == (draw == "dense")
 
 
@@ -304,7 +308,7 @@ def test_restriction_maps_match_dense_oracle(case):
     ctx, quadric, linear = case
     got, want = sheafmap._restriction_maps(ctx, quadric, linear), restriction_maps_dense(ctx, quadric, linear)
     for M, W in zip(got, want):
-        assert M.equals(W)
+        assert maps_equal(M, W)
         assert M.entries.keys() == W.entries.keys()
         assert all(M.entries[k].coeffs == W.entries[k].coeffs for k in W.entries)
         if ctx.field.p:
@@ -315,7 +319,7 @@ def test_compose_identity_and_mismatch():
     d = build_delta(cubic_surface())
     one = BinaryForm.constant(RATIONALS, RATIONALS.one)
     ident = GradedSheafMap(RATIONALS, d.source, d.source, {(i, i): one for i in range(d.ncols)})
-    assert compose(d, ident).equals(d)
+    assert maps_equal(compose(d, ident), d)
     with pytest.raises(MapError):
         compose(d, GradedSheafMap(RATIONALS, (1, 2), (1, 2), {(0, 0): one, (1, 1): one}))
 
@@ -534,8 +538,8 @@ def test_kernel_matrix_of_s_t():
     # the column is (t, -s) up to one scalar
     lam = K.entry(0, 0).coeffs[1]
     assert not RATIONALS.is_zero(lam)
-    assert K.entry(0, 0).equals(bform("t").scale(lam))
-    assert K.entry(1, 0).equals(bform("-s").scale(lam))
+    assert K.entry(0, 0).equals(bf_scale(bform("t"), lam))
+    assert K.entry(1, 0).equals(bf_scale(bform("-s"), lam))
 
 
 def test_kernel_matrix_random_oracle():
@@ -831,23 +835,75 @@ _SEED_DELTAS = [
 @example(_SEED_DELTAS[5])
 def test_kernel_bases_match_block_order_nullspace(M):
     # the kernel basis at twist m read from the level-ordered elimination at
-    # any twist T >= m is the rref nullspace of the block-order matrix at m,
-    # and the per-column back-substitution gives it too; kernel_matrix gives
-    # the same K as on those nullspaces.  The twists checked are the window's
-    # ends and those around the scan's yields: the rest of the window costs
-    # seconds on wide windows and the scan never reads it
+    # any twist T >= m spans the rref nullspace of the block-order matrix at
+    # m (it has the same rref), with last nonzero positions that strictly
+    # increase; the per-column back-substitution gives the rref nullspace
+    # itself, and kernel_matrix gives the same K as on those nullspaces.
+    # The twists checked are the window's ends and those around the scan's
+    # yields: the rest of the window costs seconds on wide windows and the
+    # scan never reads it
     m_bottom, m_top = sheafmap._scan_window(M)
     yields = [m for m, _, _ in sheafmap._nullity_scan(M, generators=True)]
     around = range(min(yields) - 1, max(yields) + 2) if yields else ()
     for m in sorted({m_bottom, *around, m_top + 1} & set(range(m_bottom, m_top + 2))):
         want = _block_order_basis(M, None, None, None, m)
+        w = sheafmap._width(M, m)
         for T in (m, m + 1, m + 3):
             echelon = sheafmap._twist_echelon(M, T)
-            assert sheafmap._kernel_basis(M, *echelon, m) == want, (M, m, T)
+            basis = sheafmap._kernel_basis(M, *echelon, m)
+            assert rref(basis, M.field, w) == rref(want, M.field, w), (M, m, T)
+            last = [max(i for i, x in enumerate(v) if x) for v in basis]
+            assert last == sorted(set(last)), (M, m, T)
             assert kernel_basis_by_columns(M, *echelon, m) == want, (M, m, T)
     K = format_map(kernel_matrix(M))
     with mock.patch.object(sheafmap, "_kernel_basis", _block_order_basis):
         assert format_map(kernel_matrix(M)) == K
+
+
+def _triangular_recombination(rnd):
+    """sheafmap._kernel_basis followed by a random triangular change of
+    basis: v'_k = c*v_k + sum over i < k of a_i*v_i, with c != 0."""
+    kernel_basis = sheafmap._kernel_basis
+
+    def recombined(M, rows, pivots, keys, m):
+        basis, p = kernel_basis(M, rows, pivots, keys, m), M.field.p
+        out = []
+        for k, v in enumerate(basis):
+            if p is None:
+                c = Fraction(rnd.choice((-3, -2, -1, 1, 2, 3)), rnd.randrange(1, 5))
+                a = [Fraction(rnd.randrange(-4, 5), rnd.randrange(1, 5)) for _ in range(k)]
+            else:
+                c, a = rnd.randrange(1, p), [rnd.randrange(p) for _ in range(k)]
+            vec = [c * x for x in v]
+            for coeff, u in zip(a, basis):
+                vec = [x + coeff * y for x, y in zip(vec, u)]
+            out.append(vec if p is None else [x % p for x in vec])
+        return out
+
+    return recombined
+
+
+def _recombination_maps():
+    rnd = random.Random(53)
+    for K in (RATIONALS, FieldSpec(2), FieldSpec(3), GF):
+        for d in (3, 4):
+            for e in range(d, 9):  # the quartic seeds start at e = 4
+                if K.p is None or e % K.p:
+                    yield f"seed {d} {e} {K}", build_delta(constructor.seed_example(d, e, K))
+        for k in range(4):
+            yield f"random {k} {K}", random_surjective_map(rnd, K)
+
+
+def test_kernel_matrix_depends_only_on_the_nested_spans_of_the_basis():
+    # kernel_matrix inserts the basis vectors in order into a RowSpace, whose
+    # residuals depend only on the span so far and on each vector modulo it
+    # (up to scale): any basis whose first k vectors span what the first k
+    # of _kernel_basis span gives the same K
+    rnd = random.Random(59)
+    for name, M in _recombination_maps():
+        want = format_map(kernel_matrix(M))
+        with mock.patch.object(sheafmap, "_kernel_basis", _triangular_recombination(rnd)):
+            assert format_map(kernel_matrix(M)) == want, name
 
 
 # -- the kernel certificate ------------------------------------------------------------
@@ -979,7 +1035,7 @@ def _equal_up_to_scalar(f, g):
         return False
     K = f.field
     k = next(i for i, c in enumerate(f.coeffs) if not K.is_zero(c))
-    return f.scale(K.div(g.coeffs[k], f.coeffs[k])).equals(g)
+    return bf_scale(f, K.div(g.coeffs[k], f.coeffs[k])).equals(g)
 
 
 @pytest.mark.parametrize(
@@ -1115,7 +1171,7 @@ def test_map_text_round_trip():
     d = build_delta(quintic_surface())
     text = format_map(d)
     again = parse_map(text, RATIONALS)
-    assert again.equals(d)
+    assert maps_equal(again, d)
     assert "map 1 x 3" in text
 
 
@@ -1143,11 +1199,11 @@ def graded_maps(draw):
 @given(graded_maps())
 def test_map_text_round_trip_random_maps(M):
     again = parse_map(format_map(M), M.field)
-    assert again.equals(M)
+    assert maps_equal(again, M)
 
 
 def test_map_json_round_trip():
     K = kernel_matrix(build_delta(cubic_surface()))
     obj = map_to_json(K)
     again = map_from_json(obj, RATIONALS)
-    assert again.equals(K)
+    assert maps_equal(again, K)

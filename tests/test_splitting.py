@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,12 +56,8 @@ def test_balanced_normal_bundle_shape():
 def test_predicates_and_slope():
     x = S(2, 2, 3)
     assert x.is_balanced() and x.parts[0] != x.parts[-1]
-    assert x.slope() == Fraction(7, 3)
     assert not S(3, 4, 4, 4, 5).is_balanced()  # quadric odd shape e=4... e-1,e,e,e,e+1
     assert not S(-5, 2).is_balanced()
-    assert S(-5, 2).slope() == Fraction(-3, 2)
-    with pytest.raises(SplittingError):
-        S().slope()
 
 
 def test_parts_sorted_on_construction():
