@@ -143,30 +143,15 @@ class BinaryForm:
 
 
 def format_binary_form(f: BinaryForm) -> str:
-    if f.is_zero():
-        return "0"
-    K, cs = f.field, f.coeffs
-    parts = []
+    K, cs, deg = f.field, f.coeffs, f.degree
+    out = []
     for i in compress(range(len(cs)), cs):
-        c, sexp, texp = cs[i], f.degree - i, i
-        factors = []
-        if sexp > 0:
-            factors.append("s" if sexp == 1 else f"s^{sexp}")
-        if texp > 0:
-            factors.append("t" if texp == 1 else f"t^{texp}")
-        txt = K.format_scalar(c)
-        neg = txt.startswith("-")
-        if neg:
-            txt = txt[1:]
-        if factors and txt == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([txt] + factors)
-        parts.append(("-" if neg else "+", body))
-    out = ""
-    for sign, body in parts:
-        if not out:
-            out = body if sign == "+" else "-" + body
-        else:
-            out += sign + body
-    return out
+        c = K.format_scalar(cs[i])
+        if out and c[0] != "-":
+            out.append("+")
+        s = "" if i == deg else "s" if i == deg - 1 else f"s^{deg - i}"
+        t = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        mono = s + "*" + t if s and t else s or t
+        # a coefficient of ±1 before a monomial prints as its sign alone
+        out.append(c if not mono else c[:-1] + mono if c in ("1", "-1") else c + "*" + mono)
+    return "".join(out) or "0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .binform import DegreeError, format_binary_form
 from .constructor import (
@@ -81,9 +82,35 @@ USER_ERRORS = (
 INTERNAL_ERRORS = (CertificationError, MapError, DegreeError, PolyError)
 
 
+def _json(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.  With ``indent`` set the
+    stdlib leaves its C encoder for Python generators, one per container
+    level.  Here every str goes through the C ``encode_basestring_ascii``
+    (what ``ensure_ascii`` runs), an exact str or int item is written
+    without a call of its own, and each container is joined once.  A dict
+    key that is not a str raises TypeError in ``_quote``."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else repr(v) if type(v) is int else _json(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    return json.dumps(obj)  # bool, None, float: the same text with or without indent
+
+
 def _emit(args, payload: dict, text) -> None:
-    """Write the payload as JSON, or ``text()`` (built only for text output)."""
-    out = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text()
+    """Write the payload as JSON (``_json``: the bytes of ``json.dumps(payload,
+    indent=2)``, which under ``indent`` runs the stdlib's pure-Python encoder
+    instead of its C one), or ``text()`` (built only for text output)."""
+    out = _json(payload) + "\n" if args.format == "json" else text()
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)

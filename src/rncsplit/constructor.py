@@ -283,9 +283,10 @@ def _check_constructive(d: int, e: int, n: int) -> None:
 
 def seed_example(d: int, e: int, field: FieldSpec = RATIONALS) -> IdealCombination:
     """The explicit hypersurface at the base level of the induction (n = e for
-    d >= 3; quadric chains are built directly at any n by the caller)."""
+    d >= 3, n = max(e, 3) for quadrics), refused there as build_chain refuses it."""
+    _check_constructive(d, e, max(e, 3) if d == 2 else e)
     if d == 2:
-        return _seed_quadric_chain(e, e if e >= 3 else 3, field)
+        return _seed_quadric_chain(e, max(e, 3), field)
     if d == 3:
         return _seed_cubic(e, field)
     if d == 4:

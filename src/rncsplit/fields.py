@@ -104,7 +104,7 @@ class FieldSpec:
     def format_scalar(self, a) -> str:
         if self.p is None:
             try:
-                return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+                return str(a)  # a reduced Fraction prints as n or n/d
             except ValueError:  # Python prints ints of at most sys.get_int_max_str_digits() digits
                 raise FieldError("a coefficient has too many digits to print") from None
         r = a % self.p

@@ -2,6 +2,7 @@
 
 import argparse
 import itertools
+import json
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ from rncsplit.cli import (
     cmd_verify,
 )
 from rncsplit.constructor import UnsupportedCaseError, _check_constructive
-from rncsplit.fields import FieldSpec, RATIONALS
+from rncsplit.fields import FieldError, FieldSpec, RATIONALS
 from rncsplit.multipoly import CurveContext, HsfError, IdealCombination, MultiPoly, PolyError
 from rncsplit.sheafmap import (
     CertificationError,
@@ -58,6 +59,61 @@ def maps_equal(M: GradedSheafMap, N: GradedSheafMap) -> bool:
         return False
     # entries hold no zero forms, so equal maps have the same keys
     return M.entries.keys() == N.entries.keys() and all(f.equals(N.entries[k]) for k, f in M.entries.items())
+
+
+# -- report text oracles -----------------------------------------------------------
+#
+# The stdlib JSON encoder and the per-term form formatter that the CLI's
+# report path replaced: each new writer must print their bytes exactly.
+
+
+def json_indent2(obj) -> str:
+    """What ``--format json`` prints, less its final newline."""
+    return json.dumps(obj, indent=2)
+
+
+def format_scalar_oracle(K: FieldSpec, a) -> str:
+    """FieldSpec.format_scalar by numerator and denominator (over Q) and the
+    balanced representative (over GF(p))."""
+    if K.p is None:
+        try:
+            return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        except ValueError:  # Python prints ints of at most sys.get_int_max_str_digits() digits
+            raise FieldError("a coefficient has too many digits to print") from None
+    r = a % K.p
+    return str(r - K.p) if r > K.p // 2 else str(r)
+
+
+def format_binary_form_oracle(f: BinaryForm) -> str:
+    """format_binary_form in two passes: (sign, body) pairs with a factor
+    list per term, then the signs joined in."""
+    if f.is_zero():
+        return "0"
+    K, cs = f.field, f.coeffs
+    parts = []
+    for i in itertools.compress(range(len(cs)), cs):
+        c, sexp, texp = cs[i], f.degree - i, i
+        factors = []
+        if sexp > 0:
+            factors.append("s" if sexp == 1 else f"s^{sexp}")
+        if texp > 0:
+            factors.append("t" if texp == 1 else f"t^{texp}")
+        txt = format_scalar_oracle(K, c)
+        neg = txt.startswith("-")
+        if neg:
+            txt = txt[1:]
+        if factors and txt == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([txt] + factors)
+        parts.append(("-" if neg else "+", body))
+    out = ""
+    for sign, body in parts:
+        if not out:
+            out = body if sign == "+" else "-" + body
+        else:
+            out += sign + body
+    return out
 
 
 def _bf_addsub(f: BinaryForm, g: BinaryForm, sub: bool) -> BinaryForm:

@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rncsplit.binform import BinaryForm, DegreeError, format_binary_form
-from rncsplit.fields import FieldSpec, RATIONALS
-from tests.helpers import bf_add, bf_gcd, bf_mul, bf_sub, det, evaluate, parse_binary_form
+from rncsplit.fields import FieldError, FieldSpec, RATIONALS
+from tests.helpers import (
+    bf_add,
+    bf_gcd,
+    bf_mul,
+    bf_sub,
+    det,
+    evaluate,
+    format_binary_form_oracle,
+    parse_binary_form,
+)
 
 GF101 = FieldSpec(101)
 
@@ -332,6 +341,50 @@ def test_one_term_of_degree_a_million(field):
 def test_round_trip_random_forms(coeffs):
     f = BinaryForm(RATIONALS, len(coeffs) - 1, tuple(Fraction(c) for c in coeffs))
     assert parse_binary_form(format_binary_form(f), RATIONALS, degree=f.degree if not f.is_zero() else None).equals(f)
+
+
+def _oracle_forms(field, rnd):
+    """Forms of degree 0 to 12 whose nonzero coefficients are mostly ±1, or
+    small integers and (over Q) fractions of either sign; the strictly zero
+    form and all-zero forms of each degree."""
+    yield BinaryForm.zero(field)
+    dens = [field.from_int(k) for k in range(1, 8) if field.from_int(k)]
+    for degree in range(13):
+        yield BinaryForm.zero_of_degree(field, degree)
+        for _ in range(25):
+            coeffs = []
+            for _ in range(degree + 1):
+                kind = rnd.random()
+                if kind < 0.3:
+                    c = field.zero
+                elif kind < 0.6:
+                    c = field.from_int(rnd.choice((1, -1)))
+                else:
+                    c = field.div(field.from_int(rnd.randint(-60, 60)), rnd.choice(dens))
+                coeffs.append(c)
+            yield BinaryForm(field, degree, tuple(coeffs))
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 32003, 2**31 - 1], ids=str)
+def test_format_matches_the_two_pass_oracle(p):
+    # one pass over the nonzero coefficients prints what the (sign, body)
+    # pairs joined in a second pass printed
+    field, rnd = FieldSpec(p), random.Random(p)
+    for f in _oracle_forms(field, rnd):
+        assert format_binary_form(f) == format_binary_form_oracle(f), f.coeffs
+    top = field.from_int(-1)
+    for f in (BinaryForm.constant(field, top), BinaryForm.monomial(field, 1, 1, top), BinaryForm.monomial(field, 3, 2)):
+        assert format_binary_form(f) == format_binary_form_oracle(f)
+
+
+def test_format_of_a_5000_digit_coefficient_raises_field_error():
+    # Python prints at most sys.get_int_max_str_digits() digits; the form
+    # formatter and its oracle both refuse with FieldError, not ValueError
+    for c in (Fraction(10**4999 + 1), Fraction(-(10**4999) - 1, 3), Fraction(1, 10**4999)):
+        f = BinaryForm(RATIONALS, 2, (Fraction(1), c, Fraction(-1)))
+        for fmt in (format_binary_form, format_binary_form_oracle):
+            with pytest.raises(FieldError, match="too many digits"):
+                fmt(f)
 
 
 @given(

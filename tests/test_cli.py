@@ -712,6 +712,19 @@ def test_extend_singular_along_curve_exit_2(capsys, tmp_path):
     assert "singular along the curve" in err
 
 
+@pytest.mark.parametrize("field", ["rational", "prime:2"])
+@pytest.mark.parametrize(
+    "d, e, to_n", [(4, 3, 3), (4, 3, 4), (4, 3, 5), (5, 4, 5), (5, 4, 6)], ids=lambda x: str(x)
+)
+def test_extend_refuses_a_seed_as_compute_does(capsys, d, e, to_n, field):
+    # extend seeds at n = e: below the constructive range it exits 2 with
+    # the message compute gives at that level (the quartic e = 3 seed once
+    # built a quadric index -1 and exited 3; d >= 5 named no seed rule)
+    code, out, err = run(capsys, "extend", "--d", str(d), "--e", str(e), "--to-n", str(to_n), "--field", field)
+    assert code == 2 and out == ""
+    assert run(capsys, "compute", "--d", str(d), "--e", str(e), "--n", str(e), "--field", field) == (2, "", err)
+
+
 def test_glue_dominates_interp_predict(capsys):
     code, out, _ = run(capsys, "glue", "[0,1,1,2]", "[1,1,1,1]")
     assert code == 0 and out.strip() == "[1, 2, 2, 3]"

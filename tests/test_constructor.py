@@ -124,6 +124,17 @@ def test_generate_out_of_range():
         build_chain(2, 1, 4)
 
 
+@pytest.mark.parametrize("d, e", [(2, 1), (2, 0), (3, 2), (4, 3), (4, 1), (5, 4), (5, 7), (6, 9), (1, 3)])
+def test_seed_out_of_range_is_refused_as_build_chain_refuses_it(d, e):
+    # seed_example checks build_chain's precondition at its own base level
+    n = max(e, 3) if d == 2 else e
+    with pytest.raises(UnsupportedCaseError) as seed_refusal:
+        seed_example(d, e)
+    with pytest.raises(UnsupportedCaseError) as chain_refusal:
+        build_chain(d, e, n)
+    assert str(seed_refusal.value) == str(chain_refusal.value)
+
+
 # -- psi lifting --------------------------------------------------------------------
 
 

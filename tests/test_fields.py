@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rncsplit.fields import DEFAULT_PRIME, FieldError, FieldSpec, RATIONALS, parse_field
+from tests.helpers import format_scalar_oracle
 
 GF101 = FieldSpec(101)
 
@@ -86,6 +87,23 @@ def test_balanced_representative_printing():
     K = FieldSpec(32003)
     assert K.format_scalar(K.from_int(-1)) == "-1"
     assert K.format_scalar(K.from_int(5)) == "5"
+
+
+@given(st.fractions(), st.integers(-(10**40), 10**40))
+def test_format_scalar_matches_oracle(a, n):
+    # over Q, str(Fraction) is the numerator, then "/" and the denominator
+    # when it is not 1; over GF(p), the balanced representative
+    assert RATIONALS.format_scalar(a) == format_scalar_oracle(RATIONALS, a)
+    for p in (2, 3, 32003, 2**31 - 1):
+        K = FieldSpec(p)
+        assert K.format_scalar(K.from_int(n)) == format_scalar_oracle(K, K.from_int(n))
+
+
+def test_format_scalar_refuses_5000_digits():
+    for a in (Fraction(10**4999), Fraction(-(10**4999) + 1, 7), Fraction(3, 10**4999 + 1)):
+        for fmt in (RATIONALS.format_scalar, lambda a: format_scalar_oracle(RATIONALS, a)):
+            with pytest.raises(FieldError, match="too many digits"):
+                fmt(a)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
