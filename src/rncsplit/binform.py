@@ -65,12 +65,6 @@ class BinaryForm:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def coeff(self, t_power: int):
-        """Coefficient of s^(degree - t_power) t^t_power; zero outside range."""
-        if self.degree == -1 or not 0 <= t_power <= self.degree:
-            return self.field.zero
-        return self.coeffs[t_power]
-
     # -- arithmetic -----------------------------------------------------------
 
     def neg(self) -> "BinaryForm":
@@ -85,13 +79,7 @@ class BinaryForm:
         # coefficients are canonical (reduced Fractions, ints in 0..p-1)
         return self.coeffs == other.coeffs
 
-    # -- valuations and division ----------------------------------------------
-
-    def t_valuation(self) -> int:
-        """Largest k with t^k dividing the form (for nonzero forms)."""
-        if self.is_zero():
-            raise ValueError("zero form has no valuation")
-        return next(i for i, c in enumerate(self.coeffs) if not self.field.is_zero(c))
+    # -- monomial shifts -----------------------------------------------------
 
     def shift(self, s_power: int, t_power: int) -> "BinaryForm":
         """Multiply by the monomial s^s_power * t^t_power (powers may be negative
@@ -111,32 +99,6 @@ class BinaryForm:
         cs = self.coeffs[-t_power:] if t_power < 0 else zero * t_power + self.coeffs
         cs = cs[: len(cs) + s_power] if s_power < 0 else cs + zero * s_power
         return BinaryForm(self.field, self.degree + s_power + t_power, cs)
-
-    def divexact(self, divisor: "BinaryForm") -> "BinaryForm":
-        """Exact quotient self / divisor; raises DegreeError on nonzero remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero form")
-        if self.is_zero():
-            d = self.degree - divisor.degree
-            return BinaryForm.zero(self.field) if self.degree == -1 or d < 0 else BinaryForm.zero_of_degree(self.field, d)
-        K = self.field
-        if self.degree < divisor.degree:
-            raise DegreeError("quotient degree would be negative")
-        # Long division on coefficient vectors, leading coefficient = lowest t-power.
-        rem = list(self.coeffs)
-        qdeg = self.degree - divisor.degree
-        quot = [K.zero] * (qdeg + 1)
-        dv = divisor.t_valuation()
-        inv = K.inv(divisor.coeffs[dv])  # of the leading coefficient, once
-        for i in range(qdeg + 1):
-            c = K.mul(rem[i + dv], inv)
-            quot[i] = c
-            if not K.is_zero(c):
-                for j in range(divisor.degree + 1):
-                    rem[i + j] = K.sub(rem[i + j], K.mul(c, divisor.coeff(j)))
-        if any(not K.is_zero(c) for c in rem):
-            raise DegreeError("division not exact")
-        return BinaryForm(K, qdeg, tuple(quot))
 
     def __repr__(self) -> str:
         return f"BinaryForm({format_binary_form(self)!r})"

@@ -300,6 +300,8 @@ def _verify_jobs(args) -> list[tuple]:
         first = f"e = n = {lo}"
         jobs = [("general", args.d, n, n, field) for n in range(lo, n_max + 1)]
     else:
+        if args.d is not None:
+            raise UsageError(f"--d applies to --theorem general only, not {args.theorem}")
         d = {"quadrics": 2, "cubics": 3, "quartics": 4}[args.theorem]
         lo = max(d, 3)  # the quadric chains start at e = 2, their cases at n = 3
         first = "e = 2, n = 3" if d == 2 else f"e = n = {d}"
@@ -492,16 +494,17 @@ def _arg(*flags, **options) -> tuple:
 _COMMON = (
     _arg("--format", choices=("text", "json"), default="text"),
     _arg("--output", help="write the report to a file instead of stdout"),
-    _arg("--field", help="rational or prime:<p>"),
 )
+# only the commands that build a hypersurface take a field
+_COMMON_AND_FIELD = (*_COMMON, _arg("--field", help="rational or prime:<p>"))
 _DEN = tuple(_arg(f"--{x}", type=int) for x in "den")
 
-# name -> (help line, handler, the arguments before the common ones)
+# name -> (help line, handler, its arguments)
 _COMMANDS = {
     "compute": (
         "splitting data of a given or generated hypersurface",
         cmd_compute,
-        (*_DEN, _arg("--poly", help="hypersurface file")),
+        (*_DEN, _arg("--poly", help="hypersurface file"), *_COMMON_AND_FIELD),
     ),
     "verify": (
         "sweep a published table and compare every case",
@@ -511,6 +514,7 @@ _COMMANDS = {
             _arg("--d", type=int, help="hypersurface degree (general theorem only)"),
             _arg("--max-n", type=int, required=True, dest="max_n"),
             _arg("--workers", type=int, default=1),
+            *_COMMON_AND_FIELD,
         ),
     ),
     "extend": (
@@ -520,15 +524,16 @@ _COMMANDS = {
             _arg("--poly", help="hypersurface file to extend"),
             *_DEN[:2],
             _arg("--to-n", type=int, required=True, dest="to_n"),
+            *_COMMON_AND_FIELD,
         ),
     ),
-    "glue": ("index-wise gluing bound of two splittings", cmd_glue, (_arg("A"), _arg("B"))),
-    "dominates": ("specialization dominance of two splittings", cmd_dominates, (_arg("A"), _arg("B"))),
-    "interp": ("interpolation count of a splitting", cmd_interp, (_arg("splitting"), *_DEN)),
+    "glue": ("index-wise gluing bound of two splittings", cmd_glue, (_arg("A"), _arg("B"), *_COMMON)),
+    "dominates": ("specialization dominance of two splittings", cmd_dominates, (_arg("A"), _arg("B"), *_COMMON)),
+    "interp": ("interpolation count of a splitting", cmd_interp, (_arg("splitting"), *_DEN, *_COMMON)),
     "predict": (
         "catalog prediction for (d, e, n)",
         cmd_predict,
-        tuple(_arg(f"--{x}", type=int, required=True) for x in "den"),
+        (*(_arg(f"--{x}", type=int, required=True) for x in "den"), *_COMMON),
     ),
 }
 
@@ -544,7 +549,7 @@ def _full_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        for flags, options in arguments + _COMMON:
+        for flags, options in arguments:
             p.add_argument(*flags, **options)
         p.set_defaults(func=func, command=name)
     return ap
@@ -560,7 +565,6 @@ def _read_command(argv: list) -> argparse.Namespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, func, arguments = _COMMANDS[argv[0]]
-    arguments += _COMMON
     positionals = [flags[0] for flags, _ in arguments if not flags[0].startswith("-")]
     words, pairs = argv[1 : len(positionals) + 1], argv[len(positionals) + 1 :]
     given = dict(zip(positionals, words))

@@ -4,15 +4,16 @@ splitting, and the inductive dimension-extension engine.
 Seeds exist at n = e for each constructive degree (chains of curve quadrics
 for d = 2, 3, 4; monomial psi-ladders for d >= 5 with e = n >= 2d-2).  For
 d = 3, 4 the case n > e is reached one dimension at a time: a strategy matrix
-J with K = N1·J and N2 = coker J stacks into N, the row (delta, g) with
-(delta, g)·N = 0 extends delta by one entry g found by exact division, and
-g lifts to the new coefficient G_(n+1).  certify_kernel, proving N
-generates the kernel of that row, is the one check a step's answer rests
-on; the J identities are facts about how N is built, and the tests pin
-them.  The new hypersurface keeps the old psi and delta (F.maps) with one
-column appended, G_(n+1)|_C, which equals a rebuild (extend_dimension).
-The d >= 5 ladders and the quartic e = 5 seed are lifted from monomial psi
-columns, each by one superdiagonal coefficient (lift_psi_targets).
+J builds one map N, whose first n rows N1 give K = N1·J and whose last row
+is coker J; the row (delta, g) with (delta, g)·N = 0 extends delta by one
+entry g, found by one shift by t^-k, and g lifts to the new coefficient
+G_(n+1).  certify_kernel, proving N generates the kernel of that row, is
+the one check a step's answer rests on; the J identities are facts about
+how N is built, and the tests pin them.  The new hypersurface keeps the old
+psi and delta (F.maps) with one column appended, G_(n+1)|_C, which equals a
+rebuild (extend_dimension).  The d >= 5 ladders and the quartic e = 5 seed
+are lifted from monomial psi columns, each by one superdiagonal coefficient
+(lift_psi_targets).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .sheafmap import (
     compose,
     kernel_matrix,
     normal_twists,
-    stack_rows,
     tangent_twists,
 )
 from .splitting import EXACT, SplittingType, predicted_splitting
@@ -59,12 +59,11 @@ class PsiLiftError(ValueError):
 
 class ExtensionStep:
     """One certified step: input_F and output_F (IdealCombination), strategy
-    ("J0" | "J1" | "J2"), the maps J, N1, N2, N and delta_out
-    (GradedSheafMap), target_splitting (SplittingType) and g (BinaryForm)."""
+    ("J0" | "J1" | "J2"), the maps J, N and delta_out (GradedSheafMap),
+    target_splitting (SplittingType) and g (BinaryForm).  N's first n rows
+    are N1 (K = N1·J), its last row is the cokernel row of J."""
 
-    __slots__ = (
-        "input_F", "strategy", "output_F", "J", "N1", "N2", "N", "delta_out", "target_splitting", "g"
-    )
+    __slots__ = ("input_F", "strategy", "output_F", "J", "N", "delta_out", "target_splitting", "g")
 
     def __init__(self, **fields):
         for name in self.__slots__:
@@ -359,9 +358,8 @@ def _build_J0(K_map: GradedSheafMap, e: int):
     src = K_map.source
     E = src + (e,)
     J = GradedSheafMap._built(field, src, E, {(j, j): one for j in range(len(src))})
-    N1 = GradedSheafMap._built(field, E, K_map.target, dict(K_map.entries))
-    N2 = GradedSheafMap._built(field, E, (e,), {(0, len(E) - 1): one})
-    return J, N1, N2
+    # N is K with the cokernel row (0, ..., 0, 1) below it
+    return J, GradedSheafMap._built(field, E, K_map.target + (e,), {**K_map.entries, (K_map.nrows, len(src)): one})
 
 
 def _build_J1(K_perm: GradedSheafMap, a: int):
@@ -377,7 +375,7 @@ def _build_J1(K_perm: GradedSheafMap, a: int):
     for j in range(1, r + s_cnt):
         J_entries[(j, j)] = one
     J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
-    N1_entries = {}
+    N_entries = {}
     for i in range(K_perm.nrows):
         k = K_perm.entry(i, 0)
         if k.is_zero():
@@ -385,15 +383,15 @@ def _build_J1(K_perm: GradedSheafMap, a: int):
         # k = s·p + c·t^deg: p is every coefficient of k but the last
         p, c = k.coeffs[:-1], k.coeffs[-1]
         if any(p):
-            N1_entries[(i, 0)] = BinaryForm(field, k.degree - 1, p)
+            N_entries[(i, 0)] = BinaryForm(field, k.degree - 1, p)
         if not field.is_zero(c):
-            N1_entries[(i, w - 1)] = BinaryForm.monomial(field, k.degree - 1, k.degree - 1, c)
+            N_entries[(i, w - 1)] = BinaryForm.monomial(field, k.degree - 1, k.degree - 1, c)
     for (i, j), f in K_perm.entries.items():
         if j >= 1:
-            N1_entries[(i, j)] = f
-    N1 = GradedSheafMap._built(field, E, K_perm.target, N1_entries)
-    N2 = GradedSheafMap._built(field, E, (a + 2,), {(0, 0): t_form, (0, w - 1): s_form.neg()})
-    return J, N1, N2
+            N_entries[(i, j)] = f
+    # the cokernel row (t, 0, ..., 0, -s)
+    N_entries[(K_perm.nrows, 0)], N_entries[(K_perm.nrows, w - 1)] = t_form, s_form.neg()
+    return J, GradedSheafMap._built(field, E, K_perm.target + (a + 2,), N_entries)
 
 
 def _build_J2(K_perm: GradedSheafMap, a: int):
@@ -414,7 +412,7 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
     for j in range(2, r + s_cnt):
         J_entries[(j, j)] = one
     J = GradedSheafMap._built(field, K_perm.source, E, J_entries)
-    N1_entries = {}
+    N_entries = {}
     zero = field.zero
     for i in range(K_perm.nrows):
         deg = K_perm.target[i] - a
@@ -433,16 +431,14 @@ def _build_J2(K_perm: GradedSheafMap, a: int):
             last[deg - 1] = c1
         for j, cs in ((0, col0), (1, col1), (w - 1, last)):
             if any(cs):
-                N1_entries[(i, j)] = BinaryForm(field, deg - 1, tuple(cs))
+                N_entries[(i, j)] = BinaryForm(field, deg - 1, tuple(cs))
     for (i, j), f in K_perm.entries.items():
         if j >= 2:
-            N1_entries[(i, j)] = f
-    N1 = GradedSheafMap._built(field, E, K_perm.target, N1_entries)
-    two_t = BinaryForm.monomial(field, 2, 2)
-    two_s = BinaryForm.monomial(field, 2, 0)
-    st = BinaryForm.monomial(field, 2, 1, field.neg(field.one))
-    N2 = GradedSheafMap._built(field, E, (a + 3,), {(0, 0): two_t, (0, 1): two_s, (0, w - 1): st})
-    return J, N1, N2
+            N_entries[(i, j)] = f
+    # the cokernel row (t^2, s^2, 0, ..., 0, -st)
+    for j, t_power, c in ((0, 2, 1), (1, 0, 1), (w - 1, 1, -1)):
+        N_entries[(K_perm.nrows, j)] = BinaryForm.monomial(field, 2, t_power, field.from_int(c))
+    return J, GradedSheafMap._built(field, E, K_perm.target + (a + 3,), N_entries)
 
 
 def extend_dimension(
@@ -454,24 +450,28 @@ def extend_dimension(
     """One inductive step n -> n+1: realize `target` as the splitting of the
     restricted tangent bundle of an extension F + G_(n+1) x_(n+1).
 
-    The strategy is selected by shape and stacks N = (N1; N2).  The new
+    The strategy is selected by shape and builds N as one map: rows 0..n-1
+    are N1, row n is the cokernel row of J, (1) in the last column for J0,
+    (t, ..., -s) for J1 and (t^2, s^2, ..., -st) for J2.  In the first
+    column j where row n is nonzero it holds t^k (k = 0, 1, 2), so the new
     entry g of delta_out = (delta_in, g) is read off (delta_in, g)·N = 0 by
-    one exact division in a column j of N2, from delta_in times column j of
-    N1; for N of corank one that row is unique up to a scalar.
+    one shift: g = -(delta_in · column j of N1) / t^k.  For N of corank one
+    that row is unique up to a scalar, and a builder that broke the t^k
+    shape would give a g that certify_kernel refuses.
 
     certify_kernel alone certifies the step: it proves N generates
     ker delta_out (so N has full rank everywhere), and the splitting of N's
     source equals the target.  How N was built does not enter that proof,
     so the strategy identities N1·J = K (the kernel, its columns sorted by
-    twist for J1 and J2) and N2·J = 0 are pinned by the tests, not checked
-    here.  certify_kernel is given the degree Σtarget - de of ker delta_out,
-    which holds iff delta_out is onto O(de) at every point (_nullity_scan);
-    no gcd checks that.  The step refuses a delta_in whose certified kernel
-    degree is not Σsource - de, which proves delta_in onto at every point,
-    and delta_out = (delta_in, g) has an image at least as large.  Along a
-    chain this runs by induction from the seed's scanned kernel:
-    extend_chain hands each step's N, certified with that degree, to the
-    next step as `_kernel`, which is private to it and is not certified
+    twist for J1 and J2) and (row n)·J = 0 are pinned by the tests, not
+    checked here.  certify_kernel is given the degree Σtarget - de of
+    ker delta_out, which holds iff delta_out is onto O(de) at every point
+    (_nullity_scan); no gcd checks that.  The step refuses a delta_in whose
+    certified kernel degree is not Σsource - de, which proves delta_in onto
+    at every point, and delta_out = (delta_in, g) has an image at least as
+    large.  Along a chain this runs by induction from the seed's scanned
+    kernel: extend_chain hands each step's N, certified with that degree, to
+    the next step as `_kernel`, which is private to it and is not certified
     again; without it the step builds kernel_matrix(delta_in).  psi_in and
     delta_in are F.maps: built once from F, or carried onto F by the step
     that made it.
@@ -499,25 +499,25 @@ def extend_dimension(
         )
     strategy = _select_strategy(S, target, e)
     if strategy == "J0":
-        J, N1, N2 = _build_J0(K_map, e)
+        J, N = _build_J0(K_map, e)
     else:
         perm = sorted(range(K_map.ncols), key=lambda j: (K_map.source[j], j))
         build = _build_J1 if strategy == "J1" else _build_J2
-        J, N1, N2 = build(K_map.permute_columns(perm), min(K_map.source))
-    N = stack_rows(N1, N2)
+        J, N = build(K_map.permute_columns(perm), min(K_map.source))
     ctx_out = CurveContext(d, e, n + 1, field)
     if N.target != tangent_twists(ctx_out):
-        raise CertificationError("stacked map has unexpected target twists")
+        raise CertificationError("N has unexpected target twists")
 
-    # (delta_in, g)·N = 0 pins g by one exact division in a column where N2 is nonzero
-    j = min(col for _, col in N2.entries)
+    # (delta_in, g)·N = 0 in the first column j where row n of N is nonzero:
+    # that entry is t^k, so g is -(delta_in times column j above row n) / t^k
+    j = min(c for i, c in N.entries if i == n)
     col_j = GradedSheafMap._built(
-        field, (N1.source[j],), N1.target, {(i, 0): f for (i, c), f in N1.entries.items() if c == j}
+        field, (N.source[j],), N.target[:n], {(i, 0): f for (i, c), f in N.entries.items() if c == j and i < n}
     )
     try:
-        g = compose(delta_in, col_j).entry(0, 0).neg().divexact(N2.entry(0, j))
+        g = compose(delta_in, col_j).entry(0, 0).neg().shift(0, -N.entries[(n, j)].degree)
     except DegreeError as exc:
-        raise CertificationError(f"N2 does not divide delta_in·N1 in column {j}") from exc
+        raise CertificationError(f"t^k does not divide delta_in·N in column {j}") from exc
     G = lift_binary_form(g, ctx_out, d - 1)
     column = restrict_to_curve(G)  # G_(n+1)|_C, the new last column of psi and delta
     if not column.equals(g):
@@ -544,8 +544,6 @@ def extend_dimension(
         strategy=strategy,
         output_F=output_F,
         J=J,
-        N1=N1,
-        N2=N2,
         N=N,
         delta_out=delta_out,
         target_splitting=target,

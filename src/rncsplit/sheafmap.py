@@ -170,16 +170,6 @@ def _column_hits(entries: dict, K: FieldSpec, starts) -> tuple[dict, dict]:
     return hits, scale
 
 
-def stack_rows(top: GradedSheafMap, bottom: GradedSheafMap) -> GradedSheafMap:
-    if top.source != bottom.source:
-        raise MapError("stacked maps need equal sources")
-    entries = dict(top.entries)
-    off = top.nrows
-    for (i, j), f in bottom.entries.items():
-        entries[(i + off, j)] = f
-    return GradedSheafMap._built(top.field, top.source, top.target + bottom.target, entries)
-
-
 # -- maps attached to a hypersurface through the curve -------------------------
 
 

@@ -86,8 +86,15 @@ def interpolation_count(S: SplittingType) -> int:
     return S.parts[0] + 1
 
 
+def _check_cell(d: int, e: int, n: int) -> None:
+    """Refuse a (d, e, n) outside the catalog: d >= 2, n >= 3, 1 <= e <= n."""
+    if d < 2 or n < 3 or not 1 <= e <= n:
+        raise SplittingError(f"parameters out of range: d={d}, e={e}, n={n}")
+
+
 def expected_max(d: int, e: int, n: int) -> int:
-    """floor(e(n+1-d)/(n-1)) + 1, floor toward -inf."""
+    """floor(e(n+1-d)/(n-1)) + 1, floor toward -inf, for a cell of the catalog."""
+    _check_cell(d, e, n)
     return e * (n + 1 - d) // (n - 1) + 1
 
 
@@ -161,8 +168,7 @@ def predicted_splitting(d: int, e: int, n: int) -> Prediction:
     For d >= 5 past the e = n and slope-split cases, e(n+1-d) - 2 > 3(n-2) > 0
     (n >= 3).  So e(n+1-d) > 3n - 4 >= n - 1, and n + 1 - d > 0 with e > 0,
     so n >= d: every such cell is in the balanced range."""
-    if d < 2 or n < 3 or not 1 <= e <= n:
-        raise SplittingError(f"parameters out of range: d={d}, e={e}, n={n}")
+    _check_cell(d, e, n)
 
     if d == 2:
         if e % 2 == 0:

@@ -320,16 +320,17 @@ def bf_gcd(forms) -> BinaryForm:
         return f.degree - max(i for i, c in enumerate(f.coeffs) if not K.is_zero(c))
 
     s_val = min(s_valuation(f) for f in nonzero)
-    t_val = min(f.t_valuation() for f in nonzero)
+    # the t-valuation of each form: the index of its first nonzero coefficient
+    lows = [next(i for i, c in enumerate(f.coeffs) if not K.is_zero(c)) for f in nonzero]
+    t_val = min(lows)
 
-    def core(f: BinaryForm) -> list:
+    def core(f: BinaryForm, lo: int) -> list:
         # dehomogenization at s=1 of f stripped of its s- and t-power factors
-        lo, hi = f.t_valuation(), f.degree - s_valuation(f)
-        return list(f.coeffs[lo : hi + 1])
+        return list(f.coeffs[lo : f.degree - s_valuation(f) + 1])
 
-    g = core(nonzero[0])
-    for f in nonzero[1:]:
-        g = _poly_gcd(K, g, core(f))
+    g = core(nonzero[0], lows[0])
+    for f, lo in zip(nonzero[1:], lows[1:]):
+        g = _poly_gcd(K, g, core(f, lo))
         if len(g) == 1:
             break
     g = _poly_monic(K, g)
@@ -1278,6 +1279,8 @@ def full_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report to a file instead of stdout")
+
+    def field(p):  # compute, verify and extend only, after the common options
         p.add_argument("--field", help="rational or prime:<p>")
 
     p = sub.add_parser("compute", help="splitting data of a given or generated hypersurface")
@@ -1286,6 +1289,7 @@ def full_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--poly", help="hypersurface file")
     common(p)
+    field(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="sweep a published table and compare every case")
@@ -1294,6 +1298,7 @@ def full_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--workers", type=int, default=1)
     common(p)
+    field(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extend", help="run the dimension-extension engine")
@@ -1302,6 +1307,7 @@ def full_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int)
     p.add_argument("--to-n", type=int, required=True, dest="to_n")
     common(p)
+    field(p)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("glue", help="index-wise gluing bound of two splittings")

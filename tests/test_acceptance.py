@@ -78,13 +78,13 @@ def test_criterion_1_worked_examples_exact_over_rationals():
     assert splitting_of_kernel(d333).parts == (1, 2)
     assert time.perf_counter() - start < 1.0
 
-    # extension step (3,3,3) -> (3,3,4): N1 and delta exactly as printed
+    # extension step (3,3,3) -> (3,3,4): N's rows 0..2 (N1) and delta exactly as printed
     start = time.perf_counter()
     step = extend_dimension(F333, SplittingType((2, 2, 2)))
     printed_n1 = [["0", "s^2", "t^2"], ["0", "s*t", "0"], ["s^2", "t^2", "0"]]
     for i, row in enumerate(printed_n1):
         for j, text in enumerate(row):
-            got = step.N1.entry(i, j)
+            got = step.N.entry(i, j)
             assert got.is_zero() if text == "0" else got.equals(bform(text))
     for j, text in enumerate(["s^4*t", "-s^5+t^5", "-s*t^4", "s^3*t^3"]):
         assert step.delta_out.entry(0, j).equals(bform(text))

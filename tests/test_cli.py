@@ -757,6 +757,50 @@ def test_interp_refuses_partial_den(capsys, given):
     assert err == f"error: interp needs all of --d/--e/--n or none of them; missing {missing}\n"
 
 
+@pytest.mark.parametrize("n", range(-1, 5))
+def test_interp_refuses_the_cells_predict_refuses(capsys, n):
+    # expected_max is defined on the catalog's cells only: outside them interp
+    # exits 2 with predict's message (n = 1 divided by n - 1 = 0)
+    for d, e in itertools.product(range(1, 5), range(-1, n + 2)):
+        den = ["--d", str(d), "--e", str(e), "--n", str(n)]
+        code, out, err = run(capsys, "predict", *den)
+        got = run(capsys, "interp", "[1,2]", *den)
+        if code == 2:
+            assert got == (2, "", err) and err.startswith("error: parameters out of range"), (d, e, n)
+        else:
+            assert got[0] == 0 and "expected max" in got[1], (d, e, n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["glue", "[1]", "[2]"],
+        ["dominates", "[1]", "[2]"],
+        ["interp", "[1,2]"],
+        ["interp", "[1,2]", "--d", "3", "--e", "3", "--n", "3"],
+        ["predict", "--d", "2", "--e", "4", "--n", "6"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("field", ["rational", "prime:7", "garbage"])
+def test_splitting_commands_refuse_field(capsys, argv, field):
+    # only compute, verify and extend build a hypersurface over a field
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--field", field])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: --field {field}\n")
+
+
+@pytest.mark.parametrize("theorem", ["quadrics", "cubics", "quartics"])
+@pytest.mark.parametrize("d", ["2", "7"])
+def test_verify_refuses_d_off_the_general_theorem(capsys, theorem, d):
+    # --d picks the degree of the general theorem; the others fix their own
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--d", d, "--max-n", "9")
+    assert (code, out) == (2, "")
+    assert err == f"error: --d applies to --theorem general only, not {theorem}\n"
+
+
 def test_malformed_splitting_exit_2(capsys):
     code, _, err = run(capsys, "glue", "[1,2", "[1,1]")
     assert code == 2

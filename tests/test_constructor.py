@@ -43,6 +43,14 @@ def bform(text, field=RATIONALS, degree=None):
     return parse_binary_form(text, field, degree)
 
 
+def row_blocks(N):
+    """(N1, the cokernel row): N's first n rows and its last row, n + 1 = N.nrows."""
+    n = N.nrows - 1
+    top = {key: f for key, f in N.entries.items() if key[0] < n}
+    row = {(0, j): f for (i, j), f in N.entries.items() if i == n}
+    return GradedSheafMap(N.field, N.source, N.target[:n], top), GradedSheafMap(N.field, N.source, N.target[n:], row)
+
+
 # -- seeds ------------------------------------------------------------------------
 
 
@@ -149,7 +157,7 @@ def test_lift_quintic_targets_diagonal():
 
 def test_general_ladder_shape():
     targets = general_psi_targets(5, 8, RATIONALS)
-    texps = [f.t_valuation() for f in targets]
+    texps = [next(i for i, c in enumerate(f.coeffs) if c) for f in targets]
     assert texps[0] == 0 and texps[-1] == 5 * 8 - 8 - 2
     steps = [b - a for a, b in zip(texps, texps[1:])]
     assert all(x in (4, 5) for x in steps)
@@ -243,18 +251,14 @@ def test_extend_worked_cubic_step():
     assert step.J.entry(0, 0).equals(bform("s"))
     assert step.J.entry(1, 1).equals(bform("1"))
     assert step.J.entry(2, 0).equals(bform("t"))
-    # N1 exactly as printed
-    n1 = [["0", "s^2", "t^2"], ["0", "s*t", "0"], ["s^2", "t^2", "0"]]
-    for i, row in enumerate(n1):
+    # N's rows 0..2 are N1 exactly as printed, row 3 the printed cokernel row (t, 0, -s)
+    printed = [["0", "s^2", "t^2"], ["0", "s*t", "0"], ["s^2", "t^2", "0"], ["t", "0", "-s"]]
+    for i, row in enumerate(printed):
         for j, text in enumerate(row):
             if text == "0":
-                assert step.N1.entry(i, j).is_zero()
+                assert step.N.entry(i, j).is_zero()
             else:
-                assert step.N1.entry(i, j).equals(bform(text))
-    # N2 is the printed cokernel row (t, 0, -s)
-    assert step.N2.entry(0, 0).equals(bform("t"))
-    assert step.N2.entry(0, 1).is_zero()
-    assert step.N2.entry(0, 2).equals(bform("-s"))
+                assert step.N.entry(i, j).equals(bform(text))
     assert step.g.equals(bform("s^3*t^3"))
     ctx_out = step.output_F.context
     assert step.output_F.linear_coeffs == {4: parse_poly("x0*x3", ctx_out, 2)}
@@ -281,8 +285,8 @@ def test_extend_quartic_first_step_is_j2():
     F = seed_example(4, 4, GF)
     step = extend_dimension(F, predicted_splitting(4, 4, 5).splitting)
     assert step.strategy == "J2"
-    # the J2 lemma identities
-    assert compose(step.N2, step.J).is_zero_map()
+    # the J2 lemma identities: the cokernel row of N kills J
+    assert compose(row_blocks(step.N)[1], step.J).is_zero_map()
     assert full_rank_everywhere(step.N)
 
 
@@ -308,7 +312,7 @@ def test_extension_certificates_along_chain():
         assert compose(step.delta_out, step.N).is_zero_map()
         assert full_rank_everywhere(step.N)
         assert tuple(sorted(step.N.source)) == step.target_splitting.parts
-        assert compose(step.N2, step.J).is_zero_map()
+        assert compose(row_blocks(step.N)[1], step.J).is_zero_map()
 
 
 def test_chain_matches_catalog_each_level():
@@ -397,14 +401,60 @@ def _chain_steps(field, top=None):
 
 @pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
 def test_strategy_identities_hold_at_every_step(field):
-    # N1·J reproduces the handed kernel, its columns sorted by twist as
-    # extend_dimension sorts them for J1 and J2, and N2·J = 0.  The step
-    # checks neither: its answer rests on certify_kernel alone
+    # N's row blocks: N1·J reproduces the handed kernel, its columns sorted
+    # by twist as extend_dimension sorts them for J1 and J2, and the
+    # cokernel row N2 has N2·J = 0.  The step checks neither: its answer
+    # rests on certify_kernel alone
     for where, step, kernel in _chain_steps(field):
         if step.strategy != "J0":
             kernel = kernel.permute_columns(sorted(range(kernel.ncols), key=lambda j: (kernel.source[j], j)))
-        assert maps_equal(compose(step.N1, step.J), kernel), where
-        assert compose(step.N2, step.J).is_zero_map(), where
+        N1, N2 = row_blocks(step.N)
+        assert maps_equal(compose(N1, step.J), kernel), where
+        assert compose(N2, step.J).is_zero_map(), where
+
+
+@pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
+def test_cokernel_row_leads_with_a_power_of_t(field):
+    # extend_dimension finds g by one shift by t^-k in the first column j
+    # where row n of N is nonzero: that entry is exactly t^k, with k = 0
+    # (in the last column), 1 and 2 (in column 0) for J0, J1 and J2
+    strategies = set()
+    for where, step, _ in _chain_steps(field):
+        N, n = step.N, step.input_F.context.n
+        j = min(c for i, c in N.entries if i == n)
+        k = ("J0", "J1", "J2").index(step.strategy)
+        assert j == (N.ncols - 1 if k == 0 else 0), where
+        assert N.entry(n, j).coeffs == BinaryForm.monomial(field, k, k).coeffs, where
+        strategies.add(step.strategy)
+    assert strategies == {"J0", "J1", "J2"}
+
+
+@pytest.mark.parametrize("wrong", ["2*t^k", "s^k"])
+@pytest.mark.parametrize("field", [GF, RATIONALS], ids=str)
+def test_a_cokernel_row_off_the_t_power_shape_is_refused(monkeypatch, field, wrong):
+    # a builder that puts 2·t^k or s^k where t^k belongs: the shift by t^-k
+    # gives a g with (delta_in, g)·N nonzero in that column, and
+    # certify_kernel refuses the step.  J0's lead entry 1 is t^0 = s^0
+    strategies = set()
+    for d, e, n in ((3, 3, 5), (4, 4, 5)):
+        for step in build_chain(d, e, n, field)[1]:
+            if step.strategy == "J0":
+                continue
+            name = f"_build_{step.strategy}"
+
+            def mutated(*args, build=getattr(constructor, name)):
+                J, N = build(*args)
+                row, k = N.nrows - 1, N.entry(N.nrows - 1, 0).degree
+                two = field.from_int(2)
+                lead = BinaryForm.monomial(field, k, k, two) if wrong == "2*t^k" else BinaryForm.monomial(field, k, 0)
+                return J, GradedSheafMap(field, N.source, N.target, {**N.entries, (row, 0): lead})
+
+            with monkeypatch.context() as m:
+                m.setattr(constructor, name, mutated)
+                with pytest.raises(CertificationError):
+                    extend_dimension(step.input_F, step.target_splitting)
+            strategies.add(step.strategy)
+    assert strategies == {"J1", "J2"}
 
 
 @pytest.mark.parametrize("field", [GF, FieldSpec(2), FieldSpec(3), RATIONALS], ids=str)
@@ -420,9 +470,10 @@ def test_strategy_columns_split_by_slicing_match_form_arithmetic(field):
             continue
         K_perm = kernel.permute_columns(sorted(range(kernel.ncols), key=lambda j: (kernel.source[j], j)))
         entries = strategy_n1_by_forms(K_perm, min(kernel.source), step.strategy)
-        want = GradedSheafMap(field, step.N1.source, step.N1.target, entries)
-        assert step.N1.entries.keys() == want.entries.keys(), where
-        assert all(f.coeffs == want.entries[key].coeffs for key, f in step.N1.entries.items()), where
+        N1 = row_blocks(step.N)[0]
+        want = GradedSheafMap(field, N1.source, N1.target, entries)
+        assert N1.entries.keys() == want.entries.keys(), where
+        assert all(f.coeffs == want.entries[key].coeffs for key, f in N1.entries.items()), where
         for (_, j), f in K_perm.entries.items():
             if j == 0:
                 branches.add(("t", field.is_zero(f.coeffs[-1])))
@@ -437,8 +488,8 @@ def test_step_with_a_corrupted_kernel_is_refused(monkeypatch, field, corruption)
     # dropping an entry N_ik with delta_out's entry i nonzero leaves
     # delta_out·N nonzero in column k; dropping all of column k leaves N
     # singular at every point.  certify_kernel refuses both, in J0, J1 and
-    # J2 steps
-    stack_rows, strategies = constructor.stack_rows, set()
+    # J2 steps, with the corruption made to the N each builder returns
+    strategies = set()
     for d, e, n in ((3, 3, 5), (4, 4, 5)):
         for step in build_chain(d, e, n, field)[1]:
             # the step again, without the chain's kernel handed on
@@ -447,12 +498,17 @@ def test_step_with_a_corrupted_kernel_is_refused(monkeypatch, field, corruption)
             i, k = next(key for key in step.N.entries if not step.delta_out.entry(0, key[0]).is_zero())
             dropped = (lambda key: key == (i, k)) if corruption == "entry" else (lambda key: key[1] == k)
 
-            def corrupted(top, bottom):
-                N = stack_rows(top, bottom)
-                return GradedSheafMap(N.field, N.source, N.target, {x: f for x, f in N.entries.items() if not dropped(x)})
+            def corrupted(build):
+                def built(*args):
+                    J, N = build(*args)
+                    kept = {x: f for x, f in N.entries.items() if not dropped(x)}
+                    return J, GradedSheafMap(N.field, N.source, N.target, kept)
+
+                return built
 
             with monkeypatch.context() as m:
-                m.setattr(constructor, "stack_rows", corrupted)
+                for name in ("_build_J0", "_build_J1", "_build_J2"):
+                    m.setattr(constructor, name, corrupted(getattr(constructor, name)))
                 with pytest.raises(CertificationError):
                     extend_dimension(step.input_F, step.target_splitting)
     assert strategies == {"J0", "J1", "J2"}

@@ -23,7 +23,6 @@ from rncsplit.sheafmap import (
     kernel_matrix,
     map_to_json,
     splitting_of_kernel,
-    stack_rows,
     tangent_twists,
 )
 from tests.helpers import (
@@ -1084,14 +1083,6 @@ def test_euler_crosscheck_worked_cubic():
 # -- structural helpers ---------------------------------------------------------------
 
 
-def test_stack_rows():
-    top = from_rows([["s", "t"]], source=(0, 0), target=(1,))
-    bottom = from_rows([["t", "0"]], source=(0, 0), target=(1,))
-    stacked = stack_rows(top, bottom)
-    assert stacked.target == (1, 1)
-    assert stacked.entry(1, 0).equals(bform("t"))
-
-
 def _passes_validation(M):
     # the validating constructor keeps the very same entries: none of M's is
     # zero, outside the matrix or of the wrong degree
@@ -1103,13 +1094,12 @@ def _passes_validation(M):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_unchecked_builders_pass_the_validating_constructor(K, data):
-    # compose, stack_rows, permute_columns, _restriction_maps and
-    # kernel_matrix skip __init__'s checks; their outputs would pass them.
-    # The drawn maps have products and column sums that cancel mod p
+    # compose, permute_columns, _restriction_maps and kernel_matrix skip
+    # __init__'s checks; their outputs would pass them.  The drawn maps
+    # have products and column sums that cancel mod p
     outer, inner = data.draw(composable_maps(K, st.sampled_from([0, 1, 3, None])))
     product = compose(outer, inner)
     _passes_validation(product)
-    _passes_validation(stack_rows(product, compose(outer, inner)))
     _passes_validation(outer.permute_columns(data.draw(st.permutations(range(outer.ncols)))))
     for M in sheafmap._restriction_maps(*data.draw(curve_restrictions(fields=(K,)))):
         _passes_validation(M)
@@ -1118,7 +1108,7 @@ def test_unchecked_builders_pass_the_validating_constructor(K, data):
 
 @pytest.mark.parametrize("K", [RATIONALS, FieldSpec(2), FieldSpec(3), GF], ids=str)
 def test_chain_step_maps_pass_the_validating_constructor(K):
-    # each extension step builds J, N1, N2, its one-column col_j, delta_out
+    # each extension step builds J, N, its one-column col_j, delta_out
     # and psi_out unchecked; over every step of the cubic and quartic chains
     # to n = 9 they would pass __init__, which drops the zero column a J0
     # step's g = 0 would append to delta and psi
@@ -1139,7 +1129,7 @@ def test_chain_step_maps_pass_the_validating_constructor(K):
                 assert len(columns) == len(steps)  # one compose(delta_in, col_j) per step
                 for step, col_j in zip(steps, columns):
                     strategies.add(step.strategy)
-                    for M in (step.J, step.N1, step.N2, col_j, step.delta_out, step.output_F.maps[0]):
+                    for M in (step.J, step.N, col_j, step.delta_out, step.output_F.maps[0]):
                         _passes_validation(M)
     assert strategies == {"J0", "J1", "J2"}
 
