@@ -44,13 +44,13 @@ def _algebra():
         yield ["interp", a]
         yield ["interp", a, "--d", "3", "--e", "3", "--n", "3"]
         yield ["interp", a, "--d", "3"]
+        for b in splittings[:4]:
+            yield ["glue", a, b]
+            yield ["dominates", a, b]
     # expected_max refuses a cell outside the catalog as predict does
     for n in range(0, 4):
         for e in range(0, n + 2):
             yield ["interp", "[1,2]", "--d", "3", "--e", str(e), "--n", str(n)]
-        for b in splittings[:4]:
-            yield ["glue", a, b]
-            yield ["dominates", a, b]
 
 
 GRIDS = {"extend": _extend, "compute": _compute, "verify": _verify}
