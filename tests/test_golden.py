@@ -87,3 +87,22 @@ def kernel_golden_text() -> str:
 
 def test_kernel_matrix_golden():
     assert kernel_golden_text() == (GOLDEN / "kernel_matrices.txt").read_text(encoding="utf-8")
+
+
+def seeds_golden_text() -> str:
+    """Every constructive seed over Q with d <= 9 and e <= 24: quadric chains
+    from e = 2, cubics from e = 3, quartics from e = 4, and the d >= 5
+    ladders from e = 2d - 2."""
+    from rncsplit.constructor import seed_example
+    from rncsplit.fields import RATIONALS
+    from rncsplit.multipoly import format_hypersurface
+
+    return "".join(
+        format_hypersurface(seed_example(d, e, RATIONALS))
+        for d in range(2, 10)
+        for e in range({2: 2, 3: 3, 4: 4}.get(d, 2 * d - 2), 25)
+    )
+
+
+def test_seeds_golden():
+    assert seeds_golden_text() == (GOLDEN / "seeds.txt").read_text(encoding="utf-8")
