@@ -6,7 +6,6 @@ from .constructor import (
     ExtensionStep,
     build_chain,
     extend_dimension,
-    lift_psi_targets,
     seed_example,
 )
 from .fields import DEFAULT_PRIME, RATIONALS, FieldSpec, parse_field

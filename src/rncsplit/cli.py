@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .binform import DegreeError, format_binary_form
 from .constructor import (
     SINGULAR_ALONG_CURVE,
-    PsiLiftError,
     UnsupportedCaseError,
     build_chain,
     extend_chain,
@@ -69,7 +68,6 @@ class UsageError(ValueError):
 
 USER_ERRORS = (
     UnsupportedCaseError,
-    PsiLiftError,
     FieldError,
     CurveContextError,
     HsfError,
@@ -185,7 +183,11 @@ def _row_text(mjson: dict) -> str:
 def _read_poly(args, field: FieldSpec, names: str):
     """The hypersurface in --poly; refuses a --d/--e/--n in names that disagrees with it."""
     with open(args.poly, encoding="utf-8") as fh:
-        F = parse_hypersurface(fh.read(), field if args.field else None)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise HsfError(f"{args.poly} is not UTF-8 text ({exc.reason}: {exc.object[exc.start]:#04x})") from None
+    F = parse_hypersurface(text, field if args.field else None)
     for name in names:
         got, want = getattr(args, name), getattr(F.context, name)
         if got is not None and got != want:

@@ -11,9 +11,8 @@ G_(n+1).  certify_kernel, proving N generates the kernel of that row, is
 the one check a step's answer rests on; the J identities are facts about
 how N is built, and the tests pin them.  The new hypersurface keeps the old
 psi and delta (F.maps) with one column appended, G_(n+1)|_C, which equals a
-rebuild (extend_dimension).  The d >= 5 ladders and the quartic e = 5 seed
-are lifted from monomial psi columns, each by one superdiagonal coefficient
-(lift_psi_targets).
+rebuild (extend_dimension).  Every seed is a closed-form polynomial; a
+d >= 5 ladder lifts one monomial per superdiagonal coefficient.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .sheafmap import (
     CertificationError,
     GradedSheafMap,
     _psi_and_delta,
-    build_psi,
     certify_kernel,
     compose,
     kernel_matrix,
@@ -51,10 +49,6 @@ SINGULAR_ALONG_CURVE = (
     "the hypersurface is singular along the curve (delta is not onto O(de) "
     "at every point), so ker delta is not T_X|_C"
 )
-
-
-class PsiLiftError(ValueError):
-    """No ideal combination realizes the requested psi columns."""
 
 
 class ExtensionStep:
@@ -82,58 +76,6 @@ def _embed_poly(poly: MultiPoly, ctx: CurveContext) -> MultiPoly:
     return MultiPoly(
         ctx, poly.total_degree, {exp + (0,) * pad: c for exp, c in poly.terms.items()}
     )
-
-
-# -- psi-target lifting ----------------------------------------------------------
-
-
-def lift_psi_targets(targets, context: CurveContext) -> IdealCombination:
-    """Ideal combination whose psi quadric columns equal the given e-1 forms of
-    degree e(d-1)-2 (linear part zero).
-
-    Column l is lifted by the single superdiagonal coefficient F_(l,l+1), the
-    lift of its quotient by s^(e-l-1) t^(l-1); a column that monomial does
-    not divide is refused (the seeds' monomial ladders are all divisible).
-    """
-    e, d = context.e, context.d
-    targets = list(targets)
-    if len(targets) != e - 1:
-        raise PsiLiftError(f"expected {e - 1} target columns, got {len(targets)}")
-    want_deg = e * (d - 1) - 2
-    quadric: dict = {}
-    for l, f in enumerate(targets, start=1):
-        if f.is_zero():
-            continue
-        if f.degree != want_deg:
-            raise PsiLiftError(f"target column {l} has degree {f.degree}, expected {want_deg}")
-        try:
-            quotient = f.shift(-(e - l - 1), -(l - 1))
-        except DegreeError:
-            raise PsiLiftError(
-                f"target column {l} is not divisible by s^{e - l - 1} t^{l - 1}, "
-                f"so F_({l},{l + 1}) alone cannot lift it"
-            ) from None
-        quadric[(l, l + 1)] = lift_binary_form(quotient, context, d - 2)
-    F = IdealCombination(context, quadric, {})
-    psi = build_psi(F)
-    for l in range(e - 1):
-        if not psi.entry(0, l).equals(targets[l]):
-            raise CertificationError(f"lifted psi column {l + 1} disagrees with its target")
-    return F
-
-
-def general_psi_targets(d: int, n: int, field: FieldSpec) -> list[BinaryForm]:
-    """Monomial psi ladder for e = n >= 2d-2: starting at s^(dn-n-2), the
-    t-power grows by d-1 for the first n-2d+2 entries and by d afterwards."""
-    D = d * n - n - 2
-    targets = []
-    for l in range(1, n):
-        if l <= n - 2 * d + 2:
-            texp = (l - 1) * (d - 1)
-        else:
-            texp = D - (n - 1 - l) * d
-        targets.append(BinaryForm.monomial(field, D, texp))
-    return targets
 
 
 # -- seeds at n = e ---------------------------------------------------------------
@@ -172,11 +114,6 @@ def _seed_cubic(e: int, field: FieldSpec) -> IdealCombination:
     return IdealCombination(ctx, coeffs, {})
 
 
-#: Exponent ladder (x, y) of the quartic fivefold seed's monomial psi columns
-#: (s^13, s^(13-x)t^x, s^(13-y)t^y, t^13).
-_QUARTIC_E5_LADDER = (4, 8)
-
-
 def _seed_quartic(e: int, field: FieldSpec) -> IdealCombination:
     ctx = CurveContext(4, e, e, field)
     if e == 4:
@@ -190,7 +127,16 @@ def _seed_quartic(e: int, field: FieldSpec) -> IdealCombination:
             {},
         )
     if e == 5:
-        return _seed_quartic_fivefold(field)
+        return IdealCombination(
+            ctx,
+            {
+                (1, 2): _var_poly(ctx, 0, 2),
+                (2, 3): _pair_poly(ctx, 0, 3),
+                (3, 4): _pair_poly(ctx, 1, 5),
+                (4, 5): _var_poly(ctx, 5, 2),
+            },
+            {},
+        )
     if e == 6:
         return IdealCombination(
             ctx,
@@ -223,22 +169,18 @@ def _seed_quartic_family(e: int, field: FieldSpec) -> IdealCombination:
     return IdealCombination(ctx, coeffs, {})
 
 
-def _seed_quartic_fivefold(field: FieldSpec) -> IdealCombination:
-    """The quartic e = n = 5 seed, lifted from monomial psi columns; no
-    closed-form polynomial covers this case."""
-    x, y = _QUARTIC_E5_LADDER
-    targets = [
-        BinaryForm.monomial(field, 13, 0),
-        BinaryForm.monomial(field, 13, x),
-        BinaryForm.monomial(field, 13, y),
-        BinaryForm.monomial(field, 13, 13),
-    ]
-    return lift_psi_targets(targets, CurveContext(4, 5, 5, field))
-
-
 def _seed_general(d: int, n: int, field: FieldSpec) -> IdealCombination:
+    """The degree-d seed at e = n >= 2d-2.  F_(l,l+1) lifts the monomial of
+    degree n(d-2) and t-power t_l - l + 1, so psi's column l is
+    s^(D-t_l) t^t_l with D = dn-n-2: starting at s^D, t_l grows by d-1 for
+    the first n-2d+2 columns and by d afterwards, up to t^D."""
     ctx = CurveContext(d, n, n, field)
-    return lift_psi_targets(general_psi_targets(d, n, field), ctx)
+    D = d * n - n - 2
+    coeffs = {}
+    for l in range(1, n):
+        t_l = (l - 1) * (d - 1) if l <= n - 2 * d + 2 else D - (n - 1 - l) * d
+        coeffs[(l, l + 1)] = lift_binary_form(BinaryForm.monomial(field, n * (d - 2), t_l - l + 1), ctx, d - 2)
+    return IdealCombination(ctx, coeffs, {})
 
 
 # -- schedules and generation -------------------------------------------------------

@@ -129,7 +129,7 @@ def parse_splitting(text: str) -> SplittingType:
             arr = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SplittingError(f"bad splitting array: {text!r} ({exc})") from None
-        if not isinstance(arr, list) or not all(isinstance(x, int) for x in arr):
+        if not isinstance(arr, list) or not all(type(x) is int for x in arr):  # a bool is an int
             raise SplittingError(f"bad splitting array: {text!r}")
         return SplittingType(tuple(arr))
     parts: list[int] = []

@@ -396,6 +396,21 @@ def extension_schedule(d, e, n_target):
     return out
 
 
+def general_psi_targets(d: int, n: int, field: FieldSpec) -> list[BinaryForm]:
+    """Monomial psi ladder of the d >= 5 seed at e = n >= 2d-2: starting at
+    s^(dn-n-2), the t-power grows by d-1 for the first n-2d+2 entries and by
+    d afterwards."""
+    D = d * n - n - 2
+    targets = []
+    for l in range(1, n):
+        if l <= n - 2 * d + 2:
+            texp = (l - 1) * (d - 1)
+        else:
+            texp = D - (n - 1 - l) * d
+        targets.append(BinaryForm.monomial(field, D, texp))
+    return targets
+
+
 def random_poly(rnd, context, degree):
     terms = {}
     for _ in range(rnd.randrange(1, 5)):

@@ -180,6 +180,15 @@ def test_compute_bad_file_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["compute"], ["extend", "--to-n", "5"]])
+def test_non_utf8_file_exit_2(capsys, tmp_path, command):
+    hsf = tmp_path / "latin1.hsf"
+    hsf.write_bytes(b"d = 3\ne = 3\nn = 3\nQ 1 2 : x0 \xff\n")
+    code, out, err = run(capsys, *command, "--poly", str(hsf))
+    assert (code, out) == (2, "")
+    assert err == f"error: {hsf} is not UTF-8 text (invalid start byte: 0xff)\n"
+
+
 @pytest.mark.parametrize("body", ["(x0+x1)^999999", "x0^999999"])
 def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
     # the parser refuses the power before multiplying it out
@@ -460,7 +469,7 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
     # its own.  verify reads the seed's splitting off the first step and
     # each step's off its certified N, so it builds and scans nothing after
     # the chain.
-    from rncsplit import constructor, sheafmap
+    from rncsplit import sheafmap
     from rncsplit.fields import FieldSpec
 
     calls = []
@@ -485,7 +494,6 @@ def test_verify_chain_builds_each_delta_once(monkeypatch):
         return out
 
     monkeypatch.setattr(sheafmap, "build_psi", psi)
-    monkeypatch.setattr(constructor, "build_psi", psi)
     monkeypatch.setattr(sheafmap, "_nullity_scan", scanning)
     monkeypatch.setattr(sheafmap, "_restriction_maps", delta)
     monkeypatch.setattr(cli, "build_chain", chain)
@@ -802,8 +810,12 @@ def test_verify_refuses_d_off_the_general_theorem(capsys, theorem, d):
 
 
 def test_malformed_splitting_exit_2(capsys):
-    code, _, err = run(capsys, "glue", "[1,2", "[1,1]")
-    assert code == 2
+    # a JSON bool is a Python int, but not a splitting part
+    for bad in ("[1,2", "[true]", "[1,false]"):
+        for argv in (["glue", bad, "[1,1]"], ["dominates", "[1,1]", bad], ["interp", bad]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: bad splitting array: {bad!r}"), argv
 
 
 def test_output_file(capsys, tmp_path):

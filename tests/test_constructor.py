@@ -1,21 +1,16 @@
-import random
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rncsplit import constructor, sheafmap
 from rncsplit.binform import BinaryForm
 from rncsplit.constructor import (
-    PsiLiftError,
     UnsupportedCaseError,
     build_chain,
     extend_dimension,
-    general_psi_targets,
-    lift_psi_targets,
     seed_example,
 )
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, IdealCombination, MultiPoly, parse_hypersurface, parse_poly
+from rncsplit.multipoly import IdealCombination, MultiPoly, parse_hypersurface, parse_poly
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
@@ -30,6 +25,7 @@ from rncsplit.splitting import SplittingType, predicted_splitting
 from tests.helpers import (
     extension_schedule,
     full_rank_everywhere,
+    general_psi_targets,
     maps_equal,
     parse_binary_form,
     select_strategy_counter,
@@ -143,66 +139,37 @@ def test_seed_out_of_range_is_refused_as_build_chain_refuses_it(d, e):
     assert str(seed_refusal.value) == str(chain_refusal.value)
 
 
-# -- psi lifting --------------------------------------------------------------------
-
-
-def test_lift_quintic_targets_diagonal():
-    ctx = CurveContext(5, 3, 3, RATIONALS)
-    F = lift_psi_targets([bform("s^10"), bform("t^10")], ctx)
-    assert F.quadric_coeffs == {
-        (1, 2): parse_poly("x0^3", ctx, 3),
-        (2, 3): parse_poly("x3^3", ctx, 3),
-    }
+# -- psi ladders -------------------------------------------------------------------
 
 
 def test_general_ladder_shape():
-    targets = general_psi_targets(5, 8, RATIONALS)
-    texps = [next(i for i, c in enumerate(f.coeffs) if c) for f in targets]
-    assert texps[0] == 0 and texps[-1] == 5 * 8 - 8 - 2
-    steps = [b - a for a, b in zip(texps, texps[1:])]
-    assert all(x in (4, 5) for x in steps)
+    # psi's columns run from s^D to t^D, D = dn-n-2, the t-power growing by
+    # d-1 for the first n-2d+2 steps and by d for the last 2d-4
+    for d, n in ((5, 8), (5, 12), (7, 15), (9, 24)):
+        psi = build_psi(seed_example(d, n))
+        supports = [[i for i, c in enumerate(psi.entry(0, l).coeffs) if c] for l in range(psi.ncols)]
+        assert all(len(support) == 1 for support in supports)  # every column is a monomial
+        texps = [support[0] for support in supports]
+        assert len(texps) == n - 1 and texps[0] == 0 and texps[-1] == d * n - n - 2
+        steps = [b - a for a, b in zip(texps, texps[1:])]
+        assert steps == [d - 1] * (n - 2 * d + 2) + [d] * (2 * d - 4)
 
 
-def test_lift_round_trip_random_divisible():
-    rnd = random.Random(79)
-    for _ in range(50):
-        d = rnd.randrange(3, 6)
-        e = rnd.randrange(2, 6)
-        ctx = CurveContext(d, e, e if e >= 3 else 3, GF)
-        targets = []
-        for l in range(1, e):
-            core_deg = e * (d - 2)
-            coeffs = [GF.from_int(rnd.randrange(0, GF.p)) for _ in range(core_deg + 1)]
-            core = BinaryForm(GF, core_deg, tuple(coeffs))
-            targets.append(core.shift(e - l - 1, l - 1))
-        F = lift_psi_targets(targets, ctx)
-        psi = build_psi(F)
-        for l, want in enumerate(targets):
-            assert psi.entry(0, l).equals(want)
-
-
-@pytest.mark.parametrize("field", [RATIONALS, GF], ids=str)
-def test_lift_refuses_a_column_the_monomial_does_not_divide(field):
-    # column l is lifted by F_(l,l+1) alone, so s^(e-l-1) t^(l-1) must divide
-    # it; a column it does not divide is refused by number, not lifted
-    # another way
-    ctx = CurveContext(3, 3, 3, field)
-    with pytest.raises(PsiLiftError, match=r"column 1 is not divisible by s\^1 t\^0"):
-        lift_psi_targets([bform("s^4+t^4", field), bform("t^4", field)], ctx)
-    with pytest.raises(PsiLiftError, match=r"column 2 is not divisible by s\^0 t\^1"):
-        lift_psi_targets([bform("s^4", field), bform("s^4+2*t^4", field)], ctx)
-    F = lift_psi_targets([bform("s^4+s^3*t", field), bform("s*t^3+t^4", field)], ctx)
-    assert build_psi(F).entry(0, 1).equals(bform("s*t^3+t^4", field))
-
-
-def test_lift_quadric_outside_image_reports():
-    # for d = 2 column 1 must be a multiple of s: (s + t, t) and (s + t, s)
-    # are refused, not silently altered
-    ctx = CurveContext(2, 3, 3, RATIONALS)
-    for second in ("t", "s"):
-        with pytest.raises(PsiLiftError, match="column 1"):
-            lift_psi_targets([bform("s+t"), bform(second)], ctx)
-    lift_psi_targets([bform("s"), bform("t")], ctx)  # reachable: no error
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2), FieldSpec(3), GF], ids=str)
+def test_seed_psi_is_the_monomial_ladder(field):
+    # every d >= 5 seed with d <= 9, n <= 24 has the ladder as its psi, and
+    # the quartic e = 5 seed has (s^13, s^9 t^4, s^5 t^8, t^13)
+    for d in range(5, 10):
+        for n in range(2 * d - 2, 25):
+            if field.p and n % field.p == 0:
+                continue
+            psi = build_psi(seed_example(d, n, field))
+            want = general_psi_targets(d, n, field)
+            assert psi.ncols == len(want)
+            assert all(psi.entry(0, l).equals(f) for l, f in enumerate(want)), (d, n)
+    psi = build_psi(seed_example(4, 5, field))
+    assert psi.ncols == 4
+    assert all(psi.entry(0, l).equals(BinaryForm.monomial(field, 13, k)) for l, k in enumerate((0, 4, 8, 13)))
 
 
 # -- schedules ----------------------------------------------------------------------
