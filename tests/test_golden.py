@@ -38,6 +38,38 @@ def test_long_extend_json_golden(capsys, name):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+# hypersurfaces whose coefficients are not integers: every map printed
+# from them holds fractions, and the extension steps are J1 steps
+FRACTIONAL_QUINTIC = """d = 5
+e = 3
+n = 4
+Q 1 2 : 1/2*x0^3 + 2/3*x1*x2^2
+Q 2 3 : -3/4*x3^3 + 5/7*x0*x1*x2
+X 4 : 1/3*x0^4 - 2/5*x3^4
+"""
+FRACTIONAL_CUBIC = """d = 3
+e = 4
+n = 4
+Q 1 2 : 1/2*x0
+Q 2 3 : -2/3*x2
+Q 3 4 : 3/4*x4 + 1/5*x1
+"""
+
+
+def test_compute_fractional_json_golden(capsys, tmp_path):
+    hsf = tmp_path / "quintic.hsf"
+    hsf.write_text(FRACTIONAL_QUINTIC, encoding="utf-8")
+    assert cli.main(["compute", "--poly", str(hsf), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "compute_frac_d5_e3_n4_q.json").read_text(encoding="utf-8")
+
+
+def test_extend_fractional_json_golden(capsys, tmp_path):
+    hsf = tmp_path / "cubic.hsf"
+    hsf.write_text(FRACTIONAL_CUBIC, encoding="utf-8")
+    assert cli.main(["extend", "--poly", str(hsf), "--to-n", "8", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "extend_frac_d3_e4_n8_q.json").read_text(encoding="utf-8")
+
+
 def _kernel_cases():
     """(label, one-row map) pairs whose kernel matrices are pinned: the
     compute catalog seeds and the README quintic over Q, the cubic and
