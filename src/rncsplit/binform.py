@@ -76,7 +76,8 @@ class BinaryForm:
         """Equality of values: all zero forms are equal regardless of degree slot."""
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        # coefficients are canonical (reduced Fractions, ints in 0..p-1)
+        # coefficients are canonical (over Q an int or a reduced non-integral
+        # Fraction, over GF(p) an int in 0..p-1)
         return self.coeffs == other.coeffs
 
     # -- monomial shifts -----------------------------------------------------

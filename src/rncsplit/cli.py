@@ -182,7 +182,8 @@ def _row_text(mjson: dict) -> str:
 
 def _read_poly(args, field: FieldSpec, names: str):
     """The hypersurface in --poly; refuses a --d/--e/--n in names that disagrees with it."""
-    with open(args.poly, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which some editors write
+    with open(args.poly, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

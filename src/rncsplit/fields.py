@@ -1,8 +1,9 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
 A :class:`FieldSpec` is a small immutable value describing the field all other
-objects compute over.  Rational elements are ``fractions.Fraction`` (always
-reduced); prime-field elements are plain ``int`` in canonical range ``0..p-1``.
+objects compute over.  A rational element is a Python ``int`` when it is an
+integer and a reduced ``fractions.Fraction`` otherwise (`rational` builds
+both); prime-field elements are plain ``int`` in canonical range ``0..p-1``.
 Primes are bounded by 2^31 so that `is_prime`'s trial division stays fast.
 """
 
@@ -30,10 +31,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# One shared zero and one over Q: Fractions are immutable, and tuples of
-# coefficients compare runs of the same object by identity, not by
-# Fraction.__eq__.
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+def rational(n: int, d: int):
+    """n / d over Q in canonical form: the int when d divides n, else the
+    reduced Fraction.  Every rational the program stores is made here or by
+    the field operations, so integral values pay no Fraction calls."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _canonical(x):
+    """An int or a Fraction as the same value in canonical form."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class FieldSpec:
@@ -64,34 +72,38 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
+
+    # Over Q too the zero and the one are ints: small ints are shared
+    # objects, and tuples of coefficients compare runs of the same object by
+    # identity, with no call to __eq__.
 
     @property
     def zero(self):
-        return _Q_ZERO if self.p is None else 0
+        return 0
 
     @property
     def one(self):
-        return _Q_ONE if self.p is None else 1
+        return 1
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _canonical(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _canonical(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _canonical(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return _canonical(-a) if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.is_zero(a):
             raise FieldError("division by zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return rational(a.denominator, a.numerator) if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -104,7 +116,7 @@ class FieldSpec:
     def format_scalar(self, a) -> str:
         if self.p is None:
             try:
-                return str(a)  # a reduced Fraction prints as n or n/d
+                return str(a)  # an int prints as n, a reduced Fraction as n/d
             except ValueError:  # Python prints ints of at most sys.get_int_max_str_digits() digits
                 raise FieldError("a coefficient has too many digits to print") from None
         r = a % self.p

@@ -8,8 +8,9 @@ over Q, `_eliminate` cross-multiplies the two rows and divides out the
 content of the result (fraction-free, as in Bareiss 1968, but dividing by the
 row content rather than by the previous pivot); mod p, it subtracts a
 multiple of the pivot row.  A row stays a nonzero multiple of the row
-rational elimination would hold, so ``Fraction`` entries are made only for
-the output.
+rational elimination would hold, so rationals are made only for the output,
+and only its non-integral entries are ``Fraction`` objects
+(`fields.rational`).
 
 There is one elimination: `row_echelon` runs forward elimination only (each
 pivot row clears the rows below it) and keeps its pivot rows, each zero left
@@ -35,16 +36,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from functools import partial
 from itertools import compress
 
-from .fields import FieldSpec
+from .fields import FieldSpec, rational
 
 
 def _int_row(row, p: int | None) -> list[int]:
     """A fresh row of Python ints: a primitive integer multiple of a row of
-    Fractions or ints over Q, the entries mod p over GF(p)."""
+    rationals (ints or Fractions) over Q, the entries mod p over GF(p)."""
     if p is not None:
         return [x % p for x in row]
     den = math.lcm(*(x.denominator for x in row))
@@ -52,9 +52,10 @@ def _int_row(row, p: int | None) -> list[int]:
 
 
 def _normalized(row: list[int], c: int, p: int | None) -> list:
-    """row / row[c]: Fractions over Q, ints in 0..p-1 over GF(p)."""
+    """row / row[c]: canonical rationals over Q (an int where row[c]
+    divides the entry, else a Fraction), ints in 0..p-1 over GF(p)."""
     if p is None:
-        return [Fraction(x, row[c]) for x in row]
+        return [rational(x, row[c]) for x in row]
     inv = pow(row[c], -1, p)
     return [x * inv % p for x in row]
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import add, mul
 
 from .binform import BinaryForm
-from .fields import RATIONALS, FieldError, FieldSpec
+from .fields import RATIONALS, FieldError, FieldSpec, rational
 
 
 class CurveContextError(ValueError):
@@ -167,7 +166,7 @@ def restrict_to_curve(poly: MultiPoly) -> BinaryForm:
     It pays per term: each term's coefficient joins the list of its position,
     and only the positions some term hits are summed and reduced, once (mod
     p, or over Q as integers over the lcm of the denominators, a lone term's
-    Fraction kept as it is).  Every other coefficient is the field's zero.
+    coefficient kept as it is).  Every other coefficient is the field's zero.
     """
     K, e = poly.context.field, poly.context.e
     p, powers = K.p, range(e + 1)
@@ -184,7 +183,7 @@ def restrict_to_curve(poly: MultiPoly) -> BinaryForm:
             coeffs[u] = cs[0]
         else:
             den = lcm(*(c.denominator for c in cs))
-            coeffs[u] = Fraction(sum([c.numerator * (den // c.denominator) for c in cs]), den)
+            coeffs[u] = rational(sum([c.numerator * (den // c.denominator) for c in cs]), den)
     # over GF(p) a sum of canonical coefficients is zero only as a multiple of p
     if not hits or p is None and not any(coeffs):
         return BinaryForm.zero(K)
@@ -390,7 +389,7 @@ class _Parser:
                     if tokens[i][0] != "*":
                         break
                     i += 1
-            c = num * pow(den, -1, p) % p if p else Fraction(num, den)
+            c = num * pow(den, -1, p) % p if p else rational(num, den)
             term_degree, terms = sum(exps), ((tuple(exps), c),) if c else ()
             if polys:
                 product = polys[0]

@@ -13,13 +13,12 @@ rank at every point of the line follows from it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate, compress
 from math import lcm
 
 from . import linalg
 from .binform import BinaryForm
-from .fields import FieldSpec
+from .fields import FieldSpec, rational
 from .multipoly import CurveContext, IdealCombination, restrict_to_curve
 from .splitting import SplittingType
 
@@ -101,7 +100,7 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
     are grouped by row once.  Entry (i, k) of outer is multiplied by entry
     (k, j) of inner only where both are nonzero; each product adds into one
     list of Python ints per (i, j), and each coefficient is reduced once:
-    mod p, or to one Fraction over the row and column lcms."""
+    mod p, or to one rational over the row and column lcms."""
     if inner.target != outer.source:
         raise MapError(f"twist mismatch: inner target {inner.target} != outer source {outer.source}")
     K, p = outer.field, outer.field.p
@@ -126,7 +125,7 @@ def compose(outer: GradedSheafMap, inner: GradedSheafMap) -> GradedSheafMap:
         for j, acc in accs.items():
             if p is None:
                 den = row_den * cols[j][0]
-                coeffs = [Fraction(c, den) for c in acc]
+                coeffs = [rational(c, den) for c in acc]
             else:
                 coeffs = [c % p for c in acc]
             if any(coeffs):
@@ -216,7 +215,7 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
     coefficients of the F_{i,j}|_C that reach it (over Q numerators over the
     lcm of their denominators, as in compose), delta's columns are formed
     from those dicts, and each entry of a column is scattered into a tuple
-    of the field's zeros, reduced once (one % p or one Fraction)."""
+    of the field's zeros, reduced once (one % p or one rational)."""
     K, p, e, de = ctx.field, ctx.field.p, ctx.e, ctx.d * ctx.e
     lines, scale = _column_hits({(0, key): r for key, r in quadric.items()}, K, (0,))
     L, zero = scale.get(0, 1), K.zero
@@ -230,7 +229,7 @@ def _restriction_maps(ctx: CurveContext, quadric: dict, linear: dict) -> tuple[G
     def form(col: dict, size: int) -> BinaryForm:
         coeffs = [zero] * size
         for u, x in col.items():
-            coeffs[u] = x % p if p else Fraction(x, L)
+            coeffs[u] = x % p if p else rational(x, L)
         return BinaryForm(K, size - 1, tuple(coeffs))
 
     psi = {(0, l - 1): form(C[l], de - e - 1) for l in range(1, e) if C[l]}
@@ -341,7 +340,7 @@ def _kernel_basis(M: GradedSheafMap, rows: list, pivots: list[int], keys: list, 
     for vec, f in zip(basis, free):
         vec[where[f]] = 1
     for row, c in zip(rows, pivots):
-        x, scale = where[c], Fraction(-1, row[c]) if p is None else p - pow(row[c], -1, p)
+        x, scale = where[c], rational(-1, row[c]) if p is None else p - pow(row[c], -1, p)
         for vec, f in zip(basis, free):
             if row[f]:
                 vec[x] = row[f] * scale  # -row[f] / row[c], reduced mod p by _int_row

@@ -53,6 +53,12 @@ def from_rows(rows, source, target, field=RATIONALS):
     return GradedSheafMap(field, tuple(source), tuple(target), entries)
 
 
+def canonical_q(x) -> bool:
+    """x is a rational in the form the program stores over Q: an int when
+    its denominator is 1, a (reduced) Fraction otherwise."""
+    return type(x) is int if x.denominator == 1 else type(x) is Fraction
+
+
 def maps_equal(M: GradedSheafMap, N: GradedSheafMap) -> bool:
     """Equality of graded maps: the same twists and equal entries."""
     if M.source != N.source or M.target != N.target:

@@ -189,6 +189,18 @@ def test_non_utf8_file_exit_2(capsys, tmp_path, command):
     assert err == f"error: {hsf} is not UTF-8 text (invalid start byte: 0xff)\n"
 
 
+@pytest.mark.parametrize("command", [["compute"], ["extend", "--to-n", "5"]])
+def test_byte_order_mark_is_ignored(capsys, tmp_path, command):
+    plain, marked = tmp_path / "plain.hsf", tmp_path / "marked.hsf"
+    text = "d = 3\ne = 3\nn = 3\nQ 1 2 : x0\nQ 2 3 : x3\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run(capsys, *command, "--poly", str(plain))
+    assert want[0] == 0
+    assert run(capsys, *command, "--poly", str(marked)) == want
+
+
 @pytest.mark.parametrize("body", ["(x0+x1)^999999", "x0^999999"])
 def test_compute_huge_power_exit_2_fast(capsys, tmp_path, body):
     # the parser refuses the power before multiplying it out

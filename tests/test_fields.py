@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rncsplit.fields import DEFAULT_PRIME, FieldError, FieldSpec, RATIONALS, parse_field
-from tests.helpers import format_scalar_oracle
+from tests.helpers import canonical_q, format_scalar_oracle
 
 GF101 = FieldSpec(101)
 
@@ -40,10 +40,11 @@ def test_rational_ops_are_fractions():
 
 
 def test_rational_zero_and_one_are_shared():
-    # Fractions are immutable, so Q hands out one zero and one one: tuples of
-    # coefficients full of zeros then compare by identity
+    # integral rationals are ints, so Q hands out the shared small ints 0
+    # and 1: tuples of coefficients full of zeros then compare by identity
     assert RATIONALS.zero is RATIONALS.zero and RATIONALS.one is RATIONALS.one
-    assert RATIONALS.zero == 0 and RATIONALS.one == 1 and type(RATIONALS.zero) is Fraction
+    assert RATIONALS.zero == 0 and RATIONALS.one == 1
+    assert canonical_q(RATIONALS.zero) and canonical_q(RATIONALS.one)
     assert FieldSpec().zero is RATIONALS.zero
 
 

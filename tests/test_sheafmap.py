@@ -6,10 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rncsplit import constructor, sheafmap
+from rncsplit import constructor, linalg, sheafmap
 from rncsplit.binform import BinaryForm
 from rncsplit.fields import FieldSpec, RATIONALS
-from rncsplit.multipoly import CurveContext, IdealCombination, parse_poly
+from rncsplit.multipoly import CurveContext, IdealCombination, parse_hypersurface, parse_poly, restrict_to_curve
 from rncsplit.sheafmap import (
     CertificationError,
     GradedSheafMap,
@@ -34,6 +34,7 @@ from tests.helpers import (
     build_df,
     build_psi_forms,
     build_quadric,
+    canonical_q,
     compose_forms,
     compose_lines,
     dense_combination,
@@ -381,7 +382,7 @@ def test_integer_compose_matches_form_oracle(K, data):
     for key, f in got.entries.items():
         assert (f.degree, f.coeffs) == (want.entries[key].degree, want.entries[key].coeffs)
         if K.p is None:
-            assert all(type(c) is Fraction for c in f.coeffs)
+            assert all(canonical_q(c) for c in f.coeffs)
         else:
             assert all(type(c) is int and 0 <= c < K.p for c in f.coeffs)
 
@@ -1197,3 +1198,50 @@ def test_map_json_round_trip():
     obj = map_to_json(K)
     again = map_from_json(obj, RATIONALS)
     assert maps_equal(again, K)
+
+
+# Rationals as a caller may pass them: ints, reduced Fractions, and integral
+# Fractions such as Fraction(1)
+Q_VALUES = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=8),
+    st.integers(-5, 5).map(Fraction),
+)
+NONZERO_Q = Q_VALUES.filter(bool)
+
+
+def _hsf_sum(coeffs, monomials) -> str:
+    """The .hsf text of a sum of coefficient-times-monomial terms."""
+    text = "".join(f" {'-' if c < 0 else '+'} {abs(c)}*{m}" for c, m in zip(coeffs, monomials))
+    return text[3:] if text.startswith(" + ") else text[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_rational_constructor_returns_canonical_values(data):
+    # every Q value the program makes is an int when it is integral and a
+    # Fraction only otherwise: the field's constants and operations, the
+    # scalar and .hsf parsers, restriction (x0*x1*x2 and x1^3 restrict to
+    # the same monomial, so their coefficients are summed), psi and delta,
+    # compose, RowSpace.insert and kernel_matrix
+    K = RATIONALS
+    a, b = data.draw(Q_VALUES), data.draw(NONZERO_Q)
+    n, d = data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 12))
+    values = [K.zero, K.one, K.from_int(n), K.parse_scalar(str(n)), K.parse_scalar(f"{n}/{d}")]
+    values += [K.add(a, b), K.sub(a, b), K.mul(a, b), K.neg(a), K.inv(b), K.div(a, b)]
+    c = [data.draw(NONZERO_Q) for _ in range(7)]
+    F = parse_hypersurface(
+        "d = 5\ne = 3\nn = 4\n"
+        f"Q 1 2 : {_hsf_sum(c[:2], ['x0^3', 'x1*x2^2'])}\n"
+        f"Q 2 3 : {_hsf_sum(c[2:5], ['x3^3', 'x0*x1*x2', 'x1^3'])}\n"
+        f"X 4 : {_hsf_sum(c[5:], ['x0^4', 'x3^4'])}\n"
+    )
+    for poly in (*F.quadric_coeffs.values(), *F.linear_coeffs.values()):
+        values += [*poly.terms.values(), *restrict_to_curve(poly).coeffs]
+    psi, delta = build_psi(F), build_delta(F)
+    for M in (psi, delta, compose(psi, build_beta(F.context)), kernel_matrix(delta)):
+        values += [x for f in M.entries.values() for x in f.coeffs]
+    span = linalg.RowSpace(K, 4)
+    for row in data.draw(st.lists(st.lists(Q_VALUES, min_size=4, max_size=4), max_size=5)):
+        values += span.insert(row) or []
+    assert all(canonical_q(x) for x in values)
