@@ -37,7 +37,7 @@ from rncsplit.sheafmap import (
     normal_twists,
     tangent_twists,
 )
-from rncsplit.splitting import EXACT, predicted_splitting
+from rncsplit.splitting import BALANCED, EXACT, NOT_BALANCED, predicted_splitting
 
 GF = FieldSpec(32003)
 
@@ -1600,3 +1600,76 @@ def parse_poly_oracle(text: str, context: CurveContext, expected_degree: int) ->
             f"expected degree {expected_degree}, parsed degree {raw.total_degree}"
         )
     return raw
+
+
+# -- the published case lists: oracle for the catalog --------------------------
+#
+# predicted_splitting as it spelled out each theorem's parts before the
+# catalog computed them from one rule.  The one change: the slope-split
+# corollary's balanced_of(n - 2, mu_num) is written out with divmod, so the
+# oracle shares no code with the catalog.  Returns (verdict, parts or None,
+# provenance).
+
+
+def published_prediction(d: int, e: int, n: int) -> tuple:
+    if d == 2:
+        if e % 2 == 0:
+            return EXACT, [e] * (n - 1), "thm:quadrics:even"
+        return EXACT, [e - 1] + [e] * (n - 3) + [e + 1], "thm:quadrics:odd"
+
+    if d == 3:
+        if e == 1:
+            if n == 3:
+                return EXACT, [-1, 2], "thm:cubics:e1-n3"
+            return EXACT, [0, 0] + [1] * (n - 4) + [2], "thm:cubics:e1-high"
+        if e == 2:
+            if n == 3:
+                return EXACT, [0, 2], "thm:cubics:e2-n3"
+            return EXACT, [1, 1] + [2] * (n - 3), "thm:cubics:e2-high"
+        if n == e:
+            return EXACT, [e - 2] + [e - 1] * (e - 2), "thm:cubics:case-n-eq-e"
+        return EXACT, [e - 1] * e + [e] * (n - e - 1), "thm:cubics:case-n-gt-e"
+
+    if d == 4:
+        if e == 1:
+            if n == 3:
+                return EXACT, [-2, 2], "thm:quartics:e1-n3"
+            if n == 4:
+                return EXACT, [-1, 0, 2], "thm:quartics:e1-n4"
+            return EXACT, [0, 0, 0] + [1] * (n - 5) + [2], "thm:quartics:e1-high"
+        if e == 2:
+            if n == 3:
+                return EXACT, [-2, 2], "thm:quartics:e2-n3"
+            if n == 4:
+                return EXACT, [0, 0, 2], "thm:quartics:e2-n4"
+            if n == 5:
+                return EXACT, [0, 1, 1, 2], "thm:quartics:e2-n5"
+            return EXACT, [1] * 4 + [2] * (n - 5), "thm:quartics:e2-high"
+        if e == 3:
+            if n == 3:
+                return EXACT, [-2, 2], "thm:quartics:e3-n3"
+            if n == 4:
+                return EXACT, [0, 1, 2], "thm:quartics:e3-n4"
+            if n == 5:
+                return EXACT, [1, 1, 2, 2], "thm:quartics:e3-n5"
+            if n == 6:
+                return EXACT, [1, 2, 2, 2, 2], "thm:quartics:e3-n6"
+            return EXACT, [2] * 6 + [3] * (n - 7), "thm:quartics:e3-high"
+        if n == e:
+            return EXACT, [e - 3] * 2 + [e - 2] * (e - 3), "thm:quartics:case-n-eq-e"
+        if n <= 2 * e + 1:
+            return EXACT, [e - 2] * (2 * e - n + 1) + [e - 1] * (2 * (n - e - 1)), "thm:quartics:case-mid"
+        return EXACT, [e - 1] * (2 * e) + [e] * (n - 2 * e - 1), "thm:quartics:case-high"
+
+    # d >= 5
+    if e == n and n >= 2 * d - 2:
+        return EXACT, [n + 1 - d] * (d - 2) + [n + 2 - d] * (n - d + 1), "thm:general:e-eq-n"
+    # slope of the balanced normal bundle: (e(n+1-d) - 2) / (n - 2)
+    mu_num = e * (n + 1 - d) - 2
+    mu_den = n - 2
+    if mu_num <= 3 * mu_den:
+        if mu_num < mu_den:
+            return NOT_BALANCED, None, "cor:slope-split:unbalanced"
+        q, rem = divmod(mu_num, mu_den)
+        return EXACT, [q] * (mu_den - rem) + [q + 1] * rem + [2], "cor:slope-split"
+    return BALANCED, None, "thm:balanced-range"

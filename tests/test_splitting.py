@@ -20,6 +20,7 @@ from rncsplit.splitting import (
     specializes_to,
     splitting_to_json,
 )
+from tests.helpers import published_prediction
 
 
 def S(*parts):
@@ -246,3 +247,16 @@ def test_catalog_never_unknown_in_range():
         pred = predicted_splitting(d, e, n)
         assert pred.verdict in (EXACT, BALANCED, NOT_BALANCED), (d, e, n)
         assert (pred.splitting is not None) == (pred.verdict == EXACT), (d, e, n)
+
+
+def test_catalog_matches_the_published_case_lists():
+    # verdict, parts and provenance tag of every cell with d <= 30, n <= 60
+    # against the case lists as published
+    cells = 0
+    for d, e, n in catalog_cases(max_n=60, max_d=30):
+        pred = predicted_splitting(d, e, n)
+        verdict, parts, tag = published_prediction(d, e, n)
+        got = (pred.verdict, pred.splitting.parts if pred.splitting else None, pred.provenance)
+        assert got == (verdict, tuple(sorted(parts)) if parts else None, tag), (d, e, n)
+        cells += 1
+    assert cells == 52983
