@@ -215,8 +215,7 @@ def _check_constructive(d: int, e: int, n: int) -> None:
         if e < 2 * d - 2:
             raise UnsupportedCaseError(
                 f"degree {d} needs e = n >= 2d-2 = {2 * d - 2} (got e={e}); "
-                "between d+1 and 2d-3 existence routes through a cited result "
-                "with no explicit polynomial"
+                "no example is constructed for d >= 5 with e = n < 2d-2"
             )
     else:
         raise UnsupportedCaseError(f"degree d = {d} out of range")

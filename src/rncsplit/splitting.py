@@ -86,10 +86,20 @@ def interpolation_count(S: SplittingType) -> int:
     return S.parts[0] + 1
 
 
+# The largest rank built from a number in argv: n in a cell, and the total
+# multiplicity of an O(a)^k text.  A splitting is stored part by part, so a
+# short argv could otherwise ask for gigabytes; compute and verify finish far
+# below it.
+MAX_RANK = 10_000
+
+
 def _check_cell(d: int, e: int, n: int) -> None:
-    """Refuse a (d, e, n) outside the catalog: d >= 2, n >= 3, 1 <= e <= n."""
+    """Refuse a (d, e, n) outside the catalog: d >= 2, n >= 3, 1 <= e <= n,
+    and n <= MAX_RANK."""
     if d < 2 or n < 3 or not 1 <= e <= n:
         raise SplittingError(f"parameters out of range: d={d}, e={e}, n={n}")
+    if n > MAX_RANK:
+        raise SplittingError(f"n={n} is above the largest supported n, {MAX_RANK}")
 
 
 def expected_max(d: int, e: int, n: int) -> int:
@@ -127,7 +137,7 @@ def parse_splitting(text: str) -> SplittingType:
     if text.startswith("["):
         try:
             arr = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int of more digits than Python converts
             raise SplittingError(f"bad splitting array: {text!r} ({exc})") from None
         if not isinstance(arr, list) or not all(type(x) is int for x in arr):  # a bool is an int
             raise SplittingError(f"bad splitting array: {text!r}")
@@ -137,7 +147,13 @@ def parse_splitting(text: str) -> SplittingType:
         m = re.match(r"^\s*O\(\s*(-?\d+)\s*\)(?:\^(\d+))?\s*$", piece)
         if not m:
             raise SplittingError(f"bad splitting component {piece!r}")
-        parts.extend([int(m.group(1))] * int(m.group(2) or 1))
+        try:
+            a, k = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:  # more digits than Python converts to an int
+            raise SplittingError(f"bad splitting component {piece!r}") from None
+        if len(parts) + k > MAX_RANK:
+            raise SplittingError(f"splitting of rank above {MAX_RANK} at {piece.strip()!r}")
+        parts.extend([a] * k)
     return SplittingType(tuple(parts))
 
 
@@ -155,84 +171,62 @@ class Prediction:
         self.verdict, self.splitting, self.provenance = verdict, splitting, provenance
 
 
-def _exact(parts, tag: str) -> Prediction:
-    return Prediction(EXACT, SplittingType(tuple(parts)), tag)
+def most_general(rank: int, degree: int) -> SplittingType:
+    """M: balanced_of(rank, degree) if its top part, ceil(degree / rank), is
+    >= 2, that is, if degree > rank; else balanced_of(rank - 1, degree - 2)
+    + O(2) (a SplittingError at rank 1, where no type of degree < 2 has a
+    part >= 2).
+
+    Lemma: M is the most general type of rank r and degree D with a part
+    >= 2, that is, specializes_to(M, S) for every such S.  Let P_k(T) be the
+    sum of the k smallest parts of T.  (1) B = balanced_of(r, D), with parts
+    q and q + 1, has P_k(B) >= P_k(S) for every S of rank r and degree D: if
+    the k-th smallest part of S is <= q, then P_k(S) <= kq <= P_k(B); if not,
+    the other r - k parts of S are >= q + 1, those of B sum to at most
+    (r - k)(q + 1), and both types sum to D.  (2) If B's top part is >= 2,
+    then M = B.  Otherwise D <= r.  Let a >= 2 be the top part of S and S'
+    its other parts; r >= 2, since a rank-1 S has D = a > r.  The parts of
+    balanced_of(r - 1, D - 2) are <= 1, so O(2) is M's top part.  A balanced
+    type's P_k does not fall as its degree grows, so by (1), for k < r,
+    P_k(M) = P_k(balanced_of(r - 1, D - 2)) >= P_k(balanced_of(r - 1, D - a))
+    >= P_k(S') = P_k(S), and P_r(M) = D = P_r(S)."""
+    if degree > rank:
+        return balanced_of(rank, degree)
+    return SplittingType(balanced_of(rank - 1, degree - 2).parts + (2,))
 
 
 def predicted_splitting(d: int, e: int, n: int) -> Prediction:
     """Predicted splitting type or balancedness verdict for the restricted
     tangent bundle of the degree-e rational normal curve on a general degree-d
-    hypersurface in P^n.  Encodes the published case lists exactly, and every
-    cell gets a verdict.
+    hypersurface in P^n, with the tag of the published case it falls in.
 
-    For d >= 5 past the e = n and slope-split cases, e(n+1-d) - 2 > 3(n-2) > 0
-    (n >= 3).  So e(n+1-d) > 3n - 4 >= n - 1, and n + 1 - d > 0 with e > 0,
-    so n >= d: every such cell is in the balanced range."""
+    One rule gives every exact type: most_general(n - 1, D), D = e(n + 1 - d),
+    except that quadrics with odd e have [e - 1, e, ..., e, e + 1].  So the
+    general T_X|_C is predicted balanced exactly when D >= n, unless d = 2 and
+    e is odd.  For d >= 5 off the diagonal e = n >= 2d - 2, the type is exact
+    only while the normal slope (D - 2)/(n - 2) is at most 3; below 1 it is
+    not balanced, and above 3 balanced.  The published case lists are the
+    test oracle (tests/helpers.py)."""
     _check_cell(d, e, n)
-
+    D = e * (n + 1 - d)
     if d == 2:
-        if e % 2 == 0:
-            return _exact([e] * (n - 1), "thm:quadrics:even")
-        return _exact([e - 1] + [e] * (n - 3) + [e + 1], "thm:quadrics:odd")
-
-    if d == 3:
-        if e == 1:
-            if n == 3:
-                return _exact([-1, 2], "thm:cubics:e1-n3")
-            return _exact([0, 0] + [1] * (n - 4) + [2], "thm:cubics:e1-high")
-        if e == 2:
-            if n == 3:
-                return _exact([0, 2], "thm:cubics:e2-n3")
-            return _exact([1, 1] + [2] * (n - 3), "thm:cubics:e2-high")
-        if n == e:
-            return _exact([e - 2] + [e - 1] * (e - 2), "thm:cubics:case-n-eq-e")
-        return _exact([e - 1] * e + [e] * (n - e - 1), "thm:cubics:case-n-gt-e")
-
-    if d == 4:
-        if e == 1:
-            if n == 3:
-                return _exact([-2, 2], "thm:quartics:e1-n3")
-            if n == 4:
-                return _exact([-1, 0, 2], "thm:quartics:e1-n4")
-            return _exact([0, 0, 0] + [1] * (n - 5) + [2], "thm:quartics:e1-high")
-        if e == 2:
-            if n == 3:
-                return _exact([-2, 2], "thm:quartics:e2-n3")
-            if n == 4:
-                return _exact([0, 0, 2], "thm:quartics:e2-n4")
-            if n == 5:
-                return _exact([0, 1, 1, 2], "thm:quartics:e2-n5")
-            return _exact([1] * 4 + [2] * (n - 5), "thm:quartics:e2-high")
-        if e == 3:
-            if n == 3:
-                return _exact([-2, 2], "thm:quartics:e3-n3")
-            if n == 4:
-                return _exact([0, 1, 2], "thm:quartics:e3-n4")
-            if n == 5:
-                return _exact([1, 1, 2, 2], "thm:quartics:e3-n5")
-            if n == 6:
-                return _exact([1, 2, 2, 2, 2], "thm:quartics:e3-n6")
-            return _exact([2] * 6 + [3] * (n - 7), "thm:quartics:e3-high")
-        if n == e:
-            return _exact([e - 3] * 2 + [e - 2] * (e - 3), "thm:quartics:case-n-eq-e")
-        if n <= 2 * e + 1:
-            return _exact(
-                [e - 2] * (2 * e - n + 1) + [e - 1] * (2 * (n - e - 1)),
-                "thm:quartics:case-mid",
-            )
-        return _exact([e - 1] * (2 * e) + [e] * (n - 2 * e - 1), "thm:quartics:case-high")
-
-    # d >= 5
-    if e == n and n >= 2 * d - 2:
-        return _exact(
-            [n + 1 - d] * (d - 2) + [n + 2 - d] * (n - d + 1), "thm:general:e-eq-n"
-        )
-    # slope of the balanced normal bundle: (e(n+1-d) - 2) / (n - 2)
-    mu_num = e * (n + 1 - d) - 2
-    mu_den = n - 2
-    if mu_num <= 3 * mu_den:
-        if mu_num < mu_den:
-            return Prediction(NOT_BALANCED, None, "cor:slope-split:unbalanced")
-        parts = list(balanced_of(n - 2, mu_num).parts) + [2]
-        return _exact(parts, "cor:slope-split")
-    return Prediction(BALANCED, None, "thm:balanced-range")
+        if e % 2:
+            return Prediction(EXACT, SplittingType((e - 1,) + (e,) * (n - 3) + (e + 1,)), "thm:quadrics:odd")
+        tag = "thm:quadrics:even"
+    elif d <= 4:
+        theorem = "thm:cubics:" if d == 3 else "thm:quartics:"
+        if e < d:  # a tag per n up to n = 3 (cubics) or n = e + 3 (quartics), then "-high"
+            tag = f"{theorem}e{e}-" + (f"n{n}" if n <= (3 if d == 3 else e + 3) else "high")
+        elif n == e:
+            tag = theorem + "case-n-eq-e"
+        else:
+            tag = theorem + ("case-n-gt-e" if d == 3 else "case-mid" if n <= 2 * e + 1 else "case-high")
+    elif e == n >= 2 * d - 2:
+        tag = "thm:general:e-eq-n"
+    elif D < n:
+        return Prediction(NOT_BALANCED, None, "cor:slope-split:unbalanced")
+    elif D - 2 > 3 * (n - 2):
+        return Prediction(BALANCED, None, "thm:balanced-range")
+    else:
+        tag = "cor:slope-split"
+    return Prediction(EXACT, most_general(n - 1, D), tag)

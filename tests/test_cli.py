@@ -823,11 +823,24 @@ def test_verify_refuses_d_off_the_general_theorem(capsys, theorem, d):
 
 def test_malformed_splitting_exit_2(capsys):
     # a JSON bool is a Python int, but not a splitting part
-    for bad in ("[1,2", "[true]", "[1,false]"):
+    # and an int of more digits than Python converts
+    for bad in ("[1,2", "[true]", "[1,false]", "[" + "1" * 5000 + "]"):
         for argv in (["glue", bad, "[1,1]"], ["dominates", "[1,1]", bad], ["interp", bad]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"error: bad splitting array: {bad!r}"), argv
+
+
+@pytest.mark.parametrize(
+    "d, e, err",
+    [
+        (6, 5, "degree 6 needs e = n >= 2d-2 = 10 (got e=5); no example is constructed for d >= 5 with e = n < 2d-2"),
+        (5, 7, "degree 5 needs e = n >= 2d-2 = 8 (got e=7); no example is constructed for d >= 5 with e = n < 2d-2"),
+    ],
+)
+def test_compute_below_the_general_diagonal_names_the_refused_range(capsys, d, e, err):
+    # the refusal claims no existence: the catalog calls (6, 5, 5) not balanced
+    assert run(capsys, "compute", "--d", str(d), "--e", str(e), "--n", str(e)) == (2, "", f"error: {err}\n")
 
 
 def test_output_file(capsys, tmp_path):

@@ -4,9 +4,12 @@ stdout), exit 1 only for a verify mismatch, and never exit 3 on any input
 the grid below draws, over Q and over the smallest and the largest primes
 FieldSpec accepts."""
 
+import tracemalloc
+
 import pytest
 
 from rncsplit import cli
+from rncsplit.splitting import MAX_RANK
 
 FIELDS = ("rational", "prime:2", "prime:3", f"prime:{2**31 - 1}")
 
@@ -39,7 +42,10 @@ def _algebra():
         for e in range(-1, 6):
             for n in range(0, 7):
                 yield ["predict", "--d", str(d), "--e", str(e), "--n", str(n)]
-    splittings = ("[1,2]", "[3,4]", "[2,2,2]", "[1,2,3]", "O(1)^2", "[]", "[1", "x", "[-1,5]")
+    # the last three hold numbers of more digits than Python converts to an int
+    digits = "1" * 5000
+    splittings = ("[1,2]", "[3,4]", "[2,2,2]", "[1,2,3]", "O(1)^2", "[]", "[1", "x", "[-1,5]",
+                  f"[{digits}]", f"O({digits})", f"O(1)^{digits}")
     for a in splittings:
         yield ["interp", a]
         yield ["interp", a, "--d", "3", "--e", "3", "--n", "3"]
@@ -82,3 +88,19 @@ def test_every_input_exits_0_or_2(capsys, command, field):
 def test_every_splitting_command_exits_0_or_2(capsys):
     bad = [v for argv in _algebra() for v in _violations(capsys, argv)]
     assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "argv", [["predict", "--d", "3", "--e", "3", "--n", str(MAX_RANK + 1)], ["interp", f"O(1)^{MAX_RANK + 1}"]]
+)
+def test_a_size_over_the_bound_exits_2_before_any_part_is_built(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (2, "", 1) and err.startswith("error: "), err
+    # a list of MAX_RANK parts alone takes 8 bytes a part
+    assert peak < 8 * MAX_RANK, peak

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rncsplit.splitting import (
     BALANCED,
     EXACT,
+    MAX_RANK,
     NOT_BALANCED,
     SplittingError,
     SplittingType,
@@ -15,6 +16,7 @@ from rncsplit.splitting import (
     format_splitting,
     glue_bound,
     interpolation_count,
+    most_general,
     parse_splitting,
     predicted_splitting,
     specializes_to,
@@ -80,6 +82,24 @@ def test_balanced_dominates_class():
                 assert specializes_to(top, other)
                 if other.parts != top.parts:
                     assert not specializes_to(other, top)
+
+
+def test_most_general_with_a_part_at_least_2_dominates_every_such_type():
+    # the lemma of most_general, over every type of rank 1..5 with parts in
+    # -4..10 and a part >= 2 (15,042 types)
+    count = 0
+    for rank in range(1, 6):
+        for combo in itertools.combinations_with_replacement(range(-4, 11), rank):
+            if combo[-1] < 2:
+                continue
+            S, M = SplittingType(combo), most_general(rank, sum(combo))
+            assert (M.rank, M.degree) == (rank, S.degree) and M.parts[-1] >= 2, (S, M)
+            assert specializes_to(M, S), (S, M)
+            count += 1
+    assert count == 15042
+    # no rank-1 type of degree < 2 has a part >= 2
+    with pytest.raises(SplittingError):
+        most_general(1, 1)
 
 
 def test_specialization_is_partial_order():
@@ -166,6 +186,18 @@ def test_format_and_parse():
     assert splitting_to_json(x) == [4, 5, 5, 5]
     with pytest.raises(SplittingError):
         parse_splitting("O(4) + Q(5)")
+
+
+def test_rank_from_a_number_is_bounded():
+    assert parse_splitting(f"O(1)^{MAX_RANK // 2} + O(2)^{MAX_RANK // 2}").rank == MAX_RANK
+    for text in (f"O(1)^{MAX_RANK + 1}", f"O(1)^{MAX_RANK} + O(2)", f"O(1) + O(1)^{MAX_RANK}"):
+        with pytest.raises(SplittingError, match="rank above"):
+            parse_splitting(text)
+    assert predicted_splitting(3, 3, MAX_RANK).splitting.rank == MAX_RANK - 1
+    with pytest.raises(SplittingError, match="largest supported n"):
+        predicted_splitting(3, 3, MAX_RANK + 1)
+    with pytest.raises(SplittingError, match="largest supported n"):
+        expected_max(3, 3, MAX_RANK + 1)
 
 
 # -- the catalog -------------------------------------------------------------------------
@@ -260,3 +292,11 @@ def test_catalog_matches_the_published_case_lists():
         assert got == (verdict, tuple(sorted(parts)) if parts else None, tag), (d, e, n)
         cells += 1
     assert cells == 52983
+
+
+def test_catalog_is_balanced_exactly_when_the_degree_reaches_n():
+    # the catalog in one line: balanced iff e(n+1-d) >= n, unless d = 2, e odd
+    for d, e, n in catalog_cases(max_n=60, max_d=30):
+        pred = predicted_splitting(d, e, n)
+        balanced = pred.verdict == BALANCED or pred.verdict == EXACT and pred.splitting.is_balanced()
+        assert balanced == (e * (n + 1 - d) >= n and not (d == 2 and e % 2)), (d, e, n)
